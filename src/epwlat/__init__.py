@@ -10,6 +10,7 @@ necessary condition, and the full degree family d(n) = 8n^2 + 16n + 10.
 
 __version__ = "0.1.0"
 
+from .errors import InvariantError  # noqa: F401
 from .lattices import (  # noqa: F401
     Isometry,
     Lattice,

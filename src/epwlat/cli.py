@@ -95,8 +95,8 @@ def cmd_pell(args, fmt: str) -> int:
         else:
             print("D=1: solvable (degenerate); only solution (y, x) = (0, 1)")
         return EXIT_OK
-    if not pell.is_solvable_negative(d):
-        cf = pell.cf_expansion(d)
+    cf = pell.cf_expansion(d)
+    if cf.period_length % 2 == 0:
         if fmt == "csv":
             _emit_table(["d", "solvable", "period_length"],
                         [[d, "false", cf.period_length]], fmt)

@@ -34,6 +34,7 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 from . import catalog, lattices, pell
+from .errors import ensure
 from .lattices import Isometry, Lattice, LatticeVector
 
 # Numeric consequences of the geometry (the only part modeled here):
@@ -177,13 +178,15 @@ def family(n: int) -> FamilyRecord:
     d = lattices.product(pi, h2, h2)
     g = d // 2 + 1
     r = 2 * n + 2
-    assert d == 8 * n * n + 16 * n + 10 == 2 * (4 * (n + 1) ** 2 + 1)
-    assert g == r * r + 2
-    assert disc_pi == -2 * d
-    assert h2_coords == (1, 2 * n + 2)
+    ensure(d == 8 * n * n + 16 * n + 10 == 2 * (4 * (n + 1) ** 2 + 1),
+           f"family({n}): degree {d} differs from 8n^2 + 16n + 10")
+    ensure(g == r * r + 2, f"family({n}): genus {g} differs from r^2 + 2")
+    ensure(disc_pi == -2 * d, f"family({n}): disc(Pi) = {disc_pi}, not -2d")
+    ensure(h2_coords == (1, 2 * n + 2),
+           f"family({n}): h2 = {h2_coords}, not gamma + (2n+2) delta2")
 
     witness = pell.fundamental_negative(g - 1)
-    assert witness is not None
+    ensure(witness is not None, f"family({n}): no Pell solution for D = {g - 1}")
 
     return FamilyRecord(
         n=n,
@@ -216,7 +219,7 @@ def disc_obstruction(n: int) -> DiscObstruction:
     if n < 1:
         raise ValueError("parameter n must be >= 1")
     disc_r = lattices.discriminant(catalog.two_polarization_lattice(n))
-    assert disc_r == -n * (n + 20)
+    ensure(disc_r == -n * (n + 20), f"disc R({n}) = {disc_r}, not -n(n+20)")
     return DiscObstruction(disc_r, not lattices.sublattice_discriminant_test(-20, disc_r))
 
 

@@ -1,17 +1,17 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 Everything in here works on plain lists/tuples of Python ints (arbitrary
-precision) or ``fractions.Fraction``; no floating point is used anywhere.
-The matrices in this package are tiny (rank <= 24), so clarity wins over
-asymptotics: determinants use fraction-free Bareiss elimination, integer
-kernels use unimodular column reduction, and inertia counts come from
-rational congruence diagonalization.
+precision); no floating point and no rationals are used anywhere. The
+matrices in this package are small (rank <= 24): determinants use
+fraction-free Bareiss elimination, integer kernels use unimodular column
+reduction, and inertia counts come from fraction-free symmetric (Bareiss)
+elimination applied as a congruence.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from operator import mul
+from typing import Iterator, Sequence
 
 Matrix = Sequence[Sequence[int]]
 
@@ -24,13 +24,17 @@ def transpose(m: Matrix) -> list[list[int]]:
     return [list(col) for col in zip(*m)] if m else []
 
 
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> list[list[int]]:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
+    return [sum(map(mul, row, v)) for row in m]
 
 
 def is_symmetric(m: Matrix) -> bool:
@@ -190,44 +194,64 @@ def row_hnf(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a[:r])
 
 
+def congruence_pivots(gram: Matrix) -> Iterator[tuple[int, list[list[int]]]]:
+    """Fraction-free symmetric elimination of ``gram``, one step at a time.
+
+    Yields ``(p, block)`` per basis direction: ``block`` is the trailing
+    block on which the step works and ``p = block[0][0]`` its pivot, or
+    ``p = 0`` for a direction in the radical. Every block is a positive
+    multiple of the rational Schur complement, so the signs of the pivots
+    are the signs of a diagonal form congruent to ``gram``.
+
+    The step maps the block to ``sign(p)*(p*a_ij - a_i0*a_0j) / |prev|``
+    with ``prev`` the previous nonzero pivot. As in Bareiss's determinant
+    the division is exact: entries stay (up to sign) minors of the matrix
+    after the basis changes below, so they obey Hadamard's bound instead
+    of doubling in length every step. A zero pivot is first repaired by
+    swapping in a later basis vector with nonzero diagonal; failing that,
+    by adding a basis vector that pairs nontrivially with it (which makes
+    the diagonal entry 2*(off-diagonal) != 0). Both are unimodular
+    congruences of the trailing block, so the block stays a positive
+    multiple of the Schur complement in the new basis.
+    """
+    a = [list(row) for row in gram]
+    prev = 1
+    while a:
+        if a[0][0] == 0:
+            swap = next((i for i in range(1, len(a)) if a[i][i] != 0), None)
+            if swap is not None:
+                a[0], a[swap] = a[swap], a[0]
+                for row in a:
+                    row[0], row[swap] = row[swap], row[0]
+            else:
+                off = next((i for i in range(1, len(a)) if a[0][i] != 0), None)
+                if off is None:
+                    yield 0, a
+                    a = [row[1:] for row in a[1:]]
+                    continue
+                a[0] = [x + y for x, y in zip(a[0], a[off])]
+                for row in a:
+                    row[0] += row[off]
+        yield a[0][0], a
+        p = a[0][0]
+        s = 1 if p > 0 else -1
+        head = a[0][1:]
+        a = [[s * (p * x - row[0] * h) // prev for x, h in zip(row[1:], head)]
+             for row in a[1:]]
+        prev = abs(p)
+
+
 def inertia(gram: Matrix) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia counts of a symmetric matrix.
 
-    Rational congruence diagonalization (Lagrange). A zero pivot is first
-    repaired by swapping in a later basis vector with nonzero diagonal;
-    failing that, by adding a basis vector that pairs nontrivially with it
-    (which makes the diagonal entry 2*(off-diagonal) != 0).
+    Sylvester's law read off the pivot signs of ``congruence_pivots``.
     """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
     pos = neg = zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = next((i for i in range(k + 1, n) if a[k][i] != 0), None)
-                if off is None:
-                    zero += 1
-                    continue
-                for j in range(n):
-                    a[k][j] += a[off][j]
-                for i in range(n):
-                    a[i][k] += a[i][off]
-        p = a[k][k]
+    for p, _ in congruence_pivots(gram):
         if p > 0:
             pos += 1
-        else:
+        elif p < 0:
             neg += 1
-        for i in range(k + 1, n):
-            f = a[i][k] / p
-            if f == 0:
-                continue
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-            for j in range(k, n):
-                a[j][i] -= f * a[j][k]
+        else:
+            zero += 1
     return pos, neg, zero

@@ -133,8 +133,7 @@ def product(lattice: Lattice, x: VectorLike, y: VectorLike) -> int:
     """The bilinear form x^T * gram * y, exactly."""
     cx = _coords(lattice, x)
     cy = _coords(lattice, y)
-    return sum(cx[i] * lattice.gram[i][j] * cy[j]
-               for i in range(lattice.rank) for j in range(lattice.rank))
+    return intmat.dot(cx, intmat.mat_vec(lattice.gram, cy))
 
 
 def discriminant(lattice: Lattice) -> int:
@@ -143,7 +142,7 @@ def discriminant(lattice: Lattice) -> int:
 
 
 def signature(lattice: Lattice) -> Signature:
-    """Sylvester inertia, by exact rational congruence diagonalization."""
+    """Sylvester inertia, by fraction-free symmetric elimination (exact)."""
     return Signature(*intmat.inertia(lattice.gram))
 
 
@@ -160,20 +159,24 @@ def reflection(lattice: Lattice, e: VectorLike) -> Isometry:
     is automatically integral.
     """
     ce = _coords(lattice, e)
-    ee = product(lattice, ce, ce)
+    ge = intmat.mat_vec(lattice.gram, ce)
+    ee = intmat.dot(ce, ge)
     if ee not in (2, -2):
         raise ValueError(f"reflection requires (e,e) in {{2, -2}}, got {ee}")
-    cols = []
-    for j in range(lattice.rank):
-        basis = lattice.basis_vector(j)
-        xe = product(lattice, basis, ce)
-        num = 2 * xe
-        if num % ee:
-            raise ValueError("reflection image is not integral")
-        f = num // ee
-        cols.append(tuple(basis[i] - f * ce[i] for i in range(lattice.rank)))
-    rows = tuple(zip(*cols))
-    return Isometry(lattice, rows)
+    return Isometry(lattice, _reflection_matrix(ce, ge, ee))
+
+
+def _reflection_matrix(ce: Coords, ge: Coords, ee: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix of x -> x - (2(x,e)/(e,e)) e, given ge = gram * e and ee = (e,e).
+
+    Column j is the image of the j-th basis vector b_j, and (b_j, e) is
+    ge[j]; ee in {2, -2} divides 2 * ge[j].
+    """
+    f = [2 * x // ee for x in ge]
+    return tuple(
+        tuple(int(i == j) - c * fj for j, fj in enumerate(f))
+        for i, c in enumerate(ce)
+    )
 
 
 def negated_reflection(lattice: Lattice, r: VectorLike) -> Isometry:
@@ -183,16 +186,13 @@ def negated_reflection(lattice: Lattice, r: VectorLike) -> Isometry:
     acts as -1 on the orthogonal complement of r.
     """
     cr = _coords(lattice, r)
-    rr = product(lattice, cr, cr)
+    gr = intmat.mat_vec(lattice.gram, cr)
+    rr = intmat.dot(cr, gr)
     if rr != 2:
         raise ValueError(f"negated reflection requires (r,r) = 2, got {rr}")
-    cols = []
-    for j in range(lattice.rank):
-        basis = lattice.basis_vector(j)
-        zr = product(lattice, basis, cr)
-        cols.append(tuple(-basis[i] + zr * cr[i] for i in range(lattice.rank)))
-    rows = tuple(zip(*cols))
-    return Isometry(lattice, rows)
+    return Isometry(lattice, tuple(
+        tuple(-x for x in row) for row in _reflection_matrix(cr, gr, rr)
+    ))
 
 
 def orthogonal_complement(lattice: Lattice, v: VectorLike) -> list[tuple[int, ...]]:
@@ -216,10 +216,10 @@ def induced_gram(lattice: Lattice, basis: Sequence[VectorLike]) -> Lattice:
     vecs = [_coords(lattice, b) for b in basis]
     if intmat.rank(vecs) != len(vecs):
         raise ValueError("basis vectors are linearly dependent")
-    gram = tuple(
-        tuple(product(lattice, a, b) for b in vecs) for a in vecs
-    )
-    return Lattice(gram)
+    images = [intmat.mat_vec(lattice.gram, b) for b in vecs]
+    return Lattice(tuple(
+        tuple(intmat.dot(a, gb) for gb in images) for a in vecs
+    ))
 
 
 def saturation(lattice: Lattice, basis: Sequence[VectorLike]) -> list[tuple[int, ...]]:

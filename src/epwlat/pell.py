@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from .errors import ensure
+
 
 @dataclass(frozen=True)
 class PellSolution:
@@ -223,7 +225,8 @@ def d5_closed_form_misprint(n: int) -> tuple[Fraction, Fraction]:
                  _qmul((Fraction(1), Fraction(-2)), conj))
     two_x = _add(_qmul((Fraction(2), Fraction(1, 5)), unit),
                  _qmul((Fraction(2), Fraction(-1, 5)), conj))
-    assert two_y[1] == 0 and two_x[1] == 0  # conjugate sums are rational
+    ensure(two_y[1] == 0 and two_x[1] == 0,
+           "conjugate sums in Q(sqrt5) must be rational")
     return two_y[0] / 2, two_x[0] / 2
 
 

@@ -3,6 +3,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,20 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") == len(verify.CHECKS)
+
+    def test_passes_under_optimize_flag(self):
+        # invariant checks must not be assert statements, which -O strips
+        src = str(Path(verify.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "epwlat.cli", "verify", "--n-max", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line for line in proc.stdout.splitlines() if line.startswith("PASS ")]
+        assert len(rows) == 17 == len(verify.CHECKS)
 
     def test_bad_scale(self, capsys):
         code, _, _ = run(["verify", "--n-max", "0"], capsys)

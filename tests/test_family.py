@@ -4,7 +4,7 @@ records themselves (always cross-checked against closed formulas)."""
 
 import pytest
 
-from epwlat import catalog, epwfamily, lattices, pell
+from epwlat import InvariantError, catalog, epwfamily, lattices, pell
 from epwlat.epwfamily import OgradyCase
 
 
@@ -113,6 +113,11 @@ class TestFamilyRecords:
         with pytest.raises(ValueError):
             epwfamily.family(0)
 
+    def test_broken_invariant_raises(self, monkeypatch):
+        monkeypatch.setattr(pell, "fundamental_negative", lambda d: None)
+        with pytest.raises(InvariantError, match="no Pell solution for D = 17"):
+            epwfamily.family(1)
+
 
 class TestDiscObstruction:
     @pytest.mark.parametrize("n,disc", [(1, -21), (10, -300)])
@@ -120,6 +125,11 @@ class TestDiscObstruction:
         res = epwfamily.disc_obstruction(n)
         assert res.disc_r == disc
         assert res.contradiction_r0
+
+    def test_broken_invariant_raises(self, monkeypatch):
+        monkeypatch.setattr(lattices, "discriminant", lambda lat: 0)
+        with pytest.raises(InvariantError, match=r"disc R\(1\) = 0"):
+            epwfamily.disc_obstruction(1)
 
     def test_holds_over_range(self):
         assert all(epwfamily.disc_obstruction(n).contradiction_r0

@@ -4,8 +4,11 @@ Strategies build random symmetric Gram matrices directly, and transport
 known (+-2)-vectors through random unimodular basis changes so that
 reflection inputs are valid by construction."""
 
+import random
+from fractions import Fraction
 from math import isqrt
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from epwlat import catalog, intmat, lattices, pell
@@ -193,7 +196,6 @@ def test_signature_of_conjugated_diagonal(diag, data):
 
 
 def det_by_fraction_elimination(rows):
-    from fractions import Fraction
     n = len(rows)
     a = [[Fraction(x) for x in row] for row in rows]
     det = Fraction(1)
@@ -227,6 +229,155 @@ def test_direct_sum_additivity(a, b):
         lattices.discriminant(a) * lattices.discriminant(b)
     )
     assert summed.rank == a.rank + b.rank
+
+
+def inertia_by_fraction_congruence(gram):
+    """Reference inertia: rational congruence diagonalization (Lagrange)."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                off = next((i for i in range(k + 1, n) if a[k][i] != 0), None)
+                if off is None:
+                    zero += 1
+                    continue
+                for j in range(n):
+                    a[k][j] += a[off][j]
+                for i in range(n):
+                    a[i][k] += a[i][off]
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            if f == 0:
+                continue
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+            for j in range(k, n):
+                a[j][i] -= f * a[j][k]
+    return pos, neg, zero
+
+
+def seeded_unimodular_ops(seed, n):
+    """Between n and 2n elementary unimodular moves from a fixed seed."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(rng.randint(n, 2 * n)):
+        kind = rng.choice(["add", "add", "swap", "neg"])
+        i, j = rng.sample(range(n), 2)
+        ops.append((kind, i, j, rng.choice([-2, -1, 1, 2])))
+    return ops
+
+
+_BIG = ["K3", "LAMBDA0", "I22_2"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", _BIG)
+def test_inertia_matches_fraction_reference_at_rank_22_and_24(name, seed):
+    gram = catalog.build(name).gram
+    if seed:
+        gram = transform_gram(gram, seeded_unimodular_ops(seed, len(gram)))
+    expected = inertia_by_fraction_congruence(gram)
+    assert intmat.inertia(gram) == expected
+    assert expected == tuple(catalog.report(name).signature)
+
+
+_U = catalog.hyperbolic_plane()
+_ZERO = Lattice(((0,),))
+_DEGENERATE = [
+    _U,
+    lattices.direct_sum(_U, _U),
+    lattices.direct_sum(_U, _ZERO),
+    lattices.direct_sum(_ZERO, _U),
+    lattices.direct_sum(lattices.direct_sum(_ZERO, _U), _ZERO),
+    lattices.direct_sum(lattices.rescale(_U, 3), lattices.rescale(_U, -2)),
+    lattices.direct_sum(_U, catalog.rank_one(-2)),
+    Lattice(((0, 0), (0, 0))),
+    Lattice(((0, 1, 1), (1, 0, 1), (1, 1, 0))),
+    Lattice(((0, 2, 0), (2, 0, 0), (0, 0, 0))),
+]
+
+
+@pytest.mark.parametrize("lat", _DEGENERATE, ids=lambda lat: str(lat.gram))
+def test_inertia_of_zero_diagonal_and_degenerate_grams(lat):
+    assert intmat.inertia(lat.gram) == inertia_by_fraction_congruence(lat.gram)
+
+
+@st.composite
+def zero_diagonal_grams(draw, max_rank=6):
+    # hollow and degenerate forms: every pivot starts at zero, some rows vanish
+    n = draw(st.integers(min_value=1, max_value=max_rank))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.sampled_from([0, 0, 0, -2, -1, 1, 3]))
+    return g
+
+
+@settings(max_examples=300)
+@given(zero_diagonal_grams())
+def test_inertia_matches_fraction_reference_on_hollow_grams(gram):
+    assert intmat.inertia(gram) == inertia_by_fraction_congruence(gram)
+
+
+@given(symmetric_lattices(max_rank=6))
+def test_inertia_matches_fraction_reference(lat):
+    assert intmat.inertia(lat.gram) == inertia_by_fraction_congruence(lat.gram)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["I22_2", "K3"])
+def test_inertia_entry_growth_is_bounded(name, seed):
+    # Every block entry is +- a minor of the Gram after the pivot repairs,
+    # which each add one basis vector to another, so its entries are at
+    # most 4M and Hadamard gives |entry| <= (sqrt(n) * 4M)^n. Without the
+    # exact division the entries would square at every step. On these
+    # unimodular inputs (max entry M <= 50) every entry fits in 64 bits.
+    gram = catalog.build(name).gram
+    n = len(gram)
+    if seed:
+        gram = transform_gram(gram, seeded_unimodular_ops(seed, n))
+    m = max(abs(x) for row in gram for x in row)
+    assert m <= 50
+    largest = max(abs(x) for _, block in intmat.congruence_pivots(gram)
+                  for row in block for x in row)
+    assert largest <= (isqrt(n) + 1) ** n * (4 * m) ** n
+    assert largest.bit_length() <= 64
+
+
+def product_by_double_sum(gram, x, y):
+    n = len(gram)
+    return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+
+
+@given(lattice_with_vectors(2))
+def test_product_is_the_double_sum(data):
+    lat, (x, y) = data
+    assert lattices.product(lat, x, y) == product_by_double_sum(lat.gram, x, y)
+
+
+@given(symmetric_lattices(), st.data())
+def test_induced_gram_is_the_double_sum(lat, data):
+    n = lat.rank
+    k = data.draw(st.integers(1, n))
+    vecs = [tuple(data.draw(st.integers(-4, 4)) for _ in range(n)) for _ in range(k)]
+    if intmat.rank(vecs) != k:
+        return
+    sub = lattices.induced_gram(lat, vecs)
+    assert sub.gram == tuple(
+        tuple(product_by_double_sum(lat.gram, a, b) for b in vecs) for a in vecs
+    )
 
 
 nonsquare_d = st.integers(min_value=2, max_value=400).filter(
