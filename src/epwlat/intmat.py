@@ -3,9 +3,10 @@
 Everything in here works on plain lists/tuples of Python ints (arbitrary
 precision); no floating point and no rationals are used anywhere. The
 matrices in this package are small (rank <= 24): determinants use
-fraction-free Bareiss elimination, integer kernels use unimodular column
-reduction, and inertia counts come from fraction-free symmetric (Bareiss)
-elimination applied as a congruence.
+fraction-free Bareiss elimination; rank, integer kernels and Hermite
+normal forms all come from one Euclidean row echelon (``echelon``) under
+unimodular row operations; and inertia counts come from fraction-free
+symmetric (Bareiss) elimination applied as a congruence.
 """
 
 from __future__ import annotations
@@ -70,127 +71,80 @@ def det(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rank(m: Matrix) -> int:
-    """Rank over the rationals, by fraction-free row echelon."""
-    a = [list(row) for row in m if any(row)]
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
+def echelon(a: list[list[int]], cols: int) -> int:
+    """Bring the first ``cols`` columns of the rows ``a`` to Hermite echelon.
+
+    Works in place with unimodular row operations only. In each column the
+    row with the smallest nonzero entry reduces the others (Euclid) until
+    one nonzero entry is left; that row is moved into place and made
+    positive. Returns the pivot count r: rows r and below vanish on the
+    first ``cols`` columns. Entries above the pivots are left unreduced.
+    """
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        for i in range(r + 1, rows):
-            if a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [p * x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
+        if r == len(a):
             break
+        live: list[list[int]] = []
+        done: list[list[int]] = []
+        for row in a[r:]:
+            (live if row[c] else done).append(row)
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda row: abs(row[c]))
+            top, *others = live
+            p = top[c]
+            live = [top]
+            for row in others:
+                q = row[c] // p  # nonzero, as |row[c]| >= |p|
+                row = [x - q * y for x, y in zip(row, top)]
+                (live if row[c] else done).append(row)
+        top = live[0]
+        a[r:] = [top if top[c] > 0 else [-x for x in top], *done]
+        r += 1
     return r
+
+
+def rank(m: Matrix) -> int:
+    """Rank over the rationals: the pivot count of ``echelon``."""
+    a = [list(row) for row in m if any(row)]
+    return echelon(a, len(a[0])) if a else 0
 
 
 def kernel(m: Matrix, width: int) -> list[tuple[int, ...]]:
     """Basis of the integer kernel {x in Z^width : m @ x = 0}.
 
-    Unimodular column reduction: columns of ``m`` are reduced to echelon
-    form while the same operations are applied to an identity matrix; the
-    columns matching the zeroed-out part form a basis. The kernel of an
-    integer matrix is automatically saturated.
+    ``echelon`` on the rows of [m^T | I] over the first len(m) columns: the
+    identity part records the unimodular transform U, and its rows that
+    vanish on m^T form a basis of the kernel. The basis extends to the
+    basis U of Z^width, so the kernel it spans is saturated.
     """
     rows = len(m)
-    work = [list(row) for row in m]
-    u = identity(width)
-
-    def col_sub(j: int, j0: int, q: int) -> None:
-        for i in range(rows):
-            work[i][j] -= q * work[i][j0]
-        for i in range(width):
-            u[i][j] -= q * u[i][j0]
-
-    def col_swap(j: int, j0: int) -> None:
-        for i in range(rows):
-            work[i][j], work[i][j0] = work[i][j0], work[i][j]
-        for i in range(width):
-            u[i][j], u[i][j0] = u[i][j0], u[i][j]
-
-    def col_neg(j: int) -> None:
-        for i in range(rows):
-            work[i][j] = -work[i][j]
-        for i in range(width):
-            u[i][j] = -u[i][j]
-
-    pivots = 0
-    for r in range(rows):
-        nz = [j for j in range(pivots, width) if work[r][j] != 0]
-        if not nz:
-            continue
-        while len(nz) > 1:
-            j0 = min(nz, key=lambda j: abs(work[r][j]))
-            if work[r][j0] < 0:
-                col_neg(j0)
-            p = work[r][j0]
-            remaining = [j0]
-            for j in nz:
-                if j == j0:
-                    continue
-                q = work[r][j] // p
-                if q:
-                    col_sub(j, j0, q)
-                if work[r][j] != 0:
-                    remaining.append(j)
-            nz = sorted(remaining)
-        if nz[0] != pivots:
-            col_swap(nz[0], pivots)
-        pivots += 1
-        if pivots == width:
-            break
-    return [tuple(u[i][j] for i in range(width)) for j in range(pivots, width)]
+    a = [[row[j] for row in m] + e for j, e in enumerate(identity(width))]
+    r = echelon(a, rows)
+    return [tuple(row[rows:]) for row in a[r:]]
 
 
 def row_hnf(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Canonical row Hermite normal form of the Z-span of ``vectors``.
 
-    Pivots are positive, entries above a pivot lie in [0, pivot). Two sets
-    of vectors span the same sublattice of Z^n iff their forms are equal.
+    ``echelon``, then each pivot reduces the entries above it into
+    [0, pivot). Two sets of vectors span the same sublattice of Z^n iff
+    their forms are equal.
     """
     a = [list(v) for v in vectors if any(v)]
     if not a:
         return ()
-    cols = len(a[0])
-    r = 0
-    for c in range(cols):
-        live = [i for i in range(r, len(a)) if a[i][c] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            i0 = min(live, key=lambda i: abs(a[i][c]))
-            p = a[i0][c]
-            remaining = [i0]
-            for i in live:
-                if i == i0:
-                    continue
-                q = a[i][c] // p
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[i0])]
-                if a[i][c] != 0:
-                    remaining.append(i)
-            live = sorted(remaining)
-        i0 = live[0]
-        a[r], a[i0] = a[i0], a[r]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        p = a[r][c]
-        for i in range(r):
+    r = echelon(a, len(a[0]))
+    c = 0
+    for k in range(r):
+        while not a[k][c]:
+            c += 1
+        p = a[k][c]
+        for i in range(k):
             q = a[i][c] // p
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == len(a):
-            break
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
     return tuple(tuple(row) for row in a[:r])
 
 

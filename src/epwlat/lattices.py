@@ -227,12 +227,14 @@ def saturation(lattice: Lattice, basis: Sequence[VectorLike]) -> list[tuple[int,
 
     Computed by two integer kernel extractions: first the functionals
     vanishing on the span, then the joint kernel of those functionals.
-    The input spans a finite-index sublattice of the output.
+    The input spans a finite-index sublattice of the output. The first
+    kernel also checks the input: it has rank - len(basis) rows iff the
+    basis vectors are linearly independent.
     """
     vecs = [list(_coords(lattice, b)) for b in basis]
-    if intmat.rank(vecs) != len(vecs):
-        raise ValueError("basis vectors are linearly dependent")
     functionals = intmat.kernel(vecs, lattice.rank)
+    if len(functionals) != lattice.rank - len(vecs):
+        raise ValueError("basis vectors are linearly dependent")
     if not functionals:
         return [lattice.basis_vector(i) for i in range(lattice.rank)]
     return intmat.kernel([list(f) for f in functionals], lattice.rank)

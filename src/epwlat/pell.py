@@ -9,7 +9,9 @@ computed by exact integer multiplication.
 
 For prime D the classical criterion applies: y^2 - p x^2 = -1 is solvable
 iff p = 2 or p = 1 (mod 4). ``prime_criterion`` implements it and the
-test suite pins its agreement with the continued-fraction decision.
+test suite pins its agreement with the continued-fraction decision. Its
+primality test is exact below psi_13 (about 3.3 * 10^24) and refuses
+larger p.
 
 A closed form for the D = 5 solutions that circulates in print,
 
@@ -159,11 +161,25 @@ def is_solvable_negative(d: int) -> bool:
     return cf_expansion(d).period_length % 2 == 1
 
 
+# The first 13 primes as Miller-Rabin witnesses are proven complete below
+# psi_13 = 3317044064679887385961981 (Sorenson and Webster, 2017). Without
+# 41 they are complete only below psi_12 = 318665857834031151167461, a
+# strong pseudoprime to every base 2..37.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for anything this package needs)."""
+    """Deterministic Miller-Rabin, exact for every n < psi_13.
+
+    Raises ValueError for n >= psi_13, where the fixed witnesses are no
+    longer proven complete.
+    """
+    if n >= _PSI_13:
+        raise ValueError(f"primality is decided exactly only below {_PSI_13}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -171,8 +187,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # these witnesses are a proven-complete set for n < 3.3 * 10^24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

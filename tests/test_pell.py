@@ -164,6 +164,29 @@ class TestPrimeCriterion:
         assert all(pell.is_prime(n) == trial(n) for n in range(0, 2000))
         assert pell.is_prime(10**12 + 39)  # beyond trial-division comfort
 
+    # psi_12 is a strong pseudoprime to every prime base 2..37
+    PSI_12 = 318665857834031151167461
+    PSI_13 = 3317044064679887385961981
+
+    def test_psi_12_is_not_prime(self):
+        assert self.PSI_12 == 399165290221 * 798330580441
+        assert not pell.is_prime(self.PSI_12)
+
+    def test_psi_12_rejected_by_criterion(self):
+        with pytest.raises(ValueError, match="not prime"):
+            pell.prime_criterion(self.PSI_12)
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, 10**30])
+    def test_refuses_at_and_above_psi_13(self, offset):
+        n = self.PSI_13 + offset
+        with pytest.raises(ValueError, match=str(self.PSI_13)):
+            pell.is_prime(n)
+        with pytest.raises(ValueError, match=str(self.PSI_13)):
+            pell.prime_criterion(n)
+
+    def test_decided_just_below_psi_13(self):
+        assert pell.is_prime(self.PSI_13 - 1) is False  # even
+
 
 class TestClosedFormMisprint:
     def test_n1_values(self):

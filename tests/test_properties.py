@@ -6,13 +6,15 @@ reflection inputs are valid by construction."""
 
 import random
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from epwlat import catalog, intmat, lattices, pell
 from epwlat.lattices import Lattice
+from epwlat.verify import _apply_ops_to_basis, _apply_ops_to_coords
 
 entries = st.integers(min_value=-9, max_value=9)
 small = st.integers(min_value=-6, max_value=6)
@@ -55,38 +57,6 @@ def unimodular_ops(draw, n):
     return ops
 
 
-def transform_gram(gram, ops):
-    g = [list(row) for row in gram]
-    n = len(g)
-    for kind, i, j, c in ops:
-        if kind == "add":
-            for r in range(n):
-                g[r][j] += c * g[r][i]
-            for r in range(n):
-                g[j][r] += c * g[i][r]
-        elif kind == "swap":
-            for r in range(n):
-                g[r][i], g[r][j] = g[r][j], g[r][i]
-            g[i], g[j] = g[j], g[i]
-        else:
-            for r in range(n):
-                g[r][i] = -g[r][i]
-            g[i] = [-x for x in g[i]]
-    return tuple(tuple(row) for row in g)
-
-
-def transform_coords(coords, ops):
-    v = list(coords)
-    for kind, i, j, c in ops:
-        if kind == "add":
-            v[i] -= c * v[j]
-        elif kind == "swap":
-            v[i], v[j] = v[j], v[i]
-        else:
-            v[i] = -v[i]
-    return tuple(v)
-
-
 @given(lattice_with_vectors(2))
 def test_product_symmetry(data):
     lat, (x, y) = data
@@ -115,7 +85,7 @@ _SEEDS = [
 def reflection_inputs(draw):
     base, root = draw(st.sampled_from(_SEEDS))
     ops = draw(unimodular_ops(base.rank))
-    return Lattice(transform_gram(base.gram, ops)), transform_coords(root, ops)
+    return Lattice(_apply_ops_to_basis(base.gram, ops)), _apply_ops_to_coords(root, ops)
 
 
 @settings(max_examples=200)
@@ -177,7 +147,7 @@ def test_orthogonal_complement_saturated(lat, data):
 @given(symmetric_lattices(), st.data())
 def test_signature_basis_invariance(lat, data):
     ops = data.draw(unimodular_ops(lat.rank))
-    moved = Lattice(transform_gram(lat.gram, ops))
+    moved = Lattice(_apply_ops_to_basis(lat.gram, ops))
     assert lattices.signature(lat) == lattices.signature(moved)
 
 
@@ -189,7 +159,7 @@ def test_signature_of_conjugated_diagonal(diag, data):
     n = len(diag)
     gram = tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n))
     ops = data.draw(unimodular_ops(n))
-    moved = Lattice(transform_gram(gram, ops))
+    moved = Lattice(_apply_ops_to_basis(gram, ops))
     expected = (sum(1 for x in diag if x > 0), sum(1 for x in diag if x < 0),
                 sum(1 for x in diag if x == 0))
     assert tuple(lattices.signature(moved)) == expected
@@ -212,6 +182,91 @@ def det_by_fraction_elimination(rows):
             a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     assert det.denominator == 1
     return int(det)
+
+
+def rank_by_fraction_elimination(rows):
+    a = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c] / a[r][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+@st.composite
+def integer_matrices(draw, max_rows=5, max_cols=6):
+    # small entries, with whole rows and columns zeroed out now and then
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    m = [[draw(st.sampled_from([0, 0, -3, -2, -1, 1, 2, 3, 5])) for _ in range(cols)]
+         for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        m[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def assert_saturated_kernel(m, width, basis):
+    """basis solves m @ x = 0, has full length, and spans a saturated lattice.
+
+    A k x width basis spans a saturated sublattice iff the gcd of its
+    k x k minors is 1.
+    """
+    assert all(intmat.mat_vec(m, x) == [0] * len(m) for x in basis)
+    assert len(basis) == width - rank_by_fraction_elimination(m)
+    if basis:
+        minors = [intmat.det([[x[j] for j in pick] for x in basis])
+                  for pick in combinations(range(width), len(basis))]
+        assert gcd(*minors) == 1
+
+
+@given(integer_matrices())
+def test_rank_matches_fraction_reference(m):
+    assert intmat.rank(m) == rank_by_fraction_elimination(m)
+
+
+@given(integer_matrices())
+def test_kernel_is_a_saturated_basis(m):
+    width = len(m[0])
+    assert_saturated_kernel(m, width, intmat.kernel(m, width))
+
+
+@given(integer_matrices())
+def test_row_hnf_is_reduced_and_canonical(m):
+    h = intmat.row_hnf(m)
+    assert len(h) == rank_by_fraction_elimination(m)
+    cols = [next(j for j, x in enumerate(row) if x) for row in h]
+    assert cols == sorted(set(cols))
+    for k, c in enumerate(cols):
+        assert h[k][c] > 0
+        assert all(0 <= h[i][c] < h[k][c] for i in range(k))
+    assert intmat.row_hnf(h) == h
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_of_k3_functional_and_its_kernel(seed):
+    # (., v) on K3 is the functional w = G v; its kernel has rank 21 and
+    # the kernel of that is the primitive vector on the line of w
+    rng = random.Random(seed)
+    k3 = catalog.build("K3")
+    v = [rng.randint(-5, 5) for _ in range(k3.rank)]
+    w = intmat.mat_vec(k3.gram, v)
+    assert any(w)
+    ker = intmat.kernel([w], k3.rank)
+    assert intmat.rank(ker) == rank_by_fraction_elimination(ker) == 21
+    assert_saturated_kernel([w], k3.rank, ker)
+    line = intmat.kernel(ker, k3.rank)
+    assert_saturated_kernel(ker, k3.rank, line)
+    g = gcd(*w)
+    assert line in ([tuple(x // g for x in w)], [tuple(-x // g for x in w)])
 
 
 @given(st.integers(1, 5), st.data())
@@ -287,7 +342,7 @@ _BIG = ["K3", "LAMBDA0", "I22_2"]
 def test_inertia_matches_fraction_reference_at_rank_22_and_24(name, seed):
     gram = catalog.build(name).gram
     if seed:
-        gram = transform_gram(gram, seeded_unimodular_ops(seed, len(gram)))
+        gram = _apply_ops_to_basis(gram, seeded_unimodular_ops(seed, len(gram)))
     expected = inertia_by_fraction_congruence(gram)
     assert intmat.inertia(gram) == expected
     assert expected == tuple(catalog.report(name).signature)
@@ -347,7 +402,7 @@ def test_inertia_entry_growth_is_bounded(name, seed):
     gram = catalog.build(name).gram
     n = len(gram)
     if seed:
-        gram = transform_gram(gram, seeded_unimodular_ops(seed, n))
+        gram = _apply_ops_to_basis(gram, seeded_unimodular_ops(seed, n))
     m = max(abs(x) for row in gram for x in row)
     assert m <= 50
     largest = max(abs(x) for _, block in intmat.congruence_pivots(gram)
