@@ -38,6 +38,7 @@ from .pell import (  # noqa: F401
     enumerate_negative,
     fundamental_negative,
     is_solvable_negative,
+    negative_solutions,
     prime_criterion,
 )
 from .epwfamily import (  # noqa: F401

@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import sys
-from math import isqrt
 from typing import Optional, Sequence
 
 from . import __version__, catalog, epwfamily, lattices, pell, verify
@@ -81,9 +80,8 @@ def cmd_pell(args, fmt: str) -> int:
     if d < 1:
         print("error: D must be a positive integer", file=sys.stderr)
         return EXIT_USAGE
-    if d > 1 and isqrt(d) ** 2 == d:
-        print(f"error: D = {d} is a perfect square", file=sys.stderr)
-        return EXIT_USAGE
+    # before the --count check, so a perfect square D > 1 is reported first
+    cf = pell.cf_expansion(d) if d > 1 else None
     count = args.count if args.count is not None else 1
     if count < 1:
         print("error: --count must be >= 1", file=sys.stderr)
@@ -95,7 +93,6 @@ def cmd_pell(args, fmt: str) -> int:
         else:
             print("D=1: solvable (degenerate); only solution (y, x) = (0, 1)")
         return EXIT_OK
-    cf = pell.cf_expansion(d)
     if cf.period_length % 2 == 0:
         if fmt == "csv":
             _emit_table(["d", "solvable", "period_length"],
@@ -104,7 +101,7 @@ def cmd_pell(args, fmt: str) -> int:
             print(f"D={d}: unsolvable (continued-fraction period length "
                   f"{cf.period_length} is even)")
         return EXIT_UNSOLVABLE
-    sols = pell.enumerate_negative(d, count)
+    sols = pell.negative_solutions(cf, count)
     if fmt == "csv":
         _emit_table(["d", "index", "y", "x"],
                     [[d, i, s.y, s.x] for i, s in enumerate(sols)], fmt)

@@ -3,9 +3,14 @@
 Solvability for non-square D >= 2 is decided by the parity of the period
 of the continued fraction of sqrt(D): the equation has a solution iff the
 period length is odd, in which case the convergent at the end of the
-first period is the fundamental (minimal) solution. All further solutions
-are the odd powers of the fundamental unit y0 + x0*sqrt(D) in Z[sqrt(D)],
-computed by exact integer multiplication.
+first period is the fundamental (minimal) solution. That convergent is the
+product of the 2x2 matrices [[a, 1], [1, 0]] over the partial quotients,
+formed as a balanced product tree (binary splitting; Lagarias, Trans. AMS
+260, 1980) whose leaves run the sequential recurrence on at most 16 terms,
+so the large multiplications pair operands of equal size. All further
+solutions are the odd powers of the fundamental unit y0 + x0*sqrt(D) in
+Z[sqrt(D)], computed by exact integer multiplication. ``negative_solutions``
+builds them from an already expanded ``ContinuedFraction``.
 
 For prime D the classical criterion applies: y^2 - p x^2 = -1 is solvable
 iff p = 2 or p = 1 (mod 4). ``prime_criterion`` implements it and the
@@ -105,44 +110,88 @@ def cf_expansion(d: int) -> ContinuedFraction:
     return ContinuedFraction(d, a0, tuple(period))
 
 
+def _qmul(u: tuple, v: tuple, d: int) -> tuple:
+    """(a + b sqrt(d)) (c + e sqrt(d)) as a pair, for int or Fraction entries."""
+    a, b = u
+    c, e = v
+    return (a * c + d * b * e, a * e + b * c)
+
+
+# Leaves of the convergent product tree run the sequential recurrence on at
+# most this many partial quotients; splitting down to single terms measured
+# slower end to end.
+_LEAF = 16
+
+
+def _convergent_matrix(terms: tuple[int, ...], lo: int, hi: int) -> tuple:
+    """Product of the matrices [[a, 1], [1, 0]] over terms[lo:hi], as (p, p', q, q').
+
+    For terms a0, a1, ..., a_k this is [[p_k, p_{k-1}], [q_k, q_{k-1}]],
+    the last two convergents. Balanced binary splitting: short ranges run
+    the sequential recurrence, longer ones multiply the products of their
+    two halves, so the big multiplications pair operands of equal size.
+    """
+    if hi - lo <= _LEAF:
+        p, pp, q, qq = 1, 0, 0, 1
+        for i in range(lo, hi):
+            a = terms[i]
+            p, pp = a * p + pp, p
+            q, qq = a * q + qq, q
+        return p, pp, q, qq
+    mid = (lo + hi) // 2
+    a, b, c, e = _convergent_matrix(terms, lo, mid)
+    f, g, h, k = _convergent_matrix(terms, mid, hi)
+    return a * f + b * h, a * g + b * k, c * f + e * h, c * g + e * k
+
+
+def negative_solutions(cf: ContinuedFraction, k: int) -> list[PellSolution]:
+    """The k smallest solutions of y^2 - d x^2 = -1 for the expansion cf of sqrt(d).
+
+    Solutions exist iff the period length L is odd. The fundamental one is
+    the convergent p/q of [a0; a1, ..., a_{L-1}], (y, x) = (p, q) with
+    p^2 - d q^2 = (-1)^L = -1; it is read off the balanced product of the
+    matrices [[a, 1], [1, 0]] over these L partial quotients, computed by
+    binary splitting down to sequential leaves of at most 16 terms. The
+    others are the odd powers (y0 + x0 sqrt(d))^(2m+1), obtained by
+    repeatedly multiplying with the square of the fundamental solution (the
+    fundamental +1 unit) in Z[sqrt(d)]. Each solution is checked exactly.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    d = cf.d
+    if cf.period_length % 2 == 0:
+        raise ValueError(f"y^2 - {d} x^2 = -1 has no integer solutions")
+    terms = (cf.a0,) + cf.period[:-1]
+    y, _, x, _ = _convergent_matrix(terms, 0, len(terms))
+    out = [PellSolution(d, y, x)]
+    if k > 1:
+        unit = _qmul((y, x), (y, x), d)
+        for _ in range(k - 1):
+            y, x = _qmul((y, x), unit, d)
+            out.append(PellSolution(d, y, x))
+    return out
+
+
 def fundamental_negative(d: int) -> PellSolution | None:
     """Minimal positive solution of y^2 - d x^2 = -1, or None.
 
     Exists iff the continued-fraction period of sqrt(d) has odd length;
-    then the convergent p/q just before the end of the first period gives
-    (y, x) = (p, q) with p^2 - d q^2 = (-1)^(period length) = -1.
+    then it is the last convergent before the end of the first period,
+    computed by ``negative_solutions`` as a balanced product of 2x2
+    matrices with sequential leaves.
     """
     cf = cf_expansion(d)
-    if cf.period_length % 2 == 0:
-        return None
-    p_prev, p = 1, cf.a0
-    q_prev, q = 0, 1
-    for a in cf.period[: cf.period_length - 1]:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    return PellSolution(d, p, q)
+    return negative_solutions(cf, 1)[0] if cf.period_length % 2 else None
 
 
 def enumerate_negative(d: int, k: int) -> list[PellSolution]:
     """The k smallest solutions of y^2 - d x^2 = -1, in increasing order.
 
-    These are the odd powers (y0 + x0 sqrt(d))^(2m+1) of the fundamental
-    solution, obtained by repeatedly multiplying with its square (the
-    fundamental +1 unit) in Z[sqrt(d)].
+    Expands sqrt(d) once and hands it to ``negative_solutions``: the
+    fundamental solution from the balanced convergent product (sequential
+    leaves), then the odd powers of the fundamental unit.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    fund = fundamental_negative(d)
-    if fund is None:
-        raise ValueError(f"y^2 - {d} x^2 = -1 has no integer solutions")
-    y, x = fund.y, fund.x
-    # square of the fundamental: (y^2 + d x^2) + (2xy) sqrt(d), norm +1
-    p, q = y * y + d * x * x, 2 * x * y
-    out = [fund]
-    for _ in range(k - 1):
-        y, x = y * p + x * q * d, y * q + x * p
-        out.append(PellSolution(d, y, x))
-    return out
+    return negative_solutions(cf_expansion(d), k)
 
 
 def is_solvable_negative(d: int) -> bool:
@@ -212,16 +261,10 @@ def prime_criterion(p: int) -> bool:
 _Quad = tuple[Fraction, Fraction]  # a + b*sqrt(5)
 
 
-def _qmul(u: _Quad, v: _Quad) -> _Quad:
-    a, b = u
-    c, e = v
-    return (a * c + 5 * b * e, a * e + b * c)
-
-
 def _qpow(u: _Quad, k: int) -> _Quad:
     out: _Quad = (Fraction(1), Fraction(0))
     for _ in range(k):
-        out = _qmul(out, u)
+        out = _qmul(out, u, 5)
     return out
 
 
@@ -236,10 +279,10 @@ def d5_closed_form_misprint(n: int) -> tuple[Fraction, Fraction]:
         raise ValueError("n must be >= 0")
     unit = _qpow((Fraction(2), Fraction(1)), 2 * n)        # (2+sqrt5)^(2n)
     conj = _qpow((Fraction(2), Fraction(-1)), 2 * n)       # (2-sqrt5)^(2n)
-    two_y = _add(_qmul((Fraction(1), Fraction(2)), unit),
-                 _qmul((Fraction(1), Fraction(-2)), conj))
-    two_x = _add(_qmul((Fraction(2), Fraction(1, 5)), unit),
-                 _qmul((Fraction(2), Fraction(-1, 5)), conj))
+    two_y = _add(_qmul((Fraction(1), Fraction(2)), unit, 5),
+                 _qmul((Fraction(1), Fraction(-2)), conj, 5))
+    two_x = _add(_qmul((Fraction(2), Fraction(1, 5)), unit, 5),
+                 _qmul((Fraction(2), Fraction(-1, 5)), conj, 5))
     ensure(two_y[1] == 0 and two_x[1] == 0,
            "conjugate sums in Q(sqrt5) must be rational")
     return two_y[0] / 2, two_x[0] / 2

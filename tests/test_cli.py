@@ -55,6 +55,23 @@ class TestPell:
         assert code == 0
         assert "(0, 1)" in out
 
+    @pytest.mark.parametrize("d,message", [
+        ("4", "error: D = 4 is a perfect square\n"),
+        ("1", "error: --count must be >= 1\n"),
+        ("0", "error: D must be a positive integer\n"),
+    ])
+    def test_bad_d_reported_before_bad_count(self, d, message, capsys):
+        assert run(["pell", "--d", d, "--count", "0"], capsys) == (1, "", message)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the 102089-bit solution "
+                       "exceeds Python's 4300-digit int->str conversion limit")
+    def test_huge_solution_printed(self, capsys):
+        code, out, _ = run(["--format", "csv", "pell", "--d", "1000000009"], capsys)
+        assert code == 0
+        _, row = list(csv.reader(io.StringIO(out)))
+        d, y, x = int(row[0]), int(row[2]), int(row[3])
+        assert y * y - d * x * x == -1
+
 
 class TestLattice:
     def test_catalog_report(self, capsys):

@@ -8,7 +8,7 @@ from math import isqrt
 
 import pytest
 
-from epwlat import pell
+from epwlat import cli, pell
 from epwlat.verify import min_solution_x_brute
 
 
@@ -116,6 +116,73 @@ class TestEnumeration:
             pell.enumerate_negative(3, 1)
         with pytest.raises(ValueError):
             pell.enumerate_negative(5, 0)
+
+
+def sequential_fundamental(d):
+    """Reference: the one-term-at-a-time convergent recurrence over the period."""
+    cf = pell.cf_expansion(d)
+    if cf.period_length % 2 == 0:
+        return None
+    p_prev, p = 1, cf.a0
+    q_prev, q = 0, 1
+    for a in cf.period[:-1]:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return p, q
+
+
+class TestConvergentProduct:
+    def test_matches_sequential_recurrence_to_2000(self):
+        lengths = set()
+        for d in range(2, 2001):
+            if isqrt(d) ** 2 == d:
+                continue
+            sol = pell.fundamental_negative(d)
+            assert (sol and (sol.y, sol.x)) == sequential_fundamental(d), d
+            if sol is not None:
+                lengths.add(pell.cf_expansion(d).period_length)
+        # one-term periods, and lengths on both sides of the 16-term leaf
+        # and of two leaves
+        assert {1, 15, 17, 31, 33}.issubset(lengths) and max(lengths) > 64
+
+    def test_large_prime(self):
+        d = 10**9 + 9
+        assert pell.cf_expansion(d).period_length == 59879
+        assert pell.fundamental_negative(d).x.bit_length() == 102089
+
+    def test_enumerate_prime_near_1e8(self):
+        p = 100000037
+        assert pell.is_prime(p) and p % 4 == 1
+        sols = pell.enumerate_negative(p, 3)
+        y0, x0 = sequential_fundamental(p)
+        powers, y, x = [], 1, 0
+        for n in range(1, 6):
+            y, x = y * y0 + p * x * x0, y * x0 + x * y0
+            if n % 2:
+                powers.append((y, x))
+        assert [(s.y, s.x) for s in sols] == powers
+        assert [s.x.bit_length() for s in sols] == [4366, 13127, 21888]
+
+    def test_negative_solutions_takes_an_expansion(self):
+        cf = pell.cf_expansion(13)
+        assert pell.negative_solutions(cf, 3) == pell.enumerate_negative(13, 3)
+        with pytest.raises(ValueError, match="no integer solutions"):
+            pell.negative_solutions(pell.cf_expansion(34), 1)
+        with pytest.raises(ValueError, match="k must be"):
+            pell.negative_solutions(cf, 0)
+
+    def test_cli_expands_once(self, monkeypatch, capsys):
+        calls = []
+        expand = pell.cf_expansion
+
+        def counting(d):
+            calls.append(d)
+            return expand(d)
+
+        monkeypatch.setattr(pell, "cf_expansion", counting)
+        assert cli.main(["pell", "--d", "13", "--count", "2"]) == 0
+        assert "y=18 x=5" in capsys.readouterr().out
+        assert calls == [13]
 
 
 class TestSolvability:
