@@ -3,11 +3,16 @@
 Solvability for non-square D >= 2 is decided by the parity of the period
 of the continued fraction of sqrt(D): the equation has a solution iff the
 period length is odd, in which case the convergent at the end of the
-first period is the fundamental (minimal) solution. That convergent is the
-product of the 2x2 matrices [[a, 1], [1, 0]] over the partial quotients,
-formed as a balanced product tree (binary splitting; Lagarias, Trans. AMS
-260, 1980) whose leaves run the sequential recurrence on at most 16 terms,
-so the large multiplications pair operands of equal size. All further
+first period is the fundamental (minimal) solution. The body of the period
+is a palindrome, so ``cf_expansion`` walks only to its middle (detected by
+Q_{h+1} = Q_h for an odd period, P_{h+1} = P_h for an even one) and mirrors
+the rest. The convergent is the product of the 2x2 matrices
+M(a) = [[a, 1], [1, 0]] over a0, a1, ..., a_{2h}; by the palindrome it is
+M(a0) N N^T with N = M(a1) ... M(a_h), so only the half product N is
+formed, as a balanced product tree (binary splitting; Lagarias, Trans. AMS
+260, 1980; Jacobson and Williams, Solving the Pell Equation, 2009, ch. 3)
+whose leaves run the sequential recurrence on at most 16 terms, so the
+large multiplications pair operands of equal size. All further
 solutions are the odd powers of the fundamental unit y0 + x0*sqrt(D) in
 Z[sqrt(D)], computed by exact integer multiplication. ``negative_solutions``
 builds them from an already expanded ``ContinuedFraction``.
@@ -89,25 +94,36 @@ def _require_nonsquare(d: int) -> int:
 def cf_expansion(d: int) -> ContinuedFraction:
     """Continued fraction of sqrt(d) for non-square d >= 2.
 
-    Integer recurrence on triples (m, q, a):
-        m' = a*q - m,  q' = (d - m'^2)/q,  a' = floor((a0 + m')/q'),
-    starting from (0, 1, a0); the expansion is periodic from the first
-    step on, so we stop when the first post-initial state recurs.
+    Integer recurrence on the states (P_k, Q_k) with partial quotients a_k:
+        P_{k+1} = a_k Q_k - P_k,  Q_{k+1} = (d - P_{k+1}^2) / Q_k,
+        a_{k+1} = floor((a0 + P_{k+1}) / Q_{k+1}),
+    starting from (P_0, Q_0) = (0, 1). The period [a_1, ..., a_L] ends with
+    2*a0 and its body a_1 ... a_{L-1} is a palindrome, so the walk stops at
+    the middle of the period and mirrors the half it has seen:
+
+    - odd L = 2h + 1: the first k >= 0 with Q_{k+1} = Q_k is h, and the body
+      is a_1 ... a_h followed by its reverse;
+    - even L = 2h: the first k >= 1 with P_{k+1} = P_k is h, and the body is
+      a_1 ... a_h followed by a_{h-1} ... a_1.
+
+    The returned period is the full one.
     """
     a0 = _require_nonsquare(d)
-    m, q, a = 0, 1, a0
-    period = []
-    first_state = None
+    p, q, a = 0, 1, a0
+    half = []
     while True:
-        m = a * q - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        if first_state is None:
-            first_state = (m, q)
-        elif (m, q) == first_state:
+        p_next = a * q - p
+        if p_next == p:  # never at k = 0, where P_1 = a0 > 0 = P_0
+            body = half + half[-2::-1]
             break
-        period.append(a)
-    return ContinuedFraction(d, a0, tuple(period))
+        q_next = (d - p_next * p_next) // q
+        if q_next == q:
+            body = half + half[::-1]
+            break
+        p, q = p_next, q_next
+        a = (a0 + p) // q
+        half.append(a)
+    return ContinuedFraction(d, a0, tuple(body) + (2 * a0,))
 
 
 def _qmul(u: tuple, v: tuple, d: int) -> tuple:
@@ -126,10 +142,12 @@ _LEAF = 16
 def _convergent_matrix(terms: tuple[int, ...], lo: int, hi: int) -> tuple:
     """Product of the matrices [[a, 1], [1, 0]] over terms[lo:hi], as (p, p', q, q').
 
-    For terms a0, a1, ..., a_k this is [[p_k, p_{k-1}], [q_k, q_{k-1}]],
-    the last two convergents. Balanced binary splitting: short ranges run
-    the sequential recurrence, longer ones multiply the products of their
-    two halves, so the big multiplications pair operands of equal size.
+    The product is [[p, p'], [q, q']]: for terms b0, b1, ..., b_k it holds
+    the last two convergents of [b0; b1, ..., b_k], p/q and p'/q'; over
+    the empty range it is the identity. Balanced binary splitting: short
+    ranges run the sequential recurrence, longer ones multiply the products
+    of their two halves, so the big multiplications pair operands of equal
+    size.
     """
     if hi - lo <= _LEAF:
         p, pp, q, qq = 1, 0, 0, 1
@@ -147,22 +165,29 @@ def _convergent_matrix(terms: tuple[int, ...], lo: int, hi: int) -> tuple:
 def negative_solutions(cf: ContinuedFraction, k: int) -> list[PellSolution]:
     """The k smallest solutions of y^2 - d x^2 = -1 for the expansion cf of sqrt(d).
 
-    Solutions exist iff the period length L is odd. The fundamental one is
-    the convergent p/q of [a0; a1, ..., a_{L-1}], (y, x) = (p, q) with
-    p^2 - d q^2 = (-1)^L = -1; it is read off the balanced product of the
-    matrices [[a, 1], [1, 0]] over these L partial quotients, computed by
-    binary splitting down to sequential leaves of at most 16 terms. The
-    others are the odd powers (y0 + x0 sqrt(d))^(2m+1), obtained by
-    repeatedly multiplying with the square of the fundamental solution (the
-    fundamental +1 unit) in Z[sqrt(d)]. Each solution is checked exactly.
+    Solutions exist iff the period length L = 2h + 1 is odd. The fundamental
+    one is the convergent p/q of [a0; a1, ..., a_{2h}], (y, x) = (p, q) with
+    p^2 - d q^2 = (-1)^L = -1: the first column of M(a0) M(a1) ... M(a_{2h})
+    for M(a) = [[a, 1], [1, 0]]. The body a_1 ... a_{2h} is a palindrome and
+    each M(a) is symmetric, so with N = M(a1) ... M(a_h) = [[P, P'], [Q, Q']]
+    that product is M(a0) N N^T, and
+
+        x = P^2 + P'^2,   y = a0 x + P Q + P' Q'.
+
+    N is computed over half the period by binary splitting down to
+    sequential leaves of at most 16 terms. The other solutions are the odd
+    powers (y0 + x0 sqrt(d))^(2m+1), obtained by repeatedly multiplying
+    with the square of the fundamental solution (the fundamental +1 unit)
+    in Z[sqrt(d)]. Each solution is checked exactly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     d = cf.d
     if cf.period_length % 2 == 0:
         raise ValueError(f"y^2 - {d} x^2 = -1 has no integer solutions")
-    terms = (cf.a0,) + cf.period[:-1]
-    y, _, x, _ = _convergent_matrix(terms, 0, len(terms))
+    p, pp, q, qq = _convergent_matrix(cf.period, 0, cf.period_length // 2)
+    x = p * p + pp * pp
+    y = cf.a0 * x + p * q + pp * qq
     out = [PellSolution(d, y, x)]
     if k > 1:
         unit = _qmul((y, x), (y, x), d)
@@ -177,8 +202,8 @@ def fundamental_negative(d: int) -> PellSolution | None:
 
     Exists iff the continued-fraction period of sqrt(d) has odd length;
     then it is the last convergent before the end of the first period,
-    computed by ``negative_solutions`` as a balanced product of 2x2
-    matrices with sequential leaves.
+    computed by ``negative_solutions`` from the product of 2x2 matrices
+    over half the period.
     """
     cf = cf_expansion(d)
     return negative_solutions(cf, 1)[0] if cf.period_length % 2 else None
@@ -188,8 +213,8 @@ def enumerate_negative(d: int, k: int) -> list[PellSolution]:
     """The k smallest solutions of y^2 - d x^2 = -1, in increasing order.
 
     Expands sqrt(d) once and hands it to ``negative_solutions``: the
-    fundamental solution from the balanced convergent product (sequential
-    leaves), then the odd powers of the fundamental unit.
+    fundamental solution from the half-period convergent product, then the
+    odd powers of the fundamental unit.
     """
     return negative_solutions(cf_expansion(d), k)
 

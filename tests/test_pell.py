@@ -4,6 +4,7 @@ enumeration, the prime criterion, and the misprinted D=5 closed form.
 Brute-force oracles here search for x with D x^2 - 1 a perfect square,
 independently of the continued-fraction machinery under test."""
 
+import random
 from math import isqrt
 
 import pytest
@@ -22,6 +23,25 @@ def brute_first_solutions(d, count, x_max=10**4):
             if len(out) == count:
                 break
     return out
+
+
+def full_period_walk(d):
+    """Reference: (a0, period) of sqrt(d), walking the whole period until the
+    first post-initial state (m, q) recurs."""
+    a0 = isqrt(d)
+    m, q, a = 0, 1, a0
+    period = []
+    first_state = None
+    while True:
+        m = a * q - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        if first_state is None:
+            first_state = (m, q)
+        elif (m, q) == first_state:
+            break
+        period.append(a)
+    return a0, tuple(period)
 
 
 class TestContinuedFraction:
@@ -54,6 +74,61 @@ class TestContinuedFraction:
         assert cf.period[-1] == 2 * cf.a0
         body = cf.period[:-1]
         assert body == tuple(reversed(body))
+
+
+class TestHalfPeriodWalk:
+    """``cf_expansion`` stops at the middle of the period; the full walk in
+    ``full_period_walk`` is the reference."""
+
+    @staticmethod
+    def check(ds):
+        parities = set()
+        for d in ds:
+            cf = pell.cf_expansion(d)
+            assert (cf.a0, cf.period) == full_period_walk(d), d
+            parities.add(cf.period_length % 2)
+        return parities
+
+    def test_every_nonsquare_to_20000(self):
+        # with the families a^2 + 1 (L = 1), a^2 + 2 and a^2 - 1 (L = 2) for
+        # a <= 200; the sweep holds them up to a = 141
+        lengths = {1: 1, 2: 2, -1: 2}
+        ds = [d for d in range(2, 20001) if isqrt(d) ** 2 != d]
+        ds += [a * a + s for a in range(142, 201) for s in lengths]
+        assert self.check(ds) == {0, 1}
+        for s, length in lengths.items():
+            for a in range(1, 201):
+                if a * a + s >= 2:
+                    assert pell.cf_expansion(a * a + s).period_length == length
+
+    def test_seeded_up_to_1e9(self):
+        rng = random.Random(20261018)
+        ds = []
+        while len(ds) < 200:  # log-uniform in [10^2, 10^9)
+            d = int(10 ** rng.uniform(2, 9))
+            if isqrt(d) ** 2 != d:
+                ds.append(d)
+        assert min(ds) < 10**3 and max(ds) > 10**8
+        assert self.check(ds) == {0, 1}
+
+    @staticmethod
+    def check_cli_even_row(d, capsys):
+        _, period = full_period_walk(d)
+        assert len(period) % 2 == 0
+        assert cli.main(["--format", "csv", "pell", "--d", str(d)]) == 2
+        assert capsys.readouterr().out == (
+            f"d,solvable,period_length\n{d},false,{len(period)}\n")
+
+    def test_cli_even_period_row(self, capsys):
+        self.check_cli_even_row(34, capsys)
+
+    def test_cli_even_period_row_near_1e9(self, capsys):
+        rng = random.Random(5)
+        while True:
+            d = rng.randrange(10**9 - 10**6, 10**9)
+            if isqrt(d) ** 2 != d and len(full_period_walk(d)[1]) % 2 == 0:
+                break
+        self.check_cli_even_row(d, capsys)
 
 
 class TestFundamental:
@@ -119,13 +194,14 @@ class TestEnumeration:
 
 
 def sequential_fundamental(d):
-    """Reference: the one-term-at-a-time convergent recurrence over the period."""
-    cf = pell.cf_expansion(d)
-    if cf.period_length % 2 == 0:
+    """Reference: the one-term-at-a-time convergent recurrence over the whole
+    period of the full walk."""
+    a0, period = full_period_walk(d)
+    if len(period) % 2 == 0:
         return None
-    p_prev, p = 1, cf.a0
+    p_prev, p = 1, a0
     q_prev, q = 0, 1
-    for a in cf.period[:-1]:
+    for a in period[:-1]:
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
     return p, q
@@ -134,7 +210,7 @@ def sequential_fundamental(d):
 class TestConvergentProduct:
     def test_matches_sequential_recurrence_to_2000(self):
         lengths = set()
-        for d in range(2, 2001):
+        for d in range(2, 2301):
             if isqrt(d) ** 2 == d:
                 continue
             sol = pell.fundamental_negative(d)
@@ -142,8 +218,9 @@ class TestConvergentProduct:
             if sol is not None:
                 lengths.add(pell.cf_expansion(d).period_length)
         # one-term periods, and lengths on both sides of the 16-term leaf
-        # and of two leaves
-        assert {1, 15, 17, 31, 33}.issubset(lengths) and max(lengths) > 64
+        # and of two leaves, counted in L and in the half period h = L // 2
+        # (L = 33, 35, 65, 67); the first L = 65 is D = 2293
+        assert {1, 15, 17, 31, 33, 35, 65, 67}.issubset(lengths) and max(lengths) > 64
 
     def test_large_prime(self):
         d = 10**9 + 9
