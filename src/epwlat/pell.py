@@ -31,14 +31,13 @@ A closed form for the D = 5 solutions that circulates in print,
 is misprinted: evaluated exactly it yields (y_1, x_1) = (49, 22), whose
 Pell residual 49^2 - 5*22^2 = -19 is not -1 (the true second solution is
 (38, 17)). ``d5_closed_form_misprint`` evaluates the printed expression
-exactly over Q(sqrt(5)) so the verifier can document the discrepancy; the
-enumeration here deliberately uses odd unit powers instead.
+exactly, in integers over Z[sqrt(5)], so the verifier can document the
+discrepancy; the enumeration here deliberately uses odd unit powers instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .errors import ensure
@@ -127,7 +126,7 @@ def cf_expansion(d: int) -> ContinuedFraction:
 
 
 def _qmul(u: tuple, v: tuple, d: int) -> tuple:
-    """(a + b sqrt(d)) (c + e sqrt(d)) as a pair, for int or Fraction entries."""
+    """(a + b sqrt(d)) (c + e sqrt(d)) as a pair of integers."""
     a, b = u
     c, e = v
     return (a * c + d * b * e, a * e + b * c)
@@ -283,35 +282,31 @@ def prime_criterion(p: int) -> bool:
 
 # --- exact evaluation of the misprinted D = 5 closed form ------------------
 
-_Quad = tuple[Fraction, Fraction]  # a + b*sqrt(5)
-
-
-def _qpow(u: _Quad, k: int) -> _Quad:
-    out: _Quad = (Fraction(1), Fraction(0))
+def _qpow(u: tuple, k: int) -> tuple:
+    out = (1, 0)
     for _ in range(k):
         out = _qmul(out, u, 5)
     return out
 
 
-def d5_closed_form_misprint(n: int) -> tuple[Fraction, Fraction]:
+def d5_closed_form_misprint(n: int) -> tuple[int, int]:
     """Evaluate the misprinted D = 5 closed form exactly (see module docs).
 
-    Returns (y_n, x_n) as exact rationals. The result is NOT a Pell
-    solution: at n = 1 it gives (49, 22) with residual -19. Kept so the
-    verifier can assert the discrepancy instead of silently correcting it.
+    Scaling 2 +- 1/sqrt5 by 5 puts both conjugate sums in Z[sqrt5], so
+    (y_n, x_n) are integers. They are NOT a Pell solution: n = 1 gives
+    (49, 22) with residual -19. Kept so the verifier can assert the
+    discrepancy instead of silently correcting it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    unit = _qpow((Fraction(2), Fraction(1)), 2 * n)        # (2+sqrt5)^(2n)
-    conj = _qpow((Fraction(2), Fraction(-1)), 2 * n)       # (2-sqrt5)^(2n)
-    two_y = _add(_qmul((Fraction(1), Fraction(2)), unit, 5),
-                 _qmul((Fraction(1), Fraction(-2)), conj, 5))
-    two_x = _add(_qmul((Fraction(2), Fraction(1, 5)), unit, 5),
-                 _qmul((Fraction(2), Fraction(-1, 5)), conj, 5))
-    ensure(two_y[1] == 0 and two_x[1] == 0,
-           "conjugate sums in Q(sqrt5) must be rational")
-    return two_y[0] / 2, two_x[0] / 2
+    unit = _qpow((2, 1), 2 * n)        # (2+sqrt5)^(2n)
+    conj = _qpow((2, -1), 2 * n)       # (2-sqrt5)^(2n)
+    two_y = _add(_qmul((1, 2), unit, 5), _qmul((1, -2), conj, 5))
+    ten_x = _add(_qmul((10, 1), unit, 5), _qmul((10, -1), conj, 5))
+    ensure(two_y[1] == ten_x[1] == 0 and two_y[0] % 2 == ten_x[0] % 10 == 0,
+           "conjugate sums must be integers with 2 | 2y_n and 10 | 10x_n")
+    return two_y[0] // 2, ten_x[0] // 10
 
 
-def _add(u: _Quad, v: _Quad) -> _Quad:
+def _add(u: tuple, v: tuple) -> tuple:
     return (u[0] + v[0], u[1] + v[1])

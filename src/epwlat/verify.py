@@ -26,9 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable
 
 from . import catalog, epwfamily, intmat, lattices, pell
 from .lattices import Lattice
@@ -54,27 +52,30 @@ def _fail(msg: str):
 
 # --- independent brute-force oracle for the negative Pell equation ---------
 
-def min_solution_x_brute(d: int, x_max: int = BRUTE_X_MAX) -> Optional[int]:
-    """Smallest x <= x_max with d*x^2 - 1 a perfect square, by brute force.
+def min_solution_x_brute(top: int, x_max: int = BRUTE_X_MAX) -> dict[int, int]:
+    """Every D in 2..top with a solution, mapped to its least x <= x_max with
+    D*x^2 - 1 a perfect square: brute force by ``isqrt``, no continued fractions.
 
-    Deliberately independent of the continued-fraction solver: it only
-    detects squares. Vectorized with int64 when the values fit (exact:
-    the float sqrt merely proposes candidates, which are confirmed by
-    integer multiplication); falls back to pure Python otherwise.
+    A solution makes -1 a square mod D and mod x^2, so 4 does not divide D,
+    x is odd, and no p = 3 (mod 4) divides D or x; one flag table skips the
+    rest. Clearing the multiples of composite p = 3 (mod 4) too is harmless:
+    each has a prime factor = 3 (mod 4).
     """
-    if d * x_max * x_max < 2**62:
-        x = np.arange(1, x_max + 1, dtype=np.int64)
-        v = d * x * x - 1
-        s = np.rint(np.sqrt(v.astype(np.float64))).astype(np.int64)
-        hit = (s * s == v) | ((s - 1) * (s - 1) == v) | ((s + 1) * (s + 1) == v)
-        idx = np.nonzero(hit)[0]
-        return int(x[idx[0]]) if idx.size else None
-    for x in range(1, x_max + 1):
-        v = d * x * x - 1
-        s = isqrt(v)
-        if s * s == v:
-            return x
-    return None
+    n = max(top, x_max) + 1
+    flag = bytearray(b"\1") * n
+    for p in [4, *range(3, n, 4)]:
+        flag[0::p] = bytes(len(range(0, n, p)))
+    xs = [x for x in range(1, x_max + 1, 2) if flag[x]]
+    table = {}
+    for d in range(2, top + 1):
+        if flag[d]:
+            for x in xs:
+                v = d * x * x - 1
+                s = isqrt(v)
+                if s * s == v:
+                    table[d] = x
+                    break
+    return table
 
 
 # --- randomized input generation (deterministic) ----------------------------
@@ -272,11 +273,12 @@ def check_pell_d5(n_max: int) -> str:
 
 def check_pell_oracle(n_max: int) -> str:
     top = 20 * n_max
+    brute = min_solution_x_brute(top)
     for d in range(2, top + 1):
         if isqrt(d) ** 2 == d:
             continue
         solver = pell.is_solvable_negative(d)
-        brute_x = min_solution_x_brute(d)
+        brute_x = brute.get(d)
         if brute_x is not None and not solver:
             _fail(f"D={d}: brute force found x={brute_x}, solver says unsolvable")
         if solver:
@@ -288,11 +290,12 @@ def check_pell_oracle(n_max: int) -> str:
 
 def check_pell_minimality(n_max: int) -> str:
     top = 5 * n_max
+    brute = min_solution_x_brute(top)
     for d in range(2, top + 1):
         if isqrt(d) ** 2 == d:
             continue
         fund = pell.fundamental_negative(d)
-        brute_x = min_solution_x_brute(d)
+        brute_x = brute.get(d)
         if fund is None:
             if brute_x is not None:
                 _fail(f"D={d}: no fundamental but brute force found x={brute_x}")
@@ -509,7 +512,7 @@ CHECKS: list[tuple[str, Callable[[int], str]]] = [
 
 
 def run_all(n_max: int = 100) -> list[CheckResult]:
-    """Run every check group at the given scale; never raises."""
+    """Run every check group at the given scale; raises only for n_max < 1."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     results = []

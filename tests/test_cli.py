@@ -19,6 +19,22 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def fresh_python(*args):
+    """Run a new interpreter that imports this checkout's package."""
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cli_import_stays_stdlib_light():
+    proc = fresh_python("-c", "import sys, epwlat.cli; "
+                        "print(sorted({'numpy', 'fractions'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestPell:
     def test_d5_three_solutions(self, capsys):
         code, out, _ = run(["pell", "--d", "5", "--count", "3"], capsys)
@@ -63,8 +79,8 @@ class TestPell:
     def test_bad_d_reported_before_bad_count(self, d, message, capsys):
         assert run(["pell", "--d", d, "--count", "0"], capsys) == (1, "", message)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the 102089-bit solution "
-                       "exceeds Python's 4300-digit int->str conversion limit")
+    @pytest.mark.xfail(strict=True, reason="the 4300-digit defect: the 102089-bit "
+                       "solution exceeds Python's 4300-digit int->str conversion limit")
     def test_huge_solution_printed(self, capsys):
         code, out, _ = run(["--format", "csv", "pell", "--d", "1000000009"], capsys)
         assert code == 0
@@ -210,14 +226,7 @@ class TestVerify:
 
     def test_passes_under_optimize_flag(self):
         # invariant checks must not be assert statements, which -O strips
-        src = str(Path(verify.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "epwlat.cli", "verify", "--n-max", "3"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = fresh_python("-O", "-m", "epwlat.cli", "verify", "--n-max", "3")
         assert proc.returncode == 0, proc.stderr
         rows = [line for line in proc.stdout.splitlines() if line.startswith("PASS ")]
         assert len(rows) == 17 == len(verify.CHECKS)

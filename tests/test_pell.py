@@ -25,6 +25,21 @@ def brute_first_solutions(d, count, x_max=10**4):
     return out
 
 
+def brute_table(top, x_max):
+    """Reference for ``min_solution_x_brute``: one unfiltered scan per D."""
+    table = {}
+    for d in range(2, top + 1):
+        first = brute_first_solutions(d, 1, x_max)
+        if first:
+            table[d] = first[0][1]
+    return table
+
+
+@pytest.fixture(scope="module")
+def brute_500():
+    return min_solution_x_brute(500)
+
+
 def full_period_walk(d):
     """Reference: (a0, period) of sqrt(d), walking the whole period until the
     first post-initial state (m, q) recurs."""
@@ -146,8 +161,8 @@ class TestFundamental:
         assert pell.fundamental_negative(3) is None
         assert pell.fundamental_negative(34) is None
         # no solution below a large brute-force bound either
-        assert min_solution_x_brute(3, 10**6) is None
-        assert min_solution_x_brute(34, 10**6) is None
+        wide = min_solution_x_brute(34, 10**6)
+        assert 3 not in wide and 34 not in wide
 
     def test_square_rejected(self):
         with pytest.raises(ValueError):
@@ -161,6 +176,19 @@ class TestFundamental:
             assert brute and brute[0] == (sol.y, sol.x)
         elif sol is None:
             assert not brute
+
+
+class TestBruteForceTable:
+    def test_matches_per_d_scan_to_200(self):
+        assert min_solution_x_brute(200) == brute_table(200, 10**4)
+
+    def test_matches_per_d_scan_to_20000_at_small_x(self):
+        # top far above x_max: the flags for D run past those for x
+        assert min_solution_x_brute(20000, 60) == brute_table(20000, 60)
+
+    def test_sizes(self, brute_500):
+        assert len(brute_500) == 62
+        assert len(min_solution_x_brute(2000)) == 145
 
 
 class TestEnumeration:
@@ -275,9 +303,9 @@ class TestSolvability:
             pell.is_solvable_negative(0)
 
     @pytest.mark.parametrize("d", [n for n in range(2, 500) if isqrt(n) ** 2 != n])
-    def test_agrees_with_brute_force(self, d):
+    def test_agrees_with_brute_force(self, d, brute_500):
         solvable = pell.is_solvable_negative(d)
-        brute_x = min_solution_x_brute(d)
+        brute_x = brute_500.get(d)
         if brute_x is not None:
             assert solvable
         if solvable and pell.fundamental_negative(d).x <= 10**4:
