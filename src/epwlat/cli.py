@@ -82,8 +82,7 @@ def cmd_pell(args, fmt: str) -> int:
         return EXIT_USAGE
     # before the --count check, so a perfect square D > 1 is reported first
     cf = pell.cf_expansion(d) if d > 1 else None
-    count = args.count if args.count is not None else 1
-    if count < 1:
+    if args.count < 1:
         print("error: --count must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     if d == 1:
@@ -101,7 +100,7 @@ def cmd_pell(args, fmt: str) -> int:
             print(f"D={d}: unsolvable (continued-fraction period length "
                   f"{cf.period_length} is even)")
         return EXIT_UNSOLVABLE
-    sols = pell.negative_solutions(cf, count)
+    sols = pell.negative_solutions(cf, args.count)
     if fmt == "csv":
         _emit_table(["d", "index", "y", "x"],
                     [[d, i, s.y, s.x] for i, s in enumerate(sols)], fmt)
@@ -114,12 +113,12 @@ def cmd_pell(args, fmt: str) -> int:
 
 def cmd_lattice(args, fmt: str) -> int:
     try:
-        if args.id:
+        if args.id is not None:
             lat = catalog.build(args.id)
             label = args.id
         else:
             text = args.gram
-            if args.gram_file:
+            if args.gram_file is not None:
                 with open(args.gram_file, "r", encoding="utf-8") as fh:
                     text = fh.read()
             lat = _parse_gram(text)
@@ -231,7 +230,7 @@ def build_parser() -> _Parser:
 
     p_pell = sub.add_parser("pell", help="solve y^2 - D x^2 = -1")
     p_pell.add_argument("--d", type=int, required=True, help="the coefficient D")
-    p_pell.add_argument("--count", type=int, default=None,
+    p_pell.add_argument("--count", type=int, default=1,
                         help="how many solutions to list (default 1)")
 
     p_lat = sub.add_parser("lattice", help="report on a lattice")

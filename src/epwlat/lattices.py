@@ -48,9 +48,6 @@ class Lattice:
     def basis_vector(self, i: int) -> tuple[int, ...]:
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
-    def vector(self, coords: Coords) -> "LatticeVector":
-        return LatticeVector(self, tuple(coords))
-
 
 @dataclass(frozen=True)
 class LatticeVector:
@@ -114,15 +111,6 @@ class Isometry:
 
     def apply(self, v: VectorLike) -> tuple[int, ...]:
         return tuple(intmat.mat_vec(self.matrix, _coords(self.lattice, v)))
-
-    __call__ = apply
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        if other.lattice != self.lattice:
-            raise ValueError("isometries act on different lattices")
-        return Isometry(self.lattice, tuple(
-            tuple(row) for row in intmat.mat_mul(self.matrix, other.matrix)
-        ))
 
     def is_involution(self) -> bool:
         n = self.lattice.rank

@@ -16,9 +16,13 @@ default n_max = 100 reproduces the full acceptance scale:
     Pell minimality          D <= 5 * n_max       (500)
     prime criterion          p < 100 * n_max      (10000)
     randomized properties    10 * n_max cases     (1000)
+    signature, direct sums   max(1, n_max // 2) cases (50)
+    saturation example       fixed: sat{2 delta} = {delta} in NS_HILB(10)
 
 Randomized suites draw from a fixed-seed generator, so output is
-deterministic across runs and platforms.
+deterministic across runs and platforms. The laws they and the Pell
+groups check are ``*_law`` functions over explicit inputs, which the
+property tests call too, with hypothesis draws.
 """
 
 from __future__ import annotations
@@ -160,6 +164,119 @@ def _random_vec(rng: random.Random, n: int, bound: int = 6) -> tuple[int, ...]:
     return tuple(rng.randint(-bound, bound) for _ in range(n))
 
 
+# --- laws: each draws nothing and raises CheckFailure with the counterexample
+
+def reflection_law(lat: Lattice, e) -> None:
+    """The reflection in a (+-2)-vector e is an involutive isometry that
+    negates e and fixes every vector orthogonal to e."""
+    ee = lattices.product(lat, e, e)
+    if ee not in (2, -2):
+        _fail(f"{e} has square {ee} in {lat.gram}")
+    refl = lattices.reflection(lat, e)
+    if not refl.is_involution():
+        _fail(f"reflection in {e} squared is not the identity on {lat.gram}")
+    if not lattices.is_isometry(lat, refl.matrix):
+        _fail(f"reflection in {e} is not an isometry of {lat.gram}")
+    if refl.apply(e) != tuple(-x for x in e):
+        _fail(f"reflection does not negate its root {e} in {lat.gram}")
+    for w in lattices.orthogonal_complement(lat, e):
+        if refl.apply(w) != w:
+            _fail(f"reflection in {e} moves the orthogonal vector {w} in {lat.gram}")
+
+
+def index_law(lat: Lattice, b) -> bool:
+    """disc(B^T G B) = det(B)^2 disc(G) for the columns of a square matrix B.
+
+    Returns False, having checked nothing, when det(B) = 0: the columns
+    then span no sublattice of full rank.
+    """
+    det_b = intmat.det(b)
+    if det_b == 0:
+        return False
+    cols = [tuple(row[j] for row in b) for j in range(len(b))]
+    sub = lattices.induced_gram(lat, cols)
+    if lattices.discriminant(sub) != det_b**2 * lattices.discriminant(lat):
+        _fail(f"index law fails: gram={lat.gram}, B={b}")
+    return True
+
+
+def saturation_law(lat: Lattice, vecs) -> list[tuple[int, ...]]:
+    """Saturating independent vectors is idempotent; returns the saturation."""
+    sat = lattices.saturation(lat, vecs)
+    if intmat.row_hnf(sat) != intmat.row_hnf(lattices.saturation(lat, sat)):
+        _fail(f"saturation not idempotent for {vecs}")
+    return sat
+
+
+def complement_law(lat: Lattice, v) -> list[tuple[int, ...]]:
+    """The orthogonal complement of v is saturated; returns its basis.
+
+    The zero vector has no complement and checks nothing.
+    """
+    if not any(v):
+        return []
+    oc = lattices.orthogonal_complement(lat, v)
+    if oc and intmat.row_hnf(oc) != intmat.row_hnf(lattices.saturation(lat, oc)):
+        _fail(f"orthogonal complement of {v} not saturated in {lat.gram}")
+    return oc
+
+
+def bilinear_law(lat: Lattice, x, y, z, a: int, b: int) -> None:
+    """(x, y) = (y, x) and (a x + b y, z) = a (x, z) + b (y, z)."""
+    if lattices.product(lat, x, y) != lattices.product(lat, y, x):
+        _fail(f"symmetry fails: {lat.gram}, {x}, {y}")
+    combo = tuple(a * xi + b * yi for xi, yi in zip(x, y))
+    lhs = lattices.product(lat, combo, z)
+    rhs = a * lattices.product(lat, x, z) + b * lattices.product(lat, y, z)
+    if lhs != rhs:
+        _fail(f"bilinearity fails: {lat.gram}, {x}, {y}, {z}")
+
+
+def congruence_law(lat: Lattice, ops) -> None:
+    """The signature is invariant under the unimodular basis change ``ops``."""
+    moved = Lattice(_apply_ops_to_basis(lat.gram, ops))
+    if lattices.signature(lat) != lattices.signature(moved):
+        _fail(f"signature changed under basis change: {lat.gram}")
+
+
+def direct_sum_law(a: Lattice, b: Lattice) -> Lattice:
+    """Signatures add and discriminants multiply under the orthogonal direct
+    sum; returns the sum."""
+    summed = lattices.direct_sum(a, b)
+    expect = tuple(p + q for p, q in zip(lattices.signature(a), lattices.signature(b)))
+    if tuple(lattices.signature(summed)) != expect:
+        _fail(f"signature not additive: {a.gram} + {b.gram}")
+    if lattices.discriminant(summed) != lattices.discriminant(a) * lattices.discriminant(b):
+        _fail(f"discriminant not multiplicative under direct sum: {a.gram} + {b.gram}")
+    return summed
+
+
+def enumeration_law(d: int, k: int) -> list[pell.PellSolution]:
+    """The first k solutions for a solvable D increase strictly, and each
+    squares to a solution of the +1 equation; returns them."""
+    sols = pell.enumerate_negative(d, k)
+    for a, b in zip(sols, sols[1:]):
+        if not (a.x < b.x and a.y < b.y):
+            _fail(f"D={d}: enumeration not strictly increasing")
+    for s in sols:
+        p, q = s.y * s.y + d * s.x * s.x, 2 * s.x * s.y
+        if p * p - d * q * q != 1:
+            _fail(f"D={d}: norm algebra broken for {s}")
+    return sols
+
+
+def oracle_law(d: int, brute_x: int | None) -> None:
+    """The solver agrees with the brute-force least x <= BRUTE_X_MAX for a
+    non-square D (``brute_x`` is None when the search found none)."""
+    solver = pell.is_solvable_negative(d)
+    if brute_x is not None and not solver:
+        _fail(f"D={d}: brute force found x={brute_x}, solver says unsolvable")
+    if solver:
+        fund = pell.fundamental_negative(d)
+        if fund.x <= BRUTE_X_MAX and brute_x != fund.x:
+            _fail(f"D={d}: solver minimal x={fund.x}, brute force x={brute_x}")
+
+
 # --- check groups -----------------------------------------------------------
 
 def check_involution_images(n_max: int) -> str:
@@ -275,16 +392,8 @@ def check_pell_oracle(n_max: int) -> str:
     top = 20 * n_max
     brute = min_solution_x_brute(top)
     for d in range(2, top + 1):
-        if isqrt(d) ** 2 == d:
-            continue
-        solver = pell.is_solvable_negative(d)
-        brute_x = brute.get(d)
-        if brute_x is not None and not solver:
-            _fail(f"D={d}: brute force found x={brute_x}, solver says unsolvable")
-        if solver:
-            fund = pell.fundamental_negative(d)
-            if fund.x <= BRUTE_X_MAX and brute_x != fund.x:
-                _fail(f"D={d}: solver minimal x={fund.x}, brute force x={brute_x}")
+        if isqrt(d) ** 2 != d:
+            oracle_law(d, brute.get(d))
     return f"continued-fraction decision matches brute force (x <= {BRUTE_X_MAX}) for D <= {top}"
 
 
@@ -299,17 +408,10 @@ def check_pell_minimality(n_max: int) -> str:
         if fund is None:
             if brute_x is not None:
                 _fail(f"D={d}: no fundamental but brute force found x={brute_x}")
-        elif fund.x <= BRUTE_X_MAX:
-            if brute_x != fund.x:
-                _fail(f"D={d}: fundamental x={fund.x} but brute minimum {brute_x}")
-        sols = pell.enumerate_negative(d, 4) if fund is not None else []
-        for a, b in zip(sols, sols[1:]):
-            if not (a.x < b.x and a.y < b.y):
-                _fail(f"D={d}: enumeration not strictly increasing")
-        for s in sols:
-            p, q = s.y * s.y + d * s.x * s.x, 2 * s.x * s.y
-            if p * p - d * q * q != 1:
-                _fail(f"D={d}: norm algebra broken for {s}")
+            continue
+        if fund.x <= BRUTE_X_MAX and brute_x != fund.x:
+            _fail(f"D={d}: fundamental x={fund.x} but brute minimum {brute_x}")
+        enumeration_law(d, 4)
     return f"fundamental = brute-force minimum, monotone enumeration, D <= {top}"
 
 
@@ -370,25 +472,11 @@ def check_reflection_properties(n_max: int) -> str:
     rng = random.Random(_SEED)
     seeds = _reflection_seeds()
     cases = 10 * n_max
-    for case in range(cases):
+    for _ in range(cases):
         base, e0 = seeds[rng.randrange(len(seeds))]
         ops = _random_unimodular_ops(rng, base.rank, rng.randint(0, 6))
-        gram = _apply_ops_to_basis(base.gram, ops)
-        e = _apply_ops_to_coords(e0, ops)
-        lat = Lattice(gram)
-        ee = lattices.product(lat, e, e)
-        if ee not in (2, -2):
-            _fail(f"case {case}: transported vector has square {ee}")
-        refl = lattices.reflection(lat, e)
-        if not refl.is_involution():
-            _fail(f"case {case}: reflection squared is not the identity")
-        if not lattices.is_isometry(lat, refl.matrix):
-            _fail(f"case {case}: reflection is not an isometry")
-        if refl.apply(e) != tuple(-x for x in e):
-            _fail(f"case {case}: reflection does not negate its root")
-        for w in lattices.orthogonal_complement(lat, e):
-            if refl.apply(w) != w:
-                _fail(f"case {case}: orthogonal vector moved")
+        lat = Lattice(_apply_ops_to_basis(base.gram, ops))
+        reflection_law(lat, _apply_ops_to_coords(e0, ops))
     return f"involutivity/isometry/fixed-space checks on {cases} randomized reflections"
 
 
@@ -400,14 +488,8 @@ def check_index_law(n_max: int) -> str:
         n = rng.randint(1, 4)
         lat = _random_symmetric(rng, n)
         b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        det_b = intmat.det(b)
-        if det_b == 0:
-            continue
-        cols = [tuple(row[j] for row in b) for j in range(n)]
-        sub = lattices.induced_gram(lat, cols)
-        if lattices.discriminant(sub) != det_b**2 * lattices.discriminant(lat):
-            _fail(f"index law fails: gram={lat.gram}, B={b}")
-        done += 1
+        if index_law(lat, b):
+            done += 1
     return f"disc(B^T G B) = det(B)^2 disc(G) on {cases} randomized pairs"
 
 
@@ -423,16 +505,8 @@ def check_saturation(n_max: int) -> str:
         if intmat.rank(vecs) != k:
             continue
         factors = [rng.choice((1, 2, 3)) for _ in vecs]
-        scaled = [tuple(c * x for x in v) for c, v in zip(factors, vecs)]
-        sat = lattices.saturation(lat, scaled)
-        sat2 = lattices.saturation(lat, sat)
-        if intmat.row_hnf(sat) != intmat.row_hnf(sat2):
-            _fail(f"saturation not idempotent for {scaled}")
-        v = _random_vec(rng, n, 4)
-        if any(v):
-            oc = lattices.orthogonal_complement(lat, v)
-            if oc and intmat.row_hnf(oc) != intmat.row_hnf(lattices.saturation(lat, oc)):
-                _fail(f"orthogonal complement of {v} not saturated")
+        saturation_law(lat, [tuple(c * x for x in v) for c, v in zip(factors, vecs)])
+        complement_law(lat, _random_vec(rng, n, 4))
         done += 1
     # the motivating example: the diagonal class is twice a lattice vector
     ns = catalog.ns_hilbert_square(10)
@@ -448,32 +522,12 @@ def check_bilinear_properties(n_max: int) -> str:
         n = rng.randint(1, 5)
         lat = _random_symmetric(rng, n)
         x, y, z = (_random_vec(rng, n) for _ in range(3))
-        a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-        if lattices.product(lat, x, y) != lattices.product(lat, y, x):
-            _fail(f"symmetry fails: {lat.gram}, {x}, {y}")
-        combo = tuple(a * xi + b * yi for xi, yi in zip(x, y))
-        lhs = lattices.product(lat, combo, z)
-        rhs = a * lattices.product(lat, x, z) + b * lattices.product(lat, y, z)
-        if lhs != rhs:
-            _fail(f"bilinearity fails: {lat.gram}, {x}, {y}, {z}")
-    # signature is a congruence invariant; direct sums add componentwise
+        bilinear_law(lat, x, y, z, rng.randint(-5, 5), rng.randint(-5, 5))
     for _ in range(max(1, n_max // 2)):
         n = rng.randint(1, 4)
         lat = _random_symmetric(rng, n)
-        ops = _random_unimodular_ops(rng, n, rng.randint(1, 6))
-        moved = Lattice(_apply_ops_to_basis(lat.gram, ops))
-        if lattices.signature(lat) != lattices.signature(moved):
-            _fail(f"signature changed under basis change: {lat.gram}")
-        other = _random_symmetric(rng, rng.randint(1, 3))
-        summed = lattices.direct_sum(lat, other)
-        sig = lattices.signature(summed)
-        expect = tuple(
-            p + q for p, q in zip(lattices.signature(lat), lattices.signature(other))
-        )
-        if tuple(sig) != expect:
-            _fail(f"signature not additive: {lat.gram} + {other.gram}")
-        if lattices.discriminant(summed) != lattices.discriminant(lat) * lattices.discriminant(other):
-            _fail("discriminant not multiplicative under direct sum")
+        congruence_law(lat, _random_unimodular_ops(rng, n, rng.randint(1, 6)))
+        direct_sum_law(lat, _random_symmetric(rng, rng.randint(1, 3)))
     return f"symmetry, bilinearity, basis invariance on {cases} randomized cases"
 
 

@@ -1,120 +1,19 @@
-"""Acceptance suite: every headline identity at full scale, exactly.
+"""Acceptance suite: every check group of ``epwlat verify`` at full scale.
 
-One test per criterion; each prints a PASS line once its assertions have
-gone through (tolerances are exact integer equality everywhere). The
-scales match the verifier's defaults (n_max = 100), which is what
-``epwlat verify`` runs.
+One test per group in ``verify.CHECKS``, with the group's name as its id,
+run at the verifier's default scale (n_max = 100), which is what
+``epwlat verify`` runs. A group raises ``CheckFailure`` with its first
+counterexample; every comparison is exact integer equality.
 """
 
-from epwlat import catalog, epwfamily, lattices, pell, verify
+import pytest
+
+from epwlat import verify
 
 FULL_SCALE = 100  # verify.run_all default: the acceptance scale
 
 
-def _run_group(name):
-    fn = dict(verify.CHECKS)[name]
-    detail = fn(FULL_SCALE)  # raises CheckFailure with a counterexample on failure
-    return detail
-
-
-def test_c1_involution_images():
-    rep = epwfamily.epw_involution(10, 2)
-    assert rep.image_of_h == (9, -20)
-    assert rep.image_of_delta == (4, -9)
-    _run_group("involution-images")
-    print("ACCEPTANCE 1 PASS: j(h) = 9h - 20delta, j(delta) = 4h - 9delta, exactly")
-
-
-def test_c2_fujiki_pipeline():
-    assert epwfamily.fujiki_degree_to_bb(12, 3) == 2
-    assert epwfamily.epw_top_intersection() == 12
-    _run_group("fujiki-pipeline")
-    print("ACCEPTANCE 2 PASS: 12 = 3*(gamma,gamma)^2 inverted to (gamma,gamma) = 2")
-
-
-def test_c3_family_identities_to_500():
-    # closed formulas vs. exact lattice arithmetic, n = 1..500
-    _run_group("family-identities")
-    _run_group("h2-basis")
-    for n in (1, 137, 500):  # spot check both routes side by side
-        ambient = catalog.rank3_neron_severi(n)
-        assert lattices.product(
-            ambient, catalog.GAMMA_COORDS, catalog.DELTA2_COORDS
-        ) == 4 * n + 4
-        rec = epwfamily.family(n)
-        assert rec.disc_pi == lattices.discriminant(lattices.Lattice(rec.gram_pi))
-        assert rec.disc_pi == -2 * (8 * n * n + 16 * n + 10)
-        assert rec.d == 8 * n * n + 16 * n + 10
-        assert rec.g == (2 * n + 2) ** 2 + 2
-    print("ACCEPTANCE 3 PASS: family identities agree both ways for n = 1..500")
-
-
-def test_c4_pell_suite():
-    fund = pell.fundamental_negative(5)
-    assert (fund.y, fund.x) == (2, 1)
-    assert [(s.y, s.x) for s in pell.enumerate_negative(5, 3)] == [
-        (2, 1), (38, 17), (682, 305)
-    ]
-    assert not pell.is_solvable_negative(34)
-    _run_group("pell-d5")
-    _run_group("pell-oracle")       # all non-square D <= 2000 vs. brute force
-    _run_group("prime-criterion")   # all primes p < 10^4
-    print("ACCEPTANCE 4 PASS: D=5 data, brute-force agreement to D=2000, "
-          "prime criterion to 10^4")
-
-
-def test_c5_necessary_condition():
-    for n in range(1, 51):
-        d = 8 * n * n + 16 * n + 10
-        res = epwfamily.necessary_condition(d)
-        assert res.solvable
-        assert (res.witness.y, res.witness.x) == (2 * n + 2, 1)
-    assert not epwfamily.necessary_condition(12).solvable
-    _run_group("necessary-condition")
-    print("ACCEPTANCE 5 PASS: witness (2n+2, 1) for n = 1..50; d = 12 unsolvable")
-
-
-def test_c6_disc_obstruction_and_inequality():
-    for n in range(1, 1001):
-        res = epwfamily.disc_obstruction(n)
-        assert res.disc_r == -n * (n + 20)
-        assert res.contradiction_r0
-        assert epwfamily.k3_embedding_sufficient(catalog.two_polarization_lattice(n))
-    for n in range(1, 21):
-        for fh_bar in range(1, n + 10):
-            assert epwfamily.reflection_inequality(n, fh_bar).strict
-    _run_group("disc-obstruction")
-    print("ACCEPTANCE 6 PASS: disc R(n) = -n(n+20) with the -20 obstruction for "
-          "n = 1..1000; strict inequality on the full grid n <= 20")
-
-
-def test_c7_catalog_reports():
-    lam0 = catalog.report("LAMBDA0")
-    assert (lam0.rank, lam0.signature, lam0.even) == (22, (20, 2, 0), True)
-    k3 = catalog.report("K3")
-    assert (k3.signature, k3.discriminant) == ((3, 19, 0), -1)
-    i22 = catalog.report("I22_2")
-    assert (i22.signature, i22.even) == ((22, 2, 0), False)
-    _run_group("catalog-reports")
-    print("ACCEPTANCE 7 PASS: LAMBDA0 (20,2) even, K3 (3,19) disc -1, "
-          "I22_2 odd (22,2)")
-
-
-def test_c8_property_suites():
-    _run_group("reflection-properties")  # 1000 randomized valid reflections
-    _run_group("index-law")              # 1000 randomized disc(B^T G B) checks
-    _run_group("saturation")             # idempotence + complement saturation
-    _run_group("bilinear-properties")
-    print("ACCEPTANCE 8 PASS: randomized property suites, zero failures")
-
-
-def test_c9_closed_form_erratum():
-    y1, x1 = pell.d5_closed_form_misprint(1)
-    assert (y1, x1) == (49, 22)
-    assert y1 * y1 - 5 * x1 * x1 == -19      # fails the Pell equation
-    second = pell.enumerate_negative(5, 2)[1]
-    assert (second.y, second.x) == (38, 17)  # the actual second solution
-    assert second.y**2 - 5 * second.x**2 == -1
-    _run_group("closed-form-erratum")
-    print("ACCEPTANCE 9 PASS: printed closed form yields (49,22) with residual "
-          "-19; enumeration yields (38,17)")
+@pytest.mark.parametrize("check", [fn for _, fn in verify.CHECKS],
+                         ids=[name for name, _ in verify.CHECKS])
+def test_check_group(check):
+    check(FULL_SCALE)

@@ -128,6 +128,15 @@ class TestLattice:
         code, _, _ = run(["lattice", "--id", "E9", "--op", "report"], capsys)
         assert code == 1
 
+    def test_empty_id_rejected(self, capsys):
+        assert run(["lattice", "--id", ""], capsys) == (
+            1, "", "error: malformed catalog identifier: ''\n")
+
+    def test_empty_gram_file_rejected(self, capsys):
+        code, out, err = run(["lattice", "--gram-file", ""], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_gram_file(self, tmp_path, capsys):
         path = tmp_path / "gram.txt"
         path.write_text("0,1;1,0\n", encoding="utf-8")
