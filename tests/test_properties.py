@@ -61,6 +61,12 @@ def unimodular_ops(draw, n):
     return ops
 
 
+@given(lattice_with_vectors(2))
+def test_product_symmetry(data):
+    lat, (x, y) = data
+    assert lattices.product(lat, x, y) == lattices.product(lat, y, x)
+
+
 @given(lattice_with_vectors(3), small, small)
 def test_product_bilinearity(data, a, b):
     lat, (x, y, z) = data
