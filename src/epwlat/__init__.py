@@ -14,7 +14,6 @@ from .errors import InvariantError  # noqa: F401
 from .lattices import (  # noqa: F401
     Isometry,
     Lattice,
-    LatticeVector,
     Signature,
     direct_sum,
     discriminant,

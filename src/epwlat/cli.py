@@ -6,6 +6,9 @@ inline-Gram reports), ``family`` (degree family tables), ``ogrady``
 
 Exit codes: 0 success, 1 usage or input error, 2 valid input with a
 negative result (unsolvable Pell equation), 3 verification failure.
+Every usage or input error is one ``error: ...`` line on stderr (argparse
+adds its usage line first) and exit 1; the handlers raise ``ValueError``
+or ``OSError`` and ``main`` alone reports them.
 Output is deterministic; CSV uses a header row, comma separators and
 newline-terminated records, with plain decimal integers.
 """
@@ -63,8 +66,11 @@ def _signature_str(sig: lattices.Signature) -> str:
 
 
 def _parse_gram(text: str) -> Lattice:
+    text = text.strip()
+    if not text:
+        raise ValueError("empty Gram matrix")
     rows = []
-    for chunk in text.strip().split(";"):
+    for chunk in text.split(";"):
         entries = [e.strip() for e in chunk.split(",")]
         try:
             rows.append([int(e) for e in entries])
@@ -78,13 +84,11 @@ def _parse_gram(text: str) -> Lattice:
 def cmd_pell(args, fmt: str) -> int:
     d = args.d
     if d < 1:
-        print("error: D must be a positive integer", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("D must be a positive integer")
     # before the --count check, so a perfect square D > 1 is reported first
     cf = pell.cf_expansion(d) if d > 1 else None
     if args.count < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--count must be >= 1")
     if d == 1:
         # degenerate: y^2 - x^2 = -1 has only (y, x) = (0, 1)
         if fmt == "csv":
@@ -112,20 +116,16 @@ def cmd_pell(args, fmt: str) -> int:
 
 
 def cmd_lattice(args, fmt: str) -> int:
-    try:
-        if args.id is not None:
-            lat = catalog.build(args.id)
-            label = args.id
-        else:
-            text = args.gram
-            if args.gram_file is not None:
-                with open(args.gram_file, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            lat = _parse_gram(text)
-            label = "inline"
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.id is not None:
+        lat = catalog.build(args.id)
+        label = args.id
+    else:
+        text = args.gram
+        if args.gram_file is not None:
+            with open(args.gram_file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        lat = _parse_gram(text)
+        label = "inline"
 
     rep = catalog.report_of(lat)
     if args.op == "disc":
@@ -154,8 +154,7 @@ def cmd_lattice(args, fmt: str) -> int:
 
 def cmd_family(args, fmt: str) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
-        print("error: need 1 <= n-min <= n-max", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("need 1 <= n-min <= n-max")
     header = ["n", "d", "g", "r", "gamma_delta2", "disc_pi", "pell_y", "pell_x"]
     rows = []
     for n in range(args.n_min, args.n_max + 1):
@@ -167,9 +166,6 @@ def cmd_family(args, fmt: str) -> int:
 
 
 def cmd_ogrady(args, fmt: str) -> int:
-    if args.r < 0:
-        print("error: r must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     status = epwfamily.ogrady_status(args.r)
     case = status.case
     if fmt == "csv":
@@ -193,8 +189,7 @@ def cmd_ogrady(args, fmt: str) -> int:
 
 def cmd_verify(args, fmt: str) -> int:
     if args.n_max < 1:
-        print("error: --n-max must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--n-max must be >= 1")
     results = verify.run_all(args.n_max)
     first_failure = None
     if fmt == "csv":
@@ -268,14 +263,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return _HANDLERS[args.command](args, args.format)
     except SystemExit2 as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _HANDLERS[args.command](args, args.format)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 
 from . import catalog, lattices, pell
 from .errors import ensure
-from .lattices import Isometry, Lattice, LatticeVector
+from .lattices import Isometry, Lattice
 
 # Numeric consequences of the geometry (the only part modeled here):
 # a double EPW sextic is a 2:1 cover of a sextic hypersurface, and
@@ -138,6 +138,10 @@ class FamilyRecord:
     Invariants (all enforced): d = 8n^2 + 16n + 10 = 2(4(n+1)^2 + 1),
     g = d/2 + 1 = ogrady_r^2 + 2, ogrady_r = 2n + 2, disc_pi = -2d, and
     the Pell witness solves y^2 - (g-1) x^2 = -1.
+
+    ``gamma`` and ``delta2`` are coordinates in the (f, h, delta) basis of
+    NS3(n); ``h2`` is in the (gamma, delta2) basis of Pi, whose Gram matrix
+    is ``gram_pi``.
     """
 
     n: int
@@ -145,9 +149,9 @@ class FamilyRecord:
     g: int
     ogrady_r: int
     gram_pi: tuple[tuple[int, ...], ...]
-    gamma: LatticeVector
-    delta2: LatticeVector
-    h2: LatticeVector
+    gamma: tuple[int, ...]
+    delta2: tuple[int, ...]
+    h2: tuple[int, ...]
     disc_pi: int
     pell: pell.PellSolution
 
@@ -165,15 +169,13 @@ def family(n: int) -> FamilyRecord:
     if n < 1:
         raise ValueError("family index n must be >= 1")
     ambient = catalog.rank3_neron_severi(n)
-    gamma = LatticeVector(ambient, catalog.GAMMA_COORDS)
-    delta2 = LatticeVector(ambient, catalog.DELTA2_COORDS)
+    gamma, delta2 = catalog.GAMMA_COORDS, catalog.DELTA2_COORDS
     pi = lattices.induced_gram(ambient, [gamma, delta2])
     disc_pi = lattices.discriminant(pi)
 
-    (h2_coords,) = lattices.orthogonal_complement(pi, (0, 1))
-    if lattices.product(pi, h2_coords, (1, 0)) < 0:
-        h2_coords = tuple(-x for x in h2_coords)
-    h2 = LatticeVector(pi, h2_coords)
+    (h2,) = lattices.orthogonal_complement(pi, (0, 1))
+    if lattices.product(pi, h2, (1, 0)) < 0:
+        h2 = tuple(-x for x in h2)
 
     d = lattices.product(pi, h2, h2)
     g = d // 2 + 1
@@ -182,8 +184,8 @@ def family(n: int) -> FamilyRecord:
            f"family({n}): degree {d} differs from 8n^2 + 16n + 10")
     ensure(g == r * r + 2, f"family({n}): genus {g} differs from r^2 + 2")
     ensure(disc_pi == -2 * d, f"family({n}): disc(Pi) = {disc_pi}, not -2d")
-    ensure(h2_coords == (1, 2 * n + 2),
-           f"family({n}): h2 = {h2_coords}, not gamma + (2n+2) delta2")
+    ensure(h2 == (1, 2 * n + 2),
+           f"family({n}): h2 = {h2}, not gamma + (2n+2) delta2")
 
     witness = pell.fundamental_negative(g - 1)
     ensure(witness is not None, f"family({n}): no Pell solution for D = {g - 1}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 from . import intmat
 
@@ -49,20 +49,6 @@ class Lattice:
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    """Integer coordinates of an element, bound to its ambient lattice."""
-
-    lattice: Lattice
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        coords = tuple(operator.index(x) for x in self.coords)
-        if len(coords) != self.lattice.rank:
-            raise ValueError("coordinate length does not match lattice rank")
-        object.__setattr__(self, "coords", coords)
-
-
 class Signature(NamedTuple):
     """Inertia counts of the form: positive, negative and zero directions."""
 
@@ -71,14 +57,8 @@ class Signature(NamedTuple):
     zero: int
 
 
-VectorLike = Union[LatticeVector, Coords]
-
-
-def _coords(lattice: Lattice, v: VectorLike) -> tuple[int, ...]:
-    if isinstance(v, LatticeVector):
-        if v.lattice != lattice:
-            raise ValueError("vector belongs to a different lattice")
-        return v.coords
+def _coords(lattice: Lattice, v: Coords) -> tuple[int, ...]:
+    """The one coordinate check: integer entries, one per basis vector."""
     coords = tuple(operator.index(x) for x in v)
     if len(coords) != lattice.rank:
         raise ValueError(
@@ -99,17 +79,14 @@ class Isometry:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = self.lattice.rank
         rows = tuple(tuple(operator.index(x) for x in row) for row in self.matrix)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError("isometry matrix has wrong dimensions")
         object.__setattr__(self, "matrix", rows)
         if not is_isometry(self.lattice, rows):
             raise ValueError("matrix does not preserve the Gram matrix")
         if intmat.det(rows) not in (1, -1):
             raise ValueError("isometry must have determinant +-1")
 
-    def apply(self, v: VectorLike) -> tuple[int, ...]:
+    def apply(self, v: Coords) -> tuple[int, ...]:
         return tuple(intmat.mat_vec(self.matrix, _coords(self.lattice, v)))
 
     def is_involution(self) -> bool:
@@ -117,7 +94,7 @@ class Isometry:
         return intmat.mat_mul(self.matrix, self.matrix) == intmat.identity(n)
 
 
-def product(lattice: Lattice, x: VectorLike, y: VectorLike) -> int:
+def product(lattice: Lattice, x: Coords, y: Coords) -> int:
     """The bilinear form x^T * gram * y, exactly."""
     cx = _coords(lattice, x)
     cy = _coords(lattice, y)
@@ -139,7 +116,7 @@ def is_even(lattice: Lattice) -> bool:
     return all(lattice.gram[i][i] % 2 == 0 for i in range(lattice.rank))
 
 
-def reflection(lattice: Lattice, e: VectorLike) -> Isometry:
+def reflection(lattice: Lattice, e: Coords) -> Isometry:
     """The reflection x -> x - (2(x,e)/(e,e)) e in a (+-2)-vector e.
 
     For (e,e) = -2 this is x -> x + (x,e)e; for (e,e) = 2 it is
@@ -167,7 +144,7 @@ def _reflection_matrix(ce: Coords, ge: Coords, ee: int) -> tuple[tuple[int, ...]
     )
 
 
-def negated_reflection(lattice: Lattice, r: VectorLike) -> Isometry:
+def negated_reflection(lattice: Lattice, r: Coords) -> Isometry:
     """The involution z -> -z + (z,r) r for a vector r with (r,r) = 2.
 
     Equal to the negative of ``reflection(lattice, r)``: it fixes r and
@@ -183,7 +160,7 @@ def negated_reflection(lattice: Lattice, r: VectorLike) -> Isometry:
     ))
 
 
-def orthogonal_complement(lattice: Lattice, v: VectorLike) -> list[tuple[int, ...]]:
+def orthogonal_complement(lattice: Lattice, v: Coords) -> list[tuple[int, ...]]:
     """Basis of the saturated sublattice {x : (x,v) = 0}.
 
     The pairing against v is the integer linear functional x -> x . (gram v),
@@ -199,7 +176,7 @@ def orthogonal_complement(lattice: Lattice, v: VectorLike) -> list[tuple[int, ..
     return intmat.kernel([w], lattice.rank)
 
 
-def induced_gram(lattice: Lattice, basis: Sequence[VectorLike]) -> Lattice:
+def induced_gram(lattice: Lattice, basis: Sequence[Coords]) -> Lattice:
     """The sublattice spanned by ``basis`` as an abstract lattice, B^T G B."""
     vecs = [_coords(lattice, b) for b in basis]
     if intmat.rank(vecs) != len(vecs):
@@ -210,7 +187,7 @@ def induced_gram(lattice: Lattice, basis: Sequence[VectorLike]) -> Lattice:
     ))
 
 
-def saturation(lattice: Lattice, basis: Sequence[VectorLike]) -> list[tuple[int, ...]]:
+def saturation(lattice: Lattice, basis: Sequence[Coords]) -> list[tuple[int, ...]]:
     """Basis of (Q-span of basis) intersected with the lattice.
 
     Computed by two integer kernel extractions: first the functionals
@@ -228,7 +205,7 @@ def saturation(lattice: Lattice, basis: Sequence[VectorLike]) -> list[tuple[int,
     return intmat.kernel([list(f) for f in functionals], lattice.rank)
 
 
-def is_primitive(lattice: Lattice, v: VectorLike) -> bool:
+def is_primitive(lattice: Lattice, v: Coords) -> bool:
     """True iff v is not an integer multiple > 1 of a lattice vector."""
     cv = _coords(lattice, v)
     if not any(cv):

@@ -2,7 +2,7 @@
 
 One test per group in ``verify.CHECKS``, with the group's name as its id,
 run at the verifier's default scale (n_max = 100), which is what
-``epwlat verify`` runs. A group raises ``CheckFailure`` with its first
+``epwlat verify`` runs. A group raises ``InvariantError`` with its first
 counterexample; every comparison is exact integer equality.
 """
 

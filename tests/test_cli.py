@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from epwlat import cli, verify
+from epwlat import cli, lattices, verify
 
 
 def run(argv, capsys):
@@ -33,6 +33,45 @@ def test_cli_import_stays_stdlib_light():
                         "print(sorted({'numpy', 'fractions'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Every usage or input error: exactly one ``error: ...`` line on stderr,
+# nothing on stdout, exit 1. Paths are relative to a temporary directory
+# that holds ``empty.txt`` (zero bytes) and no ``missing.txt``.
+USAGE_ERRORS = [
+    pytest.param(["pell", "--d", "0"], "D must be a positive integer", id="pell-d0"),
+    pytest.param(["pell", "--d", "4"], "D = 4 is a perfect square", id="pell-d4"),
+    pytest.param(["pell", "--d", "5", "--count", "0"], "--count must be >= 1",
+                 id="pell-count0"),
+    pytest.param(["family", "--n-min", "0", "--n-max", "3"],
+                 "need 1 <= n-min <= n-max", id="family-nmin0"),
+    pytest.param(["family", "--n-min", "3", "--n-max", "2"],
+                 "need 1 <= n-min <= n-max", id="family-reversed"),
+    pytest.param(["ogrady", "--r", "-1"], "r must be >= 0", id="ogrady-negative"),
+    pytest.param(["verify", "--n-max", "0"], "--n-max must be >= 1", id="verify-nmax0"),
+    pytest.param(["lattice", "--id", "FOO"], "unknown catalog lattice: 'FOO'",
+                 id="lattice-unknown-id"),
+    pytest.param(["lattice", "--gram", "1,2;3"],
+                 "Gram matrix must be square (rows separated by ';')", id="gram-ragged"),
+    pytest.param(["lattice", "--gram", "1,2;3,4"], "Gram matrix must be symmetric",
+                 id="gram-asymmetric"),
+    pytest.param(["lattice", "--gram", "x"], "non-integer Gram entry in 'x'",
+                 id="gram-non-integer"),
+    pytest.param(["lattice", "--gram-file", "missing.txt"],
+                 "[Errno 2] No such file or directory: 'missing.txt'",
+                 id="gram-file-missing"),
+    pytest.param(["lattice", "--gram", ""], "empty Gram matrix", id="gram-empty"),
+    pytest.param(["lattice", "--gram", " "], "empty Gram matrix", id="gram-blank"),
+    pytest.param(["lattice", "--gram-file", "empty.txt"], "empty Gram matrix",
+                 id="gram-file-empty"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS)
+def test_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    (tmp_path / "empty.txt").write_bytes(b"")
+    monkeypatch.chdir(tmp_path)
+    assert run(argv, capsys) == (1, "", f"error: {message}\n")
 
 
 class TestPell:
@@ -61,10 +100,6 @@ class TestPell:
         code, _, err = run(["pell", "--d", "4"], capsys)
         assert code == 1
         assert "perfect square" in err
-
-    def test_nonpositive_exit_1(self, capsys):
-        code, _, _ = run(["pell", "--d", "0"], capsys)
-        assert code == 1
 
     def test_degenerate_d1(self, capsys):
         code, out, _ = run(["pell", "--d", "1"], capsys)
@@ -116,26 +151,21 @@ class TestLattice:
         assert code == 1
         assert "symmetric" in err
 
-    def test_ragged_rejected(self, capsys):
-        code, _, _ = run(["lattice", "--gram", "1,2;3", "--op", "disc"], capsys)
-        assert code == 1
-
     def test_non_integer_rejected(self, capsys):
-        code, _, _ = run(["lattice", "--gram", "1,x;x,1", "--op", "disc"], capsys)
-        assert code == 1
+        assert run(["lattice", "--gram", "1,x;x,1", "--op", "disc"], capsys) == (
+            1, "", "error: non-integer Gram entry in '1,x'\n")
 
     def test_unknown_id_rejected(self, capsys):
-        code, _, _ = run(["lattice", "--id", "E9", "--op", "report"], capsys)
-        assert code == 1
+        assert run(["lattice", "--id", "E9", "--op", "report"], capsys) == (
+            1, "", "error: unknown catalog lattice: 'E9'\n")
 
     def test_empty_id_rejected(self, capsys):
         assert run(["lattice", "--id", ""], capsys) == (
             1, "", "error: malformed catalog identifier: ''\n")
 
     def test_empty_gram_file_rejected(self, capsys):
-        code, out, err = run(["lattice", "--gram-file", ""], capsys)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert run(["lattice", "--gram-file", ""], capsys) == (
+            1, "", "error: [Errno 2] No such file or directory: ''\n")
 
     def test_gram_file(self, tmp_path, capsys):
         path = tmp_path / "gram.txt"
@@ -184,10 +214,10 @@ class TestFamily:
         assert buf.getvalue() == out
 
     def test_bad_range(self, capsys):
-        code, _, _ = run(["family", "--n-min", "2", "--n-max", "1"], capsys)
-        assert code == 1
-        code, _, _ = run(["family", "--n-min", "0", "--n-max", "1"], capsys)
-        assert code == 1
+        for n_min, n_max in (("2", "1"), ("0", "1"), ("-1", "0")):
+            assert run(["--format", "csv", "family", "--n-min", n_min,
+                        "--n-max", n_max], capsys) == (
+                1, "", "error: need 1 <= n-min <= n-max\n")
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(["family", "--n-min", "1", "--n-max", "4"], capsys)
@@ -217,8 +247,9 @@ class TestOgrady:
         assert "classical" in out
 
     def test_negative_rejected(self, capsys):
-        code, _, _ = run(["ogrady", "--r", "-1"], capsys)
-        assert code == 1
+        # checked once, in epwfamily.ogrady_status, before any CSV is written
+        assert run(["--format", "csv", "ogrady", "--r", "-7"], capsys) == (
+            1, "", "error: r must be >= 0\n")
 
     def test_csv(self, capsys):
         code, out, _ = run(["--format", "csv", "ogrady", "--r", "6"], capsys)
@@ -240,10 +271,6 @@ class TestVerify:
         rows = [line for line in proc.stdout.splitlines() if line.startswith("PASS ")]
         assert len(rows) == 17 == len(verify.CHECKS)
 
-    def test_bad_scale(self, capsys):
-        code, _, _ = run(["verify", "--n-max", "0"], capsys)
-        assert code == 1
-
     def test_fault_injection_exits_3(self, capsys, monkeypatch):
         def broken(n_max):
             verify._fail("counterexample: injected fault at n=1")
@@ -255,6 +282,15 @@ class TestVerify:
         assert code == 3
         assert "FAIL injected" in out
         assert "counterexample" in err and "injected fault" in err
+
+    def test_failed_ensure_reported_bare(self, monkeypatch):
+        # a failed ensure inside the package is an InvariantError, like a
+        # failed law: its message is the detail, with no type-name prefix
+        monkeypatch.setattr(lattices, "discriminant", lambda lat: 0)
+        results = {r.name: r for r in verify.run_all(1)}
+        assert not results["family-identities"].passed
+        assert results["family-identities"].detail == (
+            "family(1): disc(Pi) = 0, not -2d")
 
 
 class TestParsing:

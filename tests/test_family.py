@@ -78,7 +78,7 @@ class TestFamilyRecords:
         assert (rec.d, rec.g, rec.ogrady_r) == (34, 18, 4)
         assert rec.gram_pi == ((2, 8), (8, -2))
         assert rec.disc_pi == -68
-        assert rec.h2.coords == (1, 4)
+        assert rec.h2 == (1, 4)
         assert (rec.pell.y, rec.pell.x) == (4, 1)
 
     def test_n2(self):
@@ -93,15 +93,14 @@ class TestFamilyRecords:
     def test_h2_orthogonal_primitive_positive(self, n):
         rec = epwfamily.family(n)
         pi = lattices.Lattice(rec.gram_pi)
-        assert lattices.product(pi, rec.h2.coords, (0, 1)) == 0
-        assert lattices.is_primitive(pi, rec.h2.coords)
-        assert lattices.product(pi, rec.h2.coords, (1, 0)) > 0
+        assert lattices.product(pi, rec.h2, (0, 1)) == 0
+        assert lattices.is_primitive(pi, rec.h2)
+        assert lattices.product(pi, rec.h2, (1, 0)) > 0
         assert rec.disc_pi == lattices.discriminant(pi)
 
     def test_gamma_delta2_live_in_ambient(self):
         rec = epwfamily.family(3)
         ambient = catalog.rank3_neron_severi(3)
-        assert rec.gamma.lattice == ambient
         assert lattices.product(ambient, rec.gamma, rec.gamma) == 2
         assert lattices.product(ambient, rec.delta2, rec.delta2) == -2
         assert lattices.product(ambient, rec.gamma, rec.delta2) == 16

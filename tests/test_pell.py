@@ -208,9 +208,6 @@ class TestEnumeration:
     def test_growth_is_strict(self):
         verify.enumeration_law(5, 6)
 
-    def test_norm_algebra_to_plus_one(self):
-        verify.enumeration_law(5, 4)
-
     def test_unsolvable_or_zero_count_rejected(self):
         with pytest.raises(ValueError):
             pell.enumerate_negative(3, 1)
