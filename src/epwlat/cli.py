@@ -71,6 +71,8 @@ def _parse_gram(text: str) -> Lattice:
         raise ValueError("empty Gram matrix")
     rows = []
     for chunk in text.split(";"):
+        if not chunk.strip():
+            raise ValueError("empty row in Gram matrix")
         entries = [e.strip() for e in chunk.split(",")]
         try:
             rows.append([int(e) for e in entries])
@@ -188,8 +190,6 @@ def cmd_ogrady(args, fmt: str) -> int:
 
 
 def cmd_verify(args, fmt: str) -> int:
-    if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
     results = verify.run_all(args.n_max)
     first_failure = None
     if fmt == "csv":

@@ -111,17 +111,13 @@ class InvolutionReport:
 
 
 def epw_involution(d: int, m: int) -> InvolutionReport:
-    """Build the involution for gamma = h - m*delta on NS_HILB(d)."""
+    """Build the involution for gamma = h - m*delta on NS_HILB(d).
+
+    ``lattices.negated_reflection`` rejects gamma unless d - 2m^2 = 2.
+    """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    ns = catalog.ns_hilbert_square(d)
-    gamma = (1, -m)
-    square = lattices.product(ns, gamma, gamma)
-    if square != 2:
-        raise ValueError(
-            f"(gamma,gamma) = d - 2m^2 = {square} != 2: not a reflection class"
-        )
-    j = lattices.negated_reflection(ns, gamma)
+    j = lattices.negated_reflection(catalog.ns_hilbert_square(d), (1, -m))
     return InvolutionReport(
         d=d,
         m=m,
@@ -166,8 +162,6 @@ def family(n: int) -> FamilyRecord:
     by (h2, gamma) > 0). The closed formulas are asserted against the
     computed values.
     """
-    if n < 1:
-        raise ValueError("family index n must be >= 1")
     ambient = catalog.rank3_neron_severi(n)
     gamma, delta2 = catalog.GAMMA_COORDS, catalog.DELTA2_COORDS
     pi = lattices.induced_gram(ambient, [gamma, delta2])
@@ -218,8 +212,6 @@ def disc_obstruction(n: int) -> DiscObstruction:
     discriminant index^2 * (-n(n+20)), and -20 never qualifies for n >= 1.
     The returned flag asserts exactly that impossibility.
     """
-    if n < 1:
-        raise ValueError("parameter n must be >= 1")
     disc_r = lattices.discriminant(catalog.two_polarization_lattice(n))
     ensure(disc_r == -n * (n + 20), f"disc R({n}) = {disc_r}, not -n(n+20)")
     return DiscObstruction(disc_r, not lattices.sublattice_discriminant_test(-20, disc_r))

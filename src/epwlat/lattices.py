@@ -13,7 +13,7 @@ Sign conventions for the classical building blocks live in
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Iterable, NamedTuple, Sequence
 
@@ -69,22 +69,44 @@ def _coords(lattice: Lattice, v: Coords) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Isometry:
-    """An integer matrix preserving a lattice's bilinear form.
+    """The reflection in a (+-2)-root e of a lattice, or its negative.
 
+    ``Isometry(lattice, e)`` is x -> x - (2(x,e)/(e,e)) e for (e,e) in
+    {2, -2}. ``Isometry(lattice, r, -1)`` is z -> -z + (z,r) r for
+    (r,r) = 2: it fixes r and negates the orthogonal complement of r.
     ``matrix[i][j]`` is the i-th coordinate of the image of the j-th basis
     vector, so vectors transform by ``apply`` (matrix times column).
+
+    Checking the root checks the matrix: for the Gram matrix G and
+    c = 2/(e,e), M = I - c e (Ge)^T is integral, as (e,e) divides 2(x,e),
+    and M^T G M = G + (c^2 (e,e) - 2c)(Ge)(Ge)^T = G, M^2 = I and
+    det M = 1 - c (Ge)^T e = -1; -M has determinant (-1)^(n+1) in rank n.
     """
 
     lattice: Lattice
-    matrix: tuple[tuple[int, ...], ...]
+    root: tuple[int, ...]
+    sign: int = 1
+    matrix: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(operator.index(x) for x in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
-        if not is_isometry(self.lattice, rows):
-            raise ValueError("matrix does not preserve the Gram matrix")
-        if intmat.det(rows) not in (1, -1):
-            raise ValueError("isometry must have determinant +-1")
+        ce = _coords(self.lattice, self.root)
+        sign = operator.index(self.sign)
+        if sign not in (1, -1):
+            raise ValueError(f"isometry sign must be 1 or -1, got {sign}")
+        ge = intmat.mat_vec(self.lattice.gram, ce)
+        ee = intmat.dot(ce, ge)
+        if sign == 1 and ee not in (2, -2):
+            raise ValueError(f"reflection requires (e,e) in {{2, -2}}, got {ee}")
+        if sign == -1 and ee != 2:
+            raise ValueError(f"negated reflection requires (r,r) = 2, got {ee}")
+        # column j is sign * (b_j - c (b_j, e) e), and (b_j, e) = ge[j]
+        f = [2 * x // ee for x in ge]
+        object.__setattr__(self, "root", ce)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "matrix", tuple(
+            tuple(sign * (int(i == j) - c * fj) for j, fj in enumerate(f))
+            for i, c in enumerate(ce)
+        ))
 
     def apply(self, v: Coords) -> tuple[int, ...]:
         return tuple(intmat.mat_vec(self.matrix, _coords(self.lattice, v)))
@@ -117,31 +139,8 @@ def is_even(lattice: Lattice) -> bool:
 
 
 def reflection(lattice: Lattice, e: Coords) -> Isometry:
-    """The reflection x -> x - (2(x,e)/(e,e)) e in a (+-2)-vector e.
-
-    For (e,e) = -2 this is x -> x + (x,e)e; for (e,e) = 2 it is
-    x -> x - (x,e)e. Only (e,e) in {2, -2} is supported, where the image
-    is automatically integral.
-    """
-    ce = _coords(lattice, e)
-    ge = intmat.mat_vec(lattice.gram, ce)
-    ee = intmat.dot(ce, ge)
-    if ee not in (2, -2):
-        raise ValueError(f"reflection requires (e,e) in {{2, -2}}, got {ee}")
-    return Isometry(lattice, _reflection_matrix(ce, ge, ee))
-
-
-def _reflection_matrix(ce: Coords, ge: Coords, ee: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of x -> x - (2(x,e)/(e,e)) e, given ge = gram * e and ee = (e,e).
-
-    Column j is the image of the j-th basis vector b_j, and (b_j, e) is
-    ge[j]; ee in {2, -2} divides 2 * ge[j].
-    """
-    f = [2 * x // ee for x in ge]
-    return tuple(
-        tuple(int(i == j) - c * fj for j, fj in enumerate(f))
-        for i, c in enumerate(ce)
-    )
+    """The reflection x -> x - (2(x,e)/(e,e)) e in a vector e with (e,e) = +-2."""
+    return Isometry(lattice, e)
 
 
 def negated_reflection(lattice: Lattice, r: Coords) -> Isometry:
@@ -150,14 +149,7 @@ def negated_reflection(lattice: Lattice, r: Coords) -> Isometry:
     Equal to the negative of ``reflection(lattice, r)``: it fixes r and
     acts as -1 on the orthogonal complement of r.
     """
-    cr = _coords(lattice, r)
-    gr = intmat.mat_vec(lattice.gram, cr)
-    rr = intmat.dot(cr, gr)
-    if rr != 2:
-        raise ValueError(f"negated reflection requires (r,r) = 2, got {rr}")
-    return Isometry(lattice, tuple(
-        tuple(-x for x in row) for row in _reflection_matrix(cr, gr, rr)
-    ))
+    return Isometry(lattice, r, -1)
 
 
 def orthogonal_complement(lattice: Lattice, v: Coords) -> list[tuple[int, ...]]:

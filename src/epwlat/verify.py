@@ -556,7 +556,7 @@ CHECKS: list[tuple[str, Callable[[int], str]]] = [
 def run_all(n_max: int = 100) -> list[CheckResult]:
     """Run every check group at the given scale; raises only for n_max < 1."""
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise ValueError("n-max must be >= 1")
     results = []
     for name, fn in CHECKS:
         try:

@@ -48,7 +48,7 @@ USAGE_ERRORS = [
     pytest.param(["family", "--n-min", "3", "--n-max", "2"],
                  "need 1 <= n-min <= n-max", id="family-reversed"),
     pytest.param(["ogrady", "--r", "-1"], "r must be >= 0", id="ogrady-negative"),
-    pytest.param(["verify", "--n-max", "0"], "--n-max must be >= 1", id="verify-nmax0"),
+    pytest.param(["verify", "--n-max", "0"], "n-max must be >= 1", id="verify-nmax0"),
     pytest.param(["lattice", "--id", "FOO"], "unknown catalog lattice: 'FOO'",
                  id="lattice-unknown-id"),
     pytest.param(["lattice", "--gram", "1,2;3"],
@@ -64,6 +64,12 @@ USAGE_ERRORS = [
     pytest.param(["lattice", "--gram", " "], "empty Gram matrix", id="gram-blank"),
     pytest.param(["lattice", "--gram-file", "empty.txt"], "empty Gram matrix",
                  id="gram-file-empty"),
+    pytest.param(["lattice", "--gram", "1,2;2,1;"], "empty row in Gram matrix",
+                 id="gram-row-trailing"),
+    pytest.param(["lattice", "--gram", "1,2;;2,1"], "empty row in Gram matrix",
+                 id="gram-row-inner"),
+    pytest.param(["lattice", "--gram", ";"], "empty row in Gram matrix",
+                 id="gram-rows-only"),
 ]
 
 
@@ -257,7 +263,58 @@ class TestOgrady:
         assert rows[1] == ["6", "EVEN_FAMILY", "2", "74"]
 
 
+# ``epwlat verify --n-max 3`` in both formats, byte for byte: a refactor
+# must leave every check group's detail line as it is.
+VERIFY_N3 = {
+    "human": """\
+PASS involution-images: j(h) = 9h - 20delta and j(delta) = 4h - 9delta on NS_HILB(10)
+PASS fujiki-pipeline: gamma^4 = 2*6 = 12 and 12 = 3*(gamma,gamma)^2 gives (gamma,gamma) = 2
+PASS family-identities: (gamma,delta2), disc Pi, (h2,h2), g(n) agree both ways for n <= 15
+PASS h2-basis: Gram of Pi in the (h2, delta2) basis is diag(d(n), -2) for n <= 3
+PASS involution-soundness: J^2 = I, J gamma = gamma, J = -1 on gamma-perp for n <= 3
+PASS necessary-condition: witness (2n+2, 1) for n <= 1; d=12 rejected; d=10 gives (2,1)
+PASS pell-d5: D=5: minimal (2,1), then (38,17), (682,305); D=34 unsolvable
+PASS pell-oracle: continued-fraction decision matches brute force (x <= 10000) for D <= 60
+PASS pell-minimality: fundamental = brute-force minimum, monotone enumeration, D <= 15
+PASS prime-criterion: p = 2 or p = 1 (mod 4) matches the solver for primes p < 300
+PASS catalog-reports: LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)
+PASS disc-obstruction: disc R(n) = -n(n+20), no disc -20 sublattice, n <= 30; strict inequality grid n <= 1
+PASS reflection-properties: involutivity/isometry/fixed-space checks on 30 randomized reflections
+PASS index-law: disc(B^T G B) = det(B)^2 disc(G) on 30 randomized pairs
+PASS saturation: saturation idempotent and complements saturated on 30 randomized cases
+PASS bilinear-properties: symmetry, bilinearity, basis invariance on 30 randomized cases
+PASS closed-form-erratum: printed D=5 closed form gives (49,22) with residual -19; enumeration gives (38,17)
+17/17 check groups passed (n-max 3)
+""",
+    "csv": """\
+check,status,detail
+involution-images,PASS,j(h) = 9h - 20delta and j(delta) = 4h - 9delta on NS_HILB(10)
+fujiki-pipeline,PASS,"gamma^4 = 2*6 = 12 and 12 = 3*(gamma,gamma)^2 gives (gamma,gamma) = 2"
+family-identities,PASS,"(gamma,delta2), disc Pi, (h2,h2), g(n) agree both ways for n <= 15"
+h2-basis,PASS,"Gram of Pi in the (h2, delta2) basis is diag(d(n), -2) for n <= 3"
+involution-soundness,PASS,"J^2 = I, J gamma = gamma, J = -1 on gamma-perp for n <= 3"
+necessary-condition,PASS,"witness (2n+2, 1) for n <= 1; d=12 rejected; d=10 gives (2,1)"
+pell-d5,PASS,"D=5: minimal (2,1), then (38,17), (682,305); D=34 unsolvable"
+pell-oracle,PASS,continued-fraction decision matches brute force (x <= 10000) for D <= 60
+pell-minimality,PASS,"fundamental = brute-force minimum, monotone enumeration, D <= 15"
+prime-criterion,PASS,p = 2 or p = 1 (mod 4) matches the solver for primes p < 300
+catalog-reports,PASS,"LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)"
+disc-obstruction,PASS,"disc R(n) = -n(n+20), no disc -20 sublattice, n <= 30; strict inequality grid n <= 1"
+reflection-properties,PASS,involutivity/isometry/fixed-space checks on 30 randomized reflections
+index-law,PASS,disc(B^T G B) = det(B)^2 disc(G) on 30 randomized pairs
+saturation,PASS,saturation idempotent and complements saturated on 30 randomized cases
+bilinear-properties,PASS,"symmetry, bilinearity, basis invariance on 30 randomized cases"
+closed-form-erratum,PASS,"printed D=5 closed form gives (49,22) with residual -19; enumeration gives (38,17)"
+""",
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_output_pinned(self, fmt, capsys):
+        assert run(["--format", fmt, "verify", "--n-max", "3"], capsys) == (
+            0, VERIFY_N3[fmt], "")
+
     def test_small_scale_passes(self, capsys):
         code, out, _ = run(["verify", "--n-max", "1"], capsys)
         assert code == 0

@@ -33,9 +33,21 @@ class TestTypes:
         assert empty.rank == 0
         assert lattices.discriminant(empty) == 1
 
-    def test_isometry_rejects_non_isometry(self):
-        with pytest.raises(ValueError):
-            lattices.Isometry(NS10, ((2, 0), (0, 1)))
+    def test_isometry_checks_its_root(self):
+        # (h,h) = 10, (delta,delta) = -2, (h-delta, h-delta) = 8, (0,0) is 0
+        for root, sign, message in [
+            (H, 1, "reflection requires (e,e) in {2, -2}, got 10"),
+            ((1, -1), 1, "reflection requires (e,e) in {2, -2}, got 8"),
+            ((0, 0), 1, "reflection requires (e,e) in {2, -2}, got 0"),
+            (H, -1, "negated reflection requires (r,r) = 2, got 10"),
+            (DELTA, -1, "negated reflection requires (r,r) = 2, got -2"),
+            ((0, 0), -1, "negated reflection requires (r,r) = 2, got 0"),
+            ((1, -2), 2, "isometry sign must be 1 or -1, got 2"),
+            ((1, -2, 0), 1, "vector of length 3 in a rank-2 lattice"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                lattices.Isometry(NS10, root, sign)
+            assert str(exc.value) == message
 
 
 class TestProduct:

@@ -95,6 +95,20 @@ def test_reflection_properties(data):
     verify.reflection_law(*data)
 
 
+@settings(max_examples=200)
+@given(reflection_inputs())
+def test_isometry_from_its_root(data):
+    # the Isometry docstring's identity, checked without trusting it
+    lat, e = data
+    signs = (1, -1) if lattices.product(lat, e, e) == 2 else (1,)
+    for sign in signs:
+        iso = lattices.Isometry(lat, e, sign)
+        assert lattices.is_isometry(lat, iso.matrix)
+        assert iso.is_involution()
+        assert iso.apply(e) == tuple(-sign * x for x in e)
+        assert intmat.det(iso.matrix) == (-1 if sign == 1 else (-1) ** (lat.rank + 1))
+
+
 @given(symmetric_lattices(), st.data())
 def test_finite_index_discriminant_law(lat, data):
     n = lat.rank
