@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 
-from . import lattices
+from . import intmat, lattices
 from .lattices import Lattice, Signature
 
 # Cartan matrix of E8 (simply laced, so equal to the Gram matrix of the
@@ -195,9 +195,11 @@ def report(catalog_id: str) -> CatalogReport:
 
 
 def report_of(lattice: Lattice) -> CatalogReport:
+    """The report of any lattice; one elimination gives det and signature."""
+    pos, neg, zero, det = intmat.inertia(lattice.gram)
     return CatalogReport(
         rank=lattice.rank,
-        discriminant=lattices.discriminant(lattice),
-        signature=lattices.signature(lattice),
+        discriminant=det,
+        signature=Signature(pos, neg, zero),
         even=lattices.is_even(lattice),
     )

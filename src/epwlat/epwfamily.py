@@ -247,14 +247,10 @@ def k3_embedding_sufficient(lattice: Lattice) -> bool:
     (1, rank-1), and of rank <= 10. False means "inconclusive", never
     "no embedding exists".
     """
-    if not lattices.is_even(lattice):
+    if not lattices.is_even(lattice) or lattice.rank > 10:
         return False
-    if lattices.discriminant(lattice) == 0:
-        return False
-    if lattice.rank > 10:
-        return False
-    sig = lattices.signature(lattice)
-    return sig == (1, lattice.rank - 1, 0)
+    # zero = 0 in the signature (1, rank-1, 0) already rules out a radical
+    return lattices.signature(lattice) == (1, lattice.rank - 1, 0)
 
 
 class OgradyCase(enum.Enum):

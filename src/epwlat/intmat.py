@@ -6,7 +6,11 @@ matrices in this package are small (rank <= 24): determinants use
 fraction-free Bareiss elimination; rank, integer kernels and Hermite
 normal forms all come from one Euclidean row echelon (``echelon``) under
 unimodular row operations; and inertia counts come from fraction-free
-symmetric (Bareiss) elimination applied as a congruence.
+symmetric (Bareiss) elimination applied as a congruence. That one
+symmetric pass also gives the determinant of a symmetric matrix: each
+block is |previous pivot| times the rational Schur complement, so the
+rational pivots p_k/|p_(k-1)| multiply to (-1)^negative * |last pivot|.
+A lone determinant, of any square matrix, still comes from ``det``.
 """
 
 from __future__ import annotations
@@ -195,17 +199,24 @@ def congruence_pivots(gram: Matrix) -> Iterator[tuple[int, list[list[int]]]]:
         prev = abs(p)
 
 
-def inertia(gram: Matrix) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia counts of a symmetric matrix.
+def inertia(gram: Matrix) -> tuple[int, int, int, int]:
+    """(positive, negative, zero, det) of a symmetric matrix, in one pass.
 
-    Sylvester's law read off the pivot signs of ``congruence_pivots``.
+    Sylvester's law read off the pivot signs of ``congruence_pivots``. The
+    determinant is 0 when a direction lies in the radical, and otherwise
+    (-1)^negative * |last pivot|: block k is |p_(k-1)| times the rational
+    Schur complement, whose pivot p_k/|p_(k-1)| is the k-th rational pivot,
+    so their product telescopes to p_last * prod_(k<last) sign(p_k); the
+    swap and add repairs are unimodular congruences and keep the
+    determinant. The empty matrix has determinant 1.
     """
     pos = neg = zero = 0
-    for p, _ in congruence_pivots(gram):
-        if p > 0:
+    last = 1
+    for last, _ in congruence_pivots(gram):
+        if last > 0:
             pos += 1
-        elif p < 0:
+        elif last < 0:
             neg += 1
         else:
             zero += 1
-    return pos, neg, zero
+    return pos, neg, zero, 0 if zero else (-1) ** neg * abs(last)

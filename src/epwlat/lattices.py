@@ -130,7 +130,7 @@ def discriminant(lattice: Lattice) -> int:
 
 def signature(lattice: Lattice) -> Signature:
     """Sylvester inertia, by fraction-free symmetric elimination (exact)."""
-    return Signature(*intmat.inertia(lattice.gram))
+    return Signature(*intmat.inertia(lattice.gram)[:3])
 
 
 def is_even(lattice: Lattice) -> bool:
@@ -169,14 +169,33 @@ def orthogonal_complement(lattice: Lattice, v: Coords) -> list[tuple[int, ...]]:
 
 
 def induced_gram(lattice: Lattice, basis: Sequence[Coords]) -> Lattice:
-    """The sublattice spanned by ``basis`` as an abstract lattice, B^T G B."""
+    """The sublattice spanned by ``basis`` as an abstract lattice, B^T G B.
+
+    Built from each basis vector's support, as complement bases are mostly
+    zeros: G b is the combination of the Gram rows at the nonzero
+    coordinates of b (G is symmetric, so row j is column j), and (a, G b)
+    sums over the support of a only. Only the upper triangle is computed;
+    the lower one is its mirror image.
+    """
     vecs = [_coords(lattice, b) for b in basis]
     if intmat.rank(vecs) != len(vecs):
         raise ValueError("basis vectors are linearly dependent")
-    images = [intmat.mat_vec(lattice.gram, b) for b in vecs]
-    return Lattice(tuple(
-        tuple(intmat.dot(a, gb) for gb in images) for a in vecs
-    ))
+    gram = lattice.gram
+    supports = [[(j, x) for j, x in enumerate(b) if x] for b in vecs]
+    images = []
+    for support in supports:
+        j, x = support[0]
+        gb = [x * g for g in gram[j]]
+        for j, x in support[1:]:
+            gb = [u + x * g for u, g in zip(gb, gram[j])]
+        images.append(gb)
+    m = len(vecs)
+    rows = [[0] * m for _ in vecs]
+    for i, support in enumerate(supports):
+        for k in range(i, m):
+            gb = images[k]
+            rows[i][k] = rows[k][i] = sum([x * gb[j] for j, x in support])
+    return Lattice(tuple(map(tuple, rows)))
 
 
 def saturation(lattice: Lattice, basis: Sequence[Coords]) -> list[tuple[int, ...]]:

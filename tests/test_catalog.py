@@ -26,6 +26,18 @@ def test_pi_gram_matches_induced_computation():
         )
 
 
+_REPORTED = [n for n in catalog.names() if "(" not in n] + [
+    "NS_HILB(10)", "R(3)", "NS3(2)", "PI(2)"]
+
+
+@pytest.mark.parametrize("catalog_id", _REPORTED)
+def test_report_of_is_discriminant_and_signature(catalog_id):
+    lat = catalog.build(catalog_id)
+    rep = catalog.report_of(lat)
+    assert (rep.discriminant, rep.signature) == (
+        lattices.discriminant(lat), lattices.signature(lat))
+
+
 def test_lambda0_report():
     rep = catalog.report("LAMBDA0")
     assert rep.rank == 22

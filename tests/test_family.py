@@ -161,6 +161,13 @@ class TestEmbeddingCriterion:
     def test_odd_or_large_fails(self):
         assert not epwfamily.k3_embedding_sufficient(catalog.i22_2())
         assert not epwfamily.k3_embedding_sufficient(catalog.k3_lattice())  # rank 22
+        # U + E8(-1) + <-2>: even, hyperbolic of signature (1, 10), rank 11
+        big = lattices.direct_sum(
+            lattices.direct_sum(catalog.hyperbolic_plane(),
+                                lattices.rescale(catalog.e8(), -1)),
+            catalog.rank_one(-2))
+        assert lattices.signature(big) == (1, 10, 0)
+        assert not epwfamily.k3_embedding_sufficient(big)
 
     def test_wrong_signature_fails(self):
         assert not epwfamily.k3_embedding_sufficient(catalog.e8())  # (8,0)
@@ -169,8 +176,9 @@ class TestEmbeddingCriterion:
         )  # (2,0)
 
     def test_degenerate_fails(self):
-        degenerate = lattices.Lattice(((2, 0), (0, 0)))
-        assert not epwfamily.k3_embedding_sufficient(degenerate)
+        # even of rank 2 with signature (1, 0, 1)
+        for gram in (((2, 0), (0, 0)), ((2, 2), (2, 2))):
+            assert not epwfamily.k3_embedding_sufficient(lattices.Lattice(gram))
 
 
 class TestOgradyStatus:

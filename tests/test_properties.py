@@ -331,8 +331,17 @@ def test_inertia_matches_fraction_reference_at_rank_22_and_24(name, seed):
     if seed:
         gram = _apply_ops_to_basis(gram, seeded_unimodular_ops(seed, len(gram)))
     expected = inertia_by_fraction_congruence(gram)
-    assert intmat.inertia(gram) == expected
+    assert intmat.inertia(gram)[:3] == expected
     assert expected == tuple(catalog.report(name).signature)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", _BIG)
+def test_inertia_det_is_det_at_rank_22_and_24(name, seed):
+    gram = catalog.build(name).gram
+    if seed:
+        gram = _apply_ops_to_basis(gram, seeded_unimodular_ops(seed, len(gram)))
+    assert intmat.inertia(gram)[3] == intmat.det(gram)
 
 
 _U = catalog.hyperbolic_plane()
@@ -353,7 +362,12 @@ _DEGENERATE = [
 
 @pytest.mark.parametrize("lat", _DEGENERATE, ids=lambda lat: str(lat.gram))
 def test_inertia_of_zero_diagonal_and_degenerate_grams(lat):
-    assert intmat.inertia(lat.gram) == inertia_by_fraction_congruence(lat.gram)
+    assert intmat.inertia(lat.gram)[:3] == inertia_by_fraction_congruence(lat.gram)
+
+
+@pytest.mark.parametrize("lat", _DEGENERATE, ids=lambda lat: str(lat.gram))
+def test_inertia_det_of_zero_diagonal_and_degenerate_grams(lat):
+    assert intmat.inertia(lat.gram)[3] == intmat.det(lat.gram)
 
 
 @st.composite
@@ -370,12 +384,23 @@ def zero_diagonal_grams(draw, max_rank=6):
 @settings(max_examples=300)
 @given(zero_diagonal_grams())
 def test_inertia_matches_fraction_reference_on_hollow_grams(gram):
-    assert intmat.inertia(gram) == inertia_by_fraction_congruence(gram)
+    assert intmat.inertia(gram)[:3] == inertia_by_fraction_congruence(gram)
+
+
+@settings(max_examples=300)
+@given(zero_diagonal_grams())
+def test_inertia_det_is_det_on_hollow_grams(gram):
+    assert intmat.inertia(gram)[3] == intmat.det(gram)
 
 
 @given(symmetric_lattices(max_rank=6))
 def test_inertia_matches_fraction_reference(lat):
-    assert intmat.inertia(lat.gram) == inertia_by_fraction_congruence(lat.gram)
+    assert intmat.inertia(lat.gram)[:3] == inertia_by_fraction_congruence(lat.gram)
+
+
+@given(symmetric_lattices(max_rank=6))
+def test_inertia_det_is_det(lat):
+    assert intmat.inertia(lat.gram)[3] == intmat.det(lat.gram)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -420,6 +445,38 @@ def test_induced_gram_is_the_double_sum(lat, data):
     assert sub.gram == tuple(
         tuple(product_by_double_sum(lat.gram, a, b) for b in vecs) for a in vecs
     )
+
+
+def gram_by_mat_mul(gram, basis):
+    """B^T G B, with the basis vectors as the columns of B."""
+    return intmat.mat_mul(intmat.mat_mul(basis, gram), intmat.transpose(basis))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", ["K3", "LAMBDA0"])
+def test_induced_gram_on_sparse_complement_bases(name, seed):
+    # complement bases are mostly zeros: the support-based product's case
+    lat = catalog.build(name)
+    rng = random.Random(seed)
+    v = [0] * lat.rank
+    for i in rng.sample(range(lat.rank), rng.randint(1, 3)):
+        v[i] = rng.choice([-3, -1, 1, 2])
+    comp = lattices.orthogonal_complement(lat, v)
+    assert lattices.induced_gram(lat, comp).gram == tuple(
+        map(tuple, gram_by_mat_mul(lat.gram, comp)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", ["K3", "LAMBDA0"])
+def test_induced_gram_on_dense_bases(name, seed):
+    lat = catalog.build(name)
+    rng = random.Random(seed)
+    k = rng.randint(1, 8)
+    basis = [[rng.choice([-5, -3, -2, -1, 1, 2, 4]) for _ in range(lat.rank)]
+             for _ in range(k)]
+    assert intmat.rank(basis) == k
+    assert lattices.induced_gram(lat, basis).gram == tuple(
+        map(tuple, gram_by_mat_mul(lat.gram, basis)))
 
 
 nonsquare_d = st.integers(min_value=2, max_value=400).filter(
