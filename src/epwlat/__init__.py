@@ -32,6 +32,7 @@ from .lattices import (  # noqa: F401
 )
 from .pell import (  # noqa: F401
     ContinuedFraction,
+    DerivedSolution,
     PellSolution,
     cf_expansion,
     enumerate_negative,

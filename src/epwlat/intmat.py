@@ -42,13 +42,6 @@ def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in m]
 
 
-def is_symmetric(m: Matrix) -> bool:
-    n = len(m)
-    return all(len(row) == n for row in m) and all(
-        m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n)
-    )
-
-
 def det(m: Matrix) -> int:
     """Determinant by fraction-free Bareiss elimination (exact)."""
     n = len(m)

@@ -30,10 +30,10 @@ class Lattice:
 
     def __post_init__(self):
         n = len(self.gram)
-        rows = tuple(tuple(operator.index(x) for x in row) for row in self.gram)
+        rows = tuple(tuple(map(operator.index, row)) for row in self.gram)
         if any(len(row) != n for row in rows):
             raise ValueError("Gram matrix must be square")
-        if not intmat.is_symmetric(rows):
+        if rows != tuple(zip(*rows)):
             raise ValueError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", rows)
 

@@ -14,8 +14,11 @@ formed, as a balanced product tree (binary splitting; Lagarias, Trans. AMS
 whose leaves run the sequential recurrence on at most 16 terms, so the
 large multiplications pair operands of equal size. All further
 solutions are the odd powers of the fundamental unit y0 + x0*sqrt(D) in
-Z[sqrt(D)], computed by exact integer multiplication. ``negative_solutions``
-builds them from an already expanded ``ContinuedFraction``.
+Z[sqrt(D)]. Only the fundamental solution is checked exactly (it is the
+one ``PellSolution`` built); the odd powers follow from it by the
+two-term recurrence s_{m+1} = T s_m - s_{m-1} with T = 4 y0^2 + 2, whose
+terms have norm -1 by multiplicativity. ``negative_solutions`` builds
+them from an already expanded ``ContinuedFraction``.
 
 For prime D the classical criterion applies: y^2 - p x^2 = -1 is solvable
 iff p = 2 or p = 1 (mod 4). ``prime_criterion`` implements it and the
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import ensure
 
@@ -58,6 +62,18 @@ class PellSolution:
             raise ValueError(
                 f"({self.y}, {self.x}) does not solve y^2 - {self.d} x^2 = -1"
             )
+
+
+class DerivedSolution(NamedTuple):
+    """A solution of y^2 - d x^2 = -1 derived from a checked PellSolution.
+
+    ``negative_solutions`` produces it by the unit recurrence; it is not
+    re-checked, because its norm follows from that of the fundamental
+    solution (see ``negative_solutions``).
+    """
+
+    y: int
+    x: int
 
 
 @dataclass(frozen=True)
@@ -161,7 +177,9 @@ def _convergent_matrix(terms: tuple[int, ...], lo: int, hi: int) -> tuple:
     return a * f + b * h, a * g + b * k, c * f + e * h, c * g + e * k
 
 
-def negative_solutions(cf: ContinuedFraction, k: int) -> list[PellSolution]:
+def negative_solutions(
+    cf: ContinuedFraction, k: int
+) -> list[PellSolution | DerivedSolution]:
     """The k smallest solutions of y^2 - d x^2 = -1 for the expansion cf of sqrt(d).
 
     Solutions exist iff the period length L = 2h + 1 is odd. The fundamental
@@ -174,10 +192,19 @@ def negative_solutions(cf: ContinuedFraction, k: int) -> list[PellSolution]:
         x = P^2 + P'^2,   y = a0 x + P Q + P' Q'.
 
     N is computed over half the period by binary splitting down to
-    sequential leaves of at most 16 terms. The other solutions are the odd
-    powers (y0 + x0 sqrt(d))^(2m+1), obtained by repeatedly multiplying
-    with the square of the fundamental solution (the fundamental +1 unit)
-    in Z[sqrt(d)]. Each solution is checked exactly.
+    sequential leaves of at most 16 terms. The fundamental solution is
+    checked exactly, as the one ``PellSolution`` of the list.
+
+    The other solutions are the odd powers s_m = e^(2m+1) of the unit
+    e = y0 + x0 sqrt(d), as ``DerivedSolution`` records. Their norm is
+    N(e)^(2m+1) = -1 by multiplicativity, so they are not re-checked. The
+    +1 unit u = e^2 has trace T = 2 (y0^2 + d x0^2) = 4 y0^2 + 2 (by the
+    checked d x0^2 = y0^2 + 1) and norm 1, so u^2 = T u - 1 and
+
+        s_{m+1} = T s_m - s_{m-1},   s_0 = (y0, x0),   s_{-1} = 1/e = (-y0, x0),
+
+    coordinatewise: one product by T per coordinate and step. As e > 1,
+    the powers are positive and increase strictly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -187,12 +214,14 @@ def negative_solutions(cf: ContinuedFraction, k: int) -> list[PellSolution]:
     p, pp, q, qq = _convergent_matrix(cf.period, 0, cf.period_length // 2)
     x = p * p + pp * pp
     y = cf.a0 * x + p * q + pp * qq
-    out = [PellSolution(d, y, x)]
+    out: list[PellSolution | DerivedSolution] = [PellSolution(d, y, x)]
     if k > 1:
-        unit = _qmul((y, x), (y, x), d)
+        t = 4 * y * y + 2
+        y_prev, x_prev = -y, x
         for _ in range(k - 1):
-            y, x = _qmul((y, x), unit, d)
-            out.append(PellSolution(d, y, x))
+            y, y_prev = t * y - y_prev, y
+            x, x_prev = t * x - x_prev, x
+            out.append(DerivedSolution(y, x))
     return out
 
 
@@ -208,12 +237,13 @@ def fundamental_negative(d: int) -> PellSolution | None:
     return negative_solutions(cf, 1)[0] if cf.period_length % 2 else None
 
 
-def enumerate_negative(d: int, k: int) -> list[PellSolution]:
+def enumerate_negative(d: int, k: int) -> list[PellSolution | DerivedSolution]:
     """The k smallest solutions of y^2 - d x^2 = -1, in increasing order.
 
     Expands sqrt(d) once and hands it to ``negative_solutions``: the
-    fundamental solution from the half-period convergent product, then the
-    odd powers of the fundamental unit.
+    fundamental solution from the half-period convergent product, checked
+    exactly, then the odd powers of the fundamental unit, derived from it
+    by the two-term unit recurrence.
     """
     return negative_solutions(cf_expansion(d), k)
 

@@ -252,17 +252,23 @@ def direct_sum_law(a: Lattice, b: Lattice) -> Lattice:
     return summed
 
 
-def enumeration_law(d: int, k: int) -> list[pell.PellSolution]:
-    """The first k solutions for a solvable D increase strictly, and each
-    squares to a solution of the +1 equation; returns them."""
+def enumeration_law(
+    d: int, k: int
+) -> list[pell.PellSolution | pell.DerivedSolution]:
+    """The first k solutions for a solvable D increase strictly, each solves
+    y^2 - D x^2 = -1, and each squares to a solution of the +1 equation;
+    returns them. Only the first was checked when it was built; the others
+    come from the unit recurrence, so this is their exact check."""
     sols = pell.enumerate_negative(d, k)
     for a, b in zip(sols, sols[1:]):
         if not (a.x < b.x and a.y < b.y):
             _fail(f"D={d}: enumeration not strictly increasing")
     for s in sols:
+        if s.y * s.y - d * s.x * s.x != -1:
+            _fail(f"D={d}: (y, x) = ({s.y}, {s.x}) does not solve y^2 - D x^2 = -1")
         p, q = s.y * s.y + d * s.x * s.x, 2 * s.x * s.y
         if p * p - d * q * q != 1:
-            _fail(f"D={d}: norm algebra broken for {s}")
+            _fail(f"D={d}: norm algebra broken for (y, x) = ({s.y}, {s.x})")
     return sols
 
 

@@ -120,6 +120,15 @@ class TestPell:
     def test_bad_d_reported_before_bad_count(self, d, message, capsys):
         assert run(["pell", "--d", d, "--count", "0"], capsys) == (1, "", message)
 
+    def test_same_output_under_optimize_flag(self):
+        # the fundamental solution's one check must not be an assert
+        argv = ("-m", "epwlat.cli", "--format", "csv",
+                "pell", "--d", "13", "--count", "4")
+        plain, optimized = fresh_python(*argv), fresh_python("-O", *argv)
+        assert plain.returncode == 0, plain.stderr
+        assert optimized.returncode == plain.returncode
+        assert optimized.stdout == plain.stdout
+
     @pytest.mark.xfail(strict=True, reason="the 4300-digit defect: the 102089-bit "
                        "solution exceeds Python's 4300-digit int->str conversion limit")
     def test_huge_solution_printed(self, capsys):

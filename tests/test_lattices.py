@@ -24,6 +24,21 @@ class TestTypes:
         with pytest.raises(ValueError):
             Lattice(((1, 2), (3, 4)))
 
+    @pytest.mark.parametrize("gram,error,message", [
+        (((1, 2),), ValueError, "must be square"),
+        (((1, 2), (2,)), ValueError, "must be square"),
+        (((1, 2, 0), (2, 1, 0)), ValueError, "must be square"),
+        (((1, 2), (2, 1), (0, 0)), ValueError, "must be square"),
+        (((1, 2), (3, 4), (5, 6, 7)), ValueError, "must be square"),
+        (((1, 2), (3, 4)), ValueError, "must be symmetric"),
+        (((1, 2.0), (2, 1)), TypeError, "integer"),
+        (((1.5, 2), (3,)), TypeError, "integer"),
+    ])
+    def test_gram_checks_in_order(self, gram, error, message):
+        # entries are integers first, then the shape is square, then symmetric
+        with pytest.raises(error, match=message):
+            Lattice(gram)
+
     def test_vector_length_checked(self):
         with pytest.raises(ValueError, match="length 3 in a rank-2 lattice"):
             lattices.is_primitive(U, (1, 2, 3))

@@ -229,6 +229,17 @@ def sequential_fundamental(d):
     return p, q
 
 
+def odd_powers(d, y0, x0, k):
+    """Reference: the first k odd powers of y0 + x0 sqrt(d), multiplying by
+    the fundamental solution one power at a time."""
+    powers, y, x = [], 1, 0
+    for n in range(1, 2 * k):
+        y, x = y * y0 + d * x * x0, y * x0 + x * y0
+        if n % 2:
+            powers.append((y, x))
+    return powers
+
+
 class TestConvergentProduct:
     def test_matches_sequential_recurrence_to_2000(self):
         lengths = set()
@@ -253,13 +264,7 @@ class TestConvergentProduct:
         p = 100000037
         assert pell.is_prime(p) and p % 4 == 1
         sols = pell.enumerate_negative(p, 3)
-        y0, x0 = sequential_fundamental(p)
-        powers, y, x = [], 1, 0
-        for n in range(1, 6):
-            y, x = y * y0 + p * x * x0, y * x0 + x * y0
-            if n % 2:
-                powers.append((y, x))
-        assert [(s.y, s.x) for s in sols] == powers
+        assert [(s.y, s.x) for s in sols] == odd_powers(p, *sequential_fundamental(p), 3)
         assert [s.x.bit_length() for s in sols] == [4366, 13127, 21888]
 
     def test_negative_solutions_takes_an_expansion(self):
@@ -282,6 +287,46 @@ class TestConvergentProduct:
         assert cli.main(["pell", "--d", "13", "--count", "2"]) == 0
         assert "y=18 x=5" in capsys.readouterr().out
         assert calls == [13]
+
+
+class TestDerivedSolutions:
+    """Only the fundamental solution is checked when it is built; the odd
+    powers after it come from the unit recurrence and are checked here."""
+
+    @staticmethod
+    def check(d, k):
+        sols = pell.enumerate_negative(d, k)
+        assert len(sols) == k
+        assert isinstance(sols[0], pell.PellSolution)
+        assert all(type(s) is pell.DerivedSolution for s in sols[1:])
+        assert all(s.y * s.y - d * s.x * s.x == -1 for s in sols), d
+        assert [(s.y, s.x) for s in sols] == odd_powers(
+            d, *sequential_fundamental(d), k), d
+
+    def test_every_solvable_d_to_2000(self):
+        solvable = [d for d in range(2, 2001)
+                    if isqrt(d) ** 2 != d and sequential_fundamental(d)]
+        assert len(solvable) == 296
+        for d in solvable:
+            self.check(d, 6)
+
+    @pytest.mark.parametrize("d", [100000037, 10**9 + 9])
+    def test_large_primes(self, d):
+        self.check(d, 3)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_one_check_per_call(self, k, monkeypatch):
+        checked = []
+        check = pell.PellSolution.__post_init__
+
+        def counting(sol):
+            checked.append((sol.y, sol.x))
+            check(sol)
+
+        monkeypatch.setattr(pell.PellSolution, "__post_init__", counting)
+        sols = pell.negative_solutions(pell.cf_expansion(13), k)
+        assert len(sols) == k
+        assert checked == [(18, 5)]
 
 
 class TestSolvability:
