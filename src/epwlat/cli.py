@@ -6,9 +6,11 @@ inline-Gram reports), ``family`` (degree family tables), ``ogrady``
 
 Exit codes: 0 success, 1 usage or input error, 2 valid input with a
 negative result (unsolvable Pell equation), 3 verification failure.
-Every usage or input error is one ``error: ...`` line on stderr (argparse
-adds its usage line first) and exit 1; the handlers raise ``ValueError``
-or ``OSError`` and ``main`` alone reports them.
+argparse reports a usage error itself (its usage line, then one
+``epwlat: error: ...`` line on stderr) and exits with status 2, which
+``main`` maps to exit 1. Every input error is one ``error: ...`` line on
+stderr and exit 1; the handlers raise ``ValueError`` or ``OSError`` and
+``main`` alone reports them.
 Output is deterministic; CSV uses a header row, comma separators and
 newline-terminated records, with plain decimal integers.
 """
@@ -28,18 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNSOLVABLE = 2
 EXIT_VERIFY_FAILED = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; the contract here
-    # reserves 2 for "valid input, negative result", so remap to 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit2(f"{self.prog}: error: {message}")
-
-
-class SystemExit2(Exception):
-    """Usage error carrying its diagnostic; mapped to exit code 1."""
 
 
 def _emit_table(header: list[str], rows: list[list], fmt: str) -> None:
@@ -80,7 +70,7 @@ def _parse_gram(text: str) -> Lattice:
             raise ValueError(f"non-integer Gram entry in {chunk!r}")
     if len({len(r) for r in rows}) != 1 or len(rows[0]) != len(rows):
         raise ValueError("Gram matrix must be square (rows separated by ';')")
-    return Lattice.from_rows(rows)
+    return Lattice(rows)
 
 
 def cmd_pell(args, fmt: str) -> int:
@@ -191,18 +181,15 @@ def cmd_ogrady(args, fmt: str) -> int:
 
 def cmd_verify(args, fmt: str) -> int:
     results = verify.run_all(args.n_max)
-    first_failure = None
+    first_failure = next((r for r in results if not r.passed), None)
     if fmt == "csv":
         header = ["check", "status", "detail"]
         rows = [[r.name, "PASS" if r.passed else "FAIL", r.detail] for r in results]
         _emit_table(header, rows, fmt)
-        first_failure = next((r for r in results if not r.passed), None)
     else:
         for r in results:
             mark = "PASS" if r.passed else "FAIL"
             print(f"{mark} {r.name}: {r.detail}")
-            if not r.passed and first_failure is None:
-                first_failure = r
         n_pass = sum(r.passed for r in results)
         print(f"{n_pass}/{len(results)} check groups passed (n-max {args.n_max})")
     if first_failure is not None:
@@ -212,8 +199,8 @@ def cmd_verify(args, fmt: str) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="epwlat",
         description="Exact integral-lattice and negative-Pell computations "
                     "for EPW sextics and Hilbert squares of K3 surfaces.",
@@ -260,12 +247,16 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits with status 2 on usage errors; the contract here
+        # reserves 2 for "valid input, negative result", so remap to 1.
+        if exc.code != 2:
+            raise
+        return EXIT_USAGE
+    try:
         return _HANDLERS[args.command](args, args.format)
-    except SystemExit2 as exc:
-        print(str(exc), file=sys.stderr)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_USAGE

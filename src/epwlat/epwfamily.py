@@ -156,15 +156,14 @@ def family(n: int) -> FamilyRecord:
     """Compute the n-th family member by exact lattice arithmetic.
 
     Everything is derived from the rank-3 ambient lattice: the Picard
-    lattice of the deformation as an induced Gram matrix, its
-    discriminant, and the primitive polarization h2 as the generator of
-    the intersection with the orthogonal complement of delta2 (sign fixed
-    by (h2, gamma) > 0). The closed formulas are asserted against the
+    lattice of the deformation as the Gram matrix that gamma and delta2
+    induce there (``catalog.epw_picard_lattice``), its discriminant, and
+    the primitive polarization h2 as the generator of the intersection
+    with the orthogonal complement of delta2 (sign fixed by
+    (h2, gamma) > 0). The closed formulas are asserted against the
     computed values.
     """
-    ambient = catalog.rank3_neron_severi(n)
-    gamma, delta2 = catalog.GAMMA_COORDS, catalog.DELTA2_COORDS
-    pi = lattices.induced_gram(ambient, [gamma, delta2])
+    pi = catalog.epw_picard_lattice(n)
     disc_pi = lattices.discriminant(pi)
 
     (h2,) = lattices.orthogonal_complement(pi, (0, 1))
@@ -190,8 +189,8 @@ def family(n: int) -> FamilyRecord:
         g=g,
         ogrady_r=r,
         gram_pi=pi.gram,
-        gamma=gamma,
-        delta2=delta2,
+        gamma=catalog.GAMMA_COORDS,
+        delta2=catalog.DELTA2_COORDS,
         h2=h2,
         disc_pi=disc_pi,
         pell=witness,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from math import gcd, isqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import intmat
 
@@ -40,10 +40,6 @@ class Lattice:
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Lattice":
-        return cls(tuple(tuple(row) for row in rows))
 
     def basis_vector(self, i: int) -> tuple[int, ...]:
         return tuple(1 if j == i else 0 for j in range(self.rank))

@@ -34,7 +34,9 @@ A closed form for the D = 5 solutions that circulates in print,
 is misprinted: evaluated exactly it yields (y_1, x_1) = (49, 22), whose
 Pell residual 49^2 - 5*22^2 = -19 is not -1 (the true second solution is
 (38, 17)). ``d5_closed_form_misprint`` evaluates the printed expression
-exactly, in integers over Z[sqrt(5)], so the verifier can document the
+exactly: with (2 + √5)^{2n} = a + b√5, both sides are conjugate sums
+whose rational parts give y_n = a + 10b and x_n = 2a + b, and (a, b)
+steps by the unit (2 + √5)^2 = 9 + 4√5. So the verifier can document the
 discrepancy; the enumeration here deliberately uses odd unit powers instead.
 """
 
@@ -43,8 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
-
-from .errors import ensure
 
 
 @dataclass(frozen=True)
@@ -139,13 +139,6 @@ def cf_expansion(d: int) -> ContinuedFraction:
         a = (a0 + p) // q
         half.append(a)
     return ContinuedFraction(d, a0, tuple(body) + (2 * a0,))
-
-
-def _qmul(u: tuple, v: tuple, d: int) -> tuple:
-    """(a + b sqrt(d)) (c + e sqrt(d)) as a pair of integers."""
-    a, b = u
-    c, e = v
-    return (a * c + d * b * e, a * e + b * c)
 
 
 # Leaves of the convergent product tree run the sequential recurrence on at
@@ -312,31 +305,28 @@ def prime_criterion(p: int) -> bool:
 
 # --- exact evaluation of the misprinted D = 5 closed form ------------------
 
-def _qpow(u: tuple, k: int) -> tuple:
-    out = (1, 0)
-    for _ in range(k):
-        out = _qmul(out, u, 5)
-    return out
-
-
 def d5_closed_form_misprint(n: int) -> tuple[int, int]:
     """Evaluate the misprinted D = 5 closed form exactly (see module docs).
 
-    Scaling 2 +- 1/sqrt5 by 5 puts both conjugate sums in Z[sqrt5], so
-    (y_n, x_n) are integers. They are NOT a Pell solution: n = 1 gives
-    (49, 22) with residual -19. Kept so the verifier can assert the
-    discrepancy instead of silently correcting it.
+    Write (2 + √5)^{2n} = a + b√5, so (2 - √5)^{2n} = a - b√5. Each printed
+    right-hand side is u + u' for a number u of Q(√5) and its conjugate
+    u', that is twice the rational part of u:
+
+        (1 + 2√5)(a + b√5)   = (a + 10b) + (2a + b)√5,
+        (2 + 1/√5)(a + b√5)  = (2a + b) + (2b + a/5)√5,
+
+    so 2 y_n = 2(a + 10b) and 2 x_n = 2(2a + b): y_n = a + 10b and
+    x_n = 2a + b, integers. (a, b) starts at (1, 0) for n = 0 and each step
+    multiplies by the unit (2 + √5)^2 = 9 + 4√5:
+    (a, b) -> (9a + 20b, 4a + 9b).
+
+    They are NOT a Pell solution: n = 1 gives (a, b) = (9, 4) and
+    (y_1, x_1) = (49, 22) with residual -19. Kept so the verifier can
+    assert the discrepancy instead of silently correcting it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    unit = _qpow((2, 1), 2 * n)        # (2+sqrt5)^(2n)
-    conj = _qpow((2, -1), 2 * n)       # (2-sqrt5)^(2n)
-    two_y = _add(_qmul((1, 2), unit, 5), _qmul((1, -2), conj, 5))
-    ten_x = _add(_qmul((10, 1), unit, 5), _qmul((10, -1), conj, 5))
-    ensure(two_y[1] == ten_x[1] == 0 and two_y[0] % 2 == ten_x[0] % 10 == 0,
-           "conjugate sums must be integers with 2 | 2y_n and 10 | 10x_n")
-    return two_y[0] // 2, ten_x[0] // 10
-
-
-def _add(u: tuple, v: tuple) -> tuple:
-    return (u[0] + v[0], u[1] + v[1])
+    a, b = 1, 0
+    for _ in range(n):
+        a, b = 9 * a + 20 * b, 4 * a + 9 * b
+    return a + 10 * b, 2 * a + b

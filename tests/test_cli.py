@@ -359,7 +359,50 @@ class TestVerify:
             "family(1): disc(Pi) = 0, not -2d")
 
 
+_TOP_USAGE = """\
+usage: epwlat [-h] [--version] [--format {human,csv}]
+              {pell,lattice,family,ogrady,verify} ...
+"""
+_PELL_USAGE = "usage: epwlat pell [-h] --d D [--count COUNT]\n"
+_LATTICE_USAGE = """\
+usage: epwlat lattice [-h] (--id ID | --gram GRAM | --gram-file GRAM_FILE)
+                      [--op {report,disc,signature,even}]
+"""
+
+# Usage errors that argparse itself reports: its usage line(s), then one
+# ``prog: error: ...`` line on stderr, nothing on stdout, and exit 1 (not
+# argparse's own status 2, which means "unsolvable" here).
+ARGPARSE_ERRORS = [
+    pytest.param([], _TOP_USAGE + "epwlat: error: the following arguments are "
+                 "required: command\n", id="no-subcommand"),
+    pytest.param(["pell"], _PELL_USAGE + "epwlat pell: error: the following "
+                 "arguments are required: --d\n", id="pell-no-d"),
+    pytest.param(["pell", "--d", "x"], _PELL_USAGE + "epwlat pell: error: "
+                 "argument --d: invalid int value: 'x'\n", id="pell-d-not-int"),
+    pytest.param(["pell", "--d", "5", "--bogus"], _TOP_USAGE + "epwlat: error: "
+                 "unrecognized arguments: --bogus\n", id="pell-bogus-flag"),
+    pytest.param(["bogus"], _TOP_USAGE + "epwlat: error: argument command: "
+                 "invalid choice: 'bogus' (choose from 'pell', 'lattice', "
+                 "'family', 'ogrady', 'verify')\n", id="bogus-subcommand"),
+    pytest.param(["lattice", "--id", "K3", "--gram", "1"], _LATTICE_USAGE +
+                 "epwlat lattice: error: argument --gram: not allowed with "
+                 "argument --id\n", id="lattice-id-and-gram"),
+]
+
+
 class TestParsing:
+    @pytest.mark.parametrize("argv,stderr", ARGPARSE_ERRORS)
+    def test_argparse_error_pinned(self, argv, stderr, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        assert run(argv, capsys) == (1, "", stderr)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["pell", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: epwlat")
+
     def test_unknown_flag_exit_1(self, capsys):
         code, _, err = run(["pell", "--d", "5", "--bogus"], capsys)
         assert code == 1

@@ -4,7 +4,7 @@ records themselves (always cross-checked against closed formulas)."""
 
 import pytest
 
-from epwlat import InvariantError, catalog, epwfamily, lattices, pell
+from epwlat import InvariantError, catalog, epwfamily, lattices, pell, verify
 from epwlat.epwfamily import OgradyCase
 
 
@@ -117,6 +117,20 @@ class TestFamilyRecords:
         monkeypatch.setattr(pell, "fundamental_negative", lambda d: None)
         with pytest.raises(InvariantError, match="no Pell solution for D = 17"):
             epwfamily.family(1)
+
+    def test_verify_builds_each_record_once(self, monkeypatch):
+        # family-identities covers n <= 5 * n_max; no other group rebuilds
+        # a record, so n_max = 3 makes exactly 15 calls
+        calls = []
+        build = epwfamily.family
+
+        def counted(n):
+            calls.append(n)
+            return build(n)
+
+        monkeypatch.setattr(epwfamily, "family", counted)
+        assert all(r.passed for r in verify.run_all(3))
+        assert calls == list(range(1, 16))
 
 
 class TestDiscObstruction:

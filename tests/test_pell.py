@@ -5,6 +5,7 @@ Brute-force oracles here search for x with D x^2 - 1 a perfect square,
 independently of the continued-fraction machinery under test."""
 
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -394,7 +395,36 @@ class TestPrimeCriterion:
         assert pell.is_prime(self.PSI_13 - 1) is False  # even
 
 
+def _qmul5(u, v):
+    """(r + s sqrt5)(r' + s' sqrt5) for rational coordinates."""
+    return u[0] * v[0] + 5 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def printed_d5_closed_form(n):
+    """Reference: the printed D = 5 formula evaluated literally in Q(sqrt5),
+    numbers stored as pairs (r, s) = r + s sqrt5 of Fractions.
+
+        2 y_n = (1 + 2 sqrt5)(2 + sqrt5)^(2n) + (1 - 2 sqrt5)(2 - sqrt5)^(2n)
+        2 x_n = (2 + 1/sqrt5)(2 + sqrt5)^(2n) + (2 - 1/sqrt5)(2 - sqrt5)^(2n)
+    """
+    unit, conj = (Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))
+    for _ in range(2 * n):
+        unit, conj = _qmul5(unit, (2, 1)), _qmul5(conj, (2, -1))
+    inv_sqrt5 = Fraction(1, 5)  # 1/sqrt5 = sqrt5/5
+    two_y = [a + b for a, b in zip(_qmul5((1, 2), unit), _qmul5((1, -2), conj))]
+    two_x = [a + b for a, b in zip(_qmul5((2, inv_sqrt5), unit),
+                                   _qmul5((2, -inv_sqrt5), conj))]
+    assert two_y[1] == two_x[1] == 0  # conjugate sums are rational
+    y, x = two_y[0] / 2, two_x[0] / 2
+    assert y.denominator == x.denominator == 1
+    return int(y), int(x)
+
+
 class TestClosedFormMisprint:
+    def test_matches_literal_evaluation(self):
+        for n in range(0, 41):
+            assert pell.d5_closed_form_misprint(n) == printed_d5_closed_form(n)
+
     def test_n1_values(self):
         y, x = pell.d5_closed_form_misprint(1)
         assert (y, x) == (49, 22)
