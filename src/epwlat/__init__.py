@@ -43,8 +43,6 @@ from .pell import (  # noqa: F401
 )
 from .epwfamily import (  # noqa: F401
     FamilyRecord,
-    InvolutionReport,
-    NecessaryCondition,
     OgradyCase,
     OgradyStatus,
     disc_obstruction,

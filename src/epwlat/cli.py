@@ -159,18 +159,16 @@ def cmd_family(args, fmt: str) -> int:
 
 def cmd_ogrady(args, fmt: str) -> int:
     status = epwfamily.ogrady_status(args.r)
-    case = status.case
+    case, rec = status.case, status.record
     if fmt == "csv":
         header = ["r", "status", "n", "d"]
-        row = [args.r, case.name,
-               status.n if status.n is not None else "",
-               status.record.d if status.record else ""]
+        row = [args.r, case.name, rec.n if rec else "", rec.d if rec else ""]
         _emit_table(header, [row], fmt)
         return EXIT_OK
     if case is epwfamily.OgradyCase.EVEN_FAMILY:
-        print(f"r={args.r}: even family, n={status.n}, d={status.record.d}")
+        print(f"r={args.r}: even family, n={rec.n}, d={rec.d}")
     elif case is epwfamily.OgradyCase.OGRADY_R2:
-        print(f"r={args.r}: O'Grady's case, degree 10")
+        print(f"r={args.r}: O'Grady's case, {status.note}")
     elif case is epwfamily.OgradyCase.CLASSICAL_R0:
         print(f"r={args.r}: classical case")
     else:

@@ -67,64 +67,34 @@ def fujiki_degree_to_bb(q4: int, c: int) -> int:
     return s
 
 
-class NecessaryCondition(NamedTuple):
-    """Outcome of the Pell test for a polarization degree d.
+def necessary_condition(d: int) -> Optional[pell.PellSolution]:
+    """The minimal solution of y^2 - (g-1) x^2 = -1 for g = d/2 + 1, or None.
 
-    ``solvable`` means the necessary condition holds; unsolvable means the
-    Hilbert square of a Picard-rank-1 degree-d K3 cannot be birational to
-    a smooth double EPW sextic. ``witness`` is the minimal solution when
-    one exists.
-    """
-
-    solvable: bool
-    witness: Optional[pell.PellSolution]
-
-
-def necessary_condition(d: int) -> NecessaryCondition:
-    """Solvability of y^2 - (g-1) x^2 = -1 for g = d/2 + 1, with witness.
-
-    Defined for even degrees d >= 10 (the regime where the birationality
-    question is posed); note g - 1 = d/2.
+    None means the necessary condition fails: the Hilbert square of a
+    Picard-rank-1 degree-d K3 cannot be birational to a smooth double EPW
+    sextic. Defined for even degrees d >= 10 (the regime where the
+    birationality question is posed); note g - 1 = d/2.
     """
     if d % 2 or d < 10:
         raise ValueError("degree must be an even integer >= 10")
     big_d = d // 2
     if not pell.is_solvable_negative(big_d):
-        return NecessaryCondition(False, None)
-    return NecessaryCondition(True, pell.fundamental_negative(big_d))
+        return None
+    return pell.fundamental_negative(big_d)
 
 
-@dataclass(frozen=True)
-class InvolutionReport:
-    """The antisymplectic involution determined by a square-2 class.
+def epw_involution(d: int, m: int) -> Isometry:
+    """The antisymplectic involution of gamma = h - m*delta on NS_HILB(d).
 
-    On NS = Zh + Zdelta with (h,h) = d, the class gamma = h - m*delta of
-    square d - 2m^2 = 2 defines z -> -z + (z,gamma)*gamma: an involutive
-    isometry fixing gamma and negating its orthogonal complement.
-    """
-
-    d: int
-    m: int
-    matrix: Isometry
-    image_of_h: tuple[int, ...]
-    image_of_delta: tuple[int, ...]
-
-
-def epw_involution(d: int, m: int) -> InvolutionReport:
-    """Build the involution for gamma = h - m*delta on NS_HILB(d).
-
-    ``lattices.negated_reflection`` rejects gamma unless d - 2m^2 = 2.
+    On NS = Zh + Zdelta with (h,h) = d, the class gamma of square
+    d - 2m^2 = 2 defines z -> -z + (z,gamma)*gamma: an involutive isometry
+    fixing gamma and negating its orthogonal complement. Its matrix columns
+    are the images of h and delta. ``lattices.negated_reflection`` rejects
+    gamma unless d - 2m^2 = 2.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    j = lattices.negated_reflection(catalog.ns_hilbert_square(d), (1, -m))
-    return InvolutionReport(
-        d=d,
-        m=m,
-        matrix=j,
-        image_of_h=j.apply((1, 0)),
-        image_of_delta=j.apply((0, 1)),
-    )
+    return lattices.negated_reflection(catalog.ns_hilbert_square(d), (1, -m))
 
 
 @dataclass(frozen=True)
@@ -135,9 +105,9 @@ class FamilyRecord:
     g = d/2 + 1 = ogrady_r^2 + 2, ogrady_r = 2n + 2, disc_pi = -2d, and
     the Pell witness solves y^2 - (g-1) x^2 = -1.
 
-    ``gamma`` and ``delta2`` are coordinates in the (f, h, delta) basis of
-    NS3(n); ``h2`` is in the (gamma, delta2) basis of Pi, whose Gram matrix
-    is ``gram_pi``.
+    ``h2`` is in the (gamma, delta2) basis of Pi, whose Gram matrix is
+    ``gram_pi``; gamma and delta2 themselves are ``catalog.GAMMA_COORDS``
+    and ``catalog.DELTA2_COORDS`` in the (f, h, delta) basis of NS3(n).
     """
 
     n: int
@@ -145,8 +115,6 @@ class FamilyRecord:
     g: int
     ogrady_r: int
     gram_pi: tuple[tuple[int, ...], ...]
-    gamma: tuple[int, ...]
-    delta2: tuple[int, ...]
     h2: tuple[int, ...]
     disc_pi: int
     pell: pell.PellSolution
@@ -189,8 +157,6 @@ def family(n: int) -> FamilyRecord:
         g=g,
         ogrady_r=r,
         gram_pi=pi.gram,
-        gamma=catalog.GAMMA_COORDS,
-        delta2=catalog.DELTA2_COORDS,
         h2=h2,
         disc_pi=disc_pi,
         pell=witness,
@@ -263,9 +229,9 @@ class OgradyCase(enum.Enum):
 
 @dataclass(frozen=True)
 class OgradyStatus:
+    """The case of r, with its family record (even r >= 4) or a note."""
+
     case: OgradyCase
-    r: int
-    n: Optional[int] = None
     record: Optional[FamilyRecord] = None
     note: str = ""
 
@@ -275,11 +241,10 @@ def ogrady_status(r: int) -> OgradyStatus:
     if r < 0:
         raise ValueError("r must be >= 0")
     if r == 0:
-        return OgradyStatus(OgradyCase.CLASSICAL_R0, r)
+        return OgradyStatus(OgradyCase.CLASSICAL_R0)
     if r == 2:
-        return OgradyStatus(OgradyCase.OGRADY_R2, r, note="degree 10")
+        return OgradyStatus(OgradyCase.OGRADY_R2, note="degree 10")
     if r % 2 == 0:
-        n = r // 2 - 1
-        return OgradyStatus(OgradyCase.EVEN_FAMILY, r, n=n, record=family(n))
+        return OgradyStatus(OgradyCase.EVEN_FAMILY, record=family(r // 2 - 1))
     note = "only partial results are known" if r == 1 else ""
-    return OgradyStatus(OgradyCase.ODD_OPEN, r, note=note)
+    return OgradyStatus(OgradyCase.ODD_OPEN, note=note)

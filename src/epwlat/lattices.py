@@ -157,11 +157,7 @@ def orthogonal_complement(lattice: Lattice, v: Coords) -> list[tuple[int, ...]]:
     cv = _coords(lattice, v)
     if not any(cv):
         raise ValueError("orthogonal complement of the zero vector")
-    w = intmat.mat_vec(lattice.gram, cv)
-    if not any(w):
-        # v pairs to zero with everything (radical direction)
-        return [lattice.basis_vector(i) for i in range(lattice.rank)]
-    return intmat.kernel([w], lattice.rank)
+    return intmat.kernel([intmat.mat_vec(lattice.gram, cv)], lattice.rank)
 
 
 def induced_gram(lattice: Lattice, basis: Sequence[Coords]) -> Lattice:
@@ -207,8 +203,6 @@ def saturation(lattice: Lattice, basis: Sequence[Coords]) -> list[tuple[int, ...
     functionals = intmat.kernel(vecs, lattice.rank)
     if len(functionals) != lattice.rank - len(vecs):
         raise ValueError("basis vectors are linearly dependent")
-    if not functionals:
-        return [lattice.basis_vector(i) for i in range(lattice.rank)]
     return intmat.kernel([list(f) for f in functionals], lattice.rank)
 
 

@@ -27,20 +27,24 @@ class TestFujiki:
 
 class TestNecessaryCondition:
     def test_degree_ten(self):
-        res = epwfamily.necessary_condition(10)
-        assert res.solvable and (res.witness.y, res.witness.x) == (2, 1)
+        witness = epwfamily.necessary_condition(10)
+        assert (witness.y, witness.x) == (2, 1)
 
     def test_degree_34(self):
-        res = epwfamily.necessary_condition(34)
-        assert res.solvable and (res.witness.y, res.witness.x) == (4, 1)
+        witness = epwfamily.necessary_condition(34)
+        assert (witness.y, witness.x) == (4, 1)
 
     def test_degree_twelve_fails(self):
-        res = epwfamily.necessary_condition(12)
-        assert not res.solvable and res.witness is None
+        assert epwfamily.necessary_condition(12) is None
 
     def test_square_half_degree(self):
         # d = 18 gives D = 9, a perfect square: never solvable
-        assert not epwfamily.necessary_condition(18).solvable
+        assert epwfamily.necessary_condition(18) is None
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_witness_is_the_minimal_solution(self, n):
+        d = 8 * n * n + 16 * n + 10
+        assert epwfamily.necessary_condition(d) == pell.fundamental_negative(d // 2)
 
     @pytest.mark.parametrize("d", [8, 9, 11, 0, -4])
     def test_domain_checked(self, d):
@@ -50,20 +54,26 @@ class TestNecessaryCondition:
 
 class TestInvolution:
     def test_degree_ten_images(self):
-        rep = epwfamily.epw_involution(10, 2)
-        assert rep.image_of_h == (9, -20)
-        assert rep.image_of_delta == (4, -9)
+        j = epwfamily.epw_involution(10, 2)
+        assert j.apply((1, 0)) == (9, -20)
+        assert j.apply((0, 1)) == (4, -9)
 
     def test_degree_34_images(self):
         # z -> -z + (z,gamma)gamma with gamma = h2 - 4*delta2, (h2,h2) = 34
-        rep = epwfamily.epw_involution(34, 4)
-        assert rep.image_of_h == (33, -136)
-        assert rep.image_of_delta == (8, -33)
+        j = epwfamily.epw_involution(34, 4)
+        assert j.apply((1, 0)) == (33, -136)
+        assert j.apply((0, 1)) == (8, -33)
 
     def test_fixes_gamma_and_squares_to_identity(self):
-        rep = epwfamily.epw_involution(10, 2)
-        assert rep.matrix.apply((1, -2)) == (1, -2)
-        assert rep.matrix.is_involution()
+        j = epwfamily.epw_involution(10, 2)
+        assert j.apply((1, -2)) == (1, -2)
+        assert j.is_involution()
+
+    @pytest.mark.parametrize("d,m", [(10, 2)] + [
+        (8 * n * n + 16 * n + 10, 2 * n + 2) for n in range(1, 11)])
+    def test_is_the_negated_reflection(self, d, m):
+        expected = lattices.negated_reflection(catalog.ns_hilbert_square(d), (1, -m))
+        assert epwfamily.epw_involution(d, m) == expected
 
     def test_wrong_square_rejected(self):
         with pytest.raises(ValueError):
@@ -99,11 +109,11 @@ class TestFamilyRecords:
         assert rec.disc_pi == lattices.discriminant(pi)
 
     def test_gamma_delta2_live_in_ambient(self):
-        rec = epwfamily.family(3)
         ambient = catalog.rank3_neron_severi(3)
-        assert lattices.product(ambient, rec.gamma, rec.gamma) == 2
-        assert lattices.product(ambient, rec.delta2, rec.delta2) == -2
-        assert lattices.product(ambient, rec.gamma, rec.delta2) == 16
+        gamma, delta2 = catalog.GAMMA_COORDS, catalog.DELTA2_COORDS
+        assert lattices.product(ambient, gamma, gamma) == 2
+        assert lattices.product(ambient, delta2, delta2) == -2
+        assert lattices.product(ambient, gamma, delta2) == 16
 
     def test_pell_witness_is_minimal(self):
         rec = epwfamily.family(4)
@@ -199,7 +209,7 @@ class TestOgradyStatus:
     def test_r4_is_family_n1(self):
         status = epwfamily.ogrady_status(4)
         assert status.case is OgradyCase.EVEN_FAMILY
-        assert status.n == 1
+        assert status.record.n == 1
         assert status.record.d == 34
 
     def test_r0_r2(self):

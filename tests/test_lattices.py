@@ -174,6 +174,15 @@ class TestOrthogonalComplement:
             (w,) = lattices.orthogonal_complement(pi, (0, 1))
             assert w in ((1, 2 * n + 2), (-1, -(2 * n + 2)))
 
+    @pytest.mark.parametrize("lat,v,basis", [
+        (lattices.direct_sum(U, Lattice(((0,),))), (0, 0, 1),
+         [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        (Lattice(((0, 0), (0, 0))), (1, 0), [(1, 0), (0, 1)]),
+    ])
+    def test_radical_vector_gives_standard_basis(self, lat, v, basis):
+        # v pairs to zero with everything, so its complement is the lattice
+        assert lattices.orthogonal_complement(lat, v) == basis
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             lattices.orthogonal_complement(U, (0, 0))
@@ -220,6 +229,7 @@ class TestSaturation:
         basis = [U.basis_vector(0), U.basis_vector(1)]
         sat = lattices.saturation(U, basis)
         assert intmat.row_hnf(sat) == intmat.row_hnf(basis)
+        assert sat == [(1, 0), (0, 1)]
 
     def test_dependent_rejected(self):
         with pytest.raises(ValueError):
