@@ -403,6 +403,15 @@ class TestParsing:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: epwlat")
 
+    def test_unknown_flag_exit_1(self, capsys):
+        code, _, err = run(["pell", "--d", "5", "--bogus"], capsys)
+        assert code == 1
+        assert "error" in err
+
+    def test_missing_subcommand_exit_1(self, capsys):
+        code, _, _ = run([], capsys)
+        assert code == 1
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
