@@ -6,10 +6,13 @@ matrices in this package are small (rank <= 24): determinants use
 fraction-free Bareiss elimination; rank, integer kernels and Hermite
 normal forms all come from one Euclidean row echelon (``echelon``) under
 unimodular row operations; and inertia counts come from fraction-free
-symmetric (Bareiss) elimination applied as a congruence. That one
-symmetric pass also gives the determinant of a symmetric matrix: each
-block is |previous pivot| times the rational Schur complement, so the
-rational pivots p_k/|p_(k-1)| multiply to (-1)^negative * |last pivot|.
+symmetric (Bareiss) elimination applied as a congruence, which stores and
+updates only the upper triangle and repairs a zero pivot by pivoting on a
+later direction (a permutation) or, failing that, by adding a basis vector
+to it. That one symmetric pass also gives the determinant of a symmetric
+matrix: each block is |previous pivot| times the rational Schur
+complement, so the rational pivots p_k/|p_(k-1)| multiply to
+(-1)^negative * |last pivot|.
 A lone determinant, of any square matrix, still comes from ``det``.
 """
 
@@ -117,7 +120,8 @@ def kernel(m: Matrix, width: int) -> list[tuple[int, ...]]:
     basis U of Z^width, so the kernel it spans is saturated.
     """
     rows = len(m)
-    a = [[row[j] for row in m] + e for j, e in enumerate(identity(width))]
+    a = [[row[j] for row in m] + [0] * j + [1] + [0] * (width - 1 - j)
+         for j in range(width)]
     r = echelon(a, rows)
     return [tuple(row[rows:]) for row in a[r:]]
 
@@ -148,48 +152,65 @@ def row_hnf(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 def congruence_pivots(gram: Matrix) -> Iterator[tuple[int, list[list[int]]]]:
     """Fraction-free symmetric elimination of ``gram``, one step at a time.
 
-    Yields ``(p, block)`` per basis direction: ``block`` is the trailing
-    block on which the step works and ``p = block[0][0]`` its pivot, or
-    ``p = 0`` for a direction in the radical. Every block is a positive
-    multiple of the rational Schur complement, so the signs of the pivots
-    are the signs of a diagonal form congruent to ``gram``.
+    Only the upper triangle is stored: in a block of size m, row i holds
+    the entries of columns i..m-1. Yields ``(p, block)`` per basis
+    direction: ``block`` is the upper triangle of the trailing block on
+    which the step works (so the block yielded at step k has m - k rows,
+    and its row i has m - k - i entries) and ``p = block[0][0]`` its
+    pivot, or ``p = 0`` for a direction in the radical. Every block is a
+    positive multiple of the rational Schur complement, so the signs of
+    the pivots are the signs of a diagonal form congruent to ``gram``.
 
-    The step maps the block to ``sign(p)*(p*a_ij - a_i0*a_0j) / |prev|``
-    with ``prev`` the previous nonzero pivot. As in Bareiss's determinant
-    the division is exact: entries stay (up to sign) minors of the matrix
-    after the basis changes below, so they obey Hadamard's bound instead
-    of doubling in length every step. A zero pivot is first repaired by
-    swapping in a later basis vector with nonzero diagonal; failing that,
-    by adding a basis vector that pairs nontrivially with it (which makes
-    the diagonal entry 2*(off-diagonal) != 0). Both are unimodular
+    With s the sign of p and h = block[0], the step maps the triangle to
+    ``(|p|*a_ij - (s*h_i)*h_j) // prev`` with ``prev`` the previous nonzero
+    pivot; a row with h_i = 0 is orthogonal to the pivot and only rescales
+    by |p|/prev. As in Bareiss's determinant the division is exact: entries
+    stay (up to sign) minors of the matrix after the basis changes below,
+    so they obey Hadamard's bound instead of doubling in length every step.
+    A zero pivot is first repaired by pivoting on the first later basis
+    direction with nonzero diagonal, which is moved to the front; failing
+    that, by adding a basis vector that pairs nontrivially with it (which
+    makes the diagonal entry 2*(off-diagonal) != 0). Both are unimodular
     congruences of the trailing block, so the block stays a positive
     multiple of the Schur complement in the new basis.
     """
-    a = [list(row) for row in gram]
+    a = [list(row[i:]) for i, row in enumerate(gram)]
     prev = 1
     while a:
-        if a[0][0] == 0:
-            swap = next((i for i in range(1, len(a)) if a[i][i] != 0), None)
-            if swap is not None:
-                a[0], a[swap] = a[swap], a[0]
-                for row in a:
-                    row[0], row[swap] = row[swap], row[0]
+        if not a[0][0]:
+            k = next((i for i in range(1, len(a)) if a[i][0]), 0)
+            if k:
+                # the permutation k, 0, 1, ..., k-1, k+1, ...: row k in full
+                # leads, and rows 0..k-1 lose their column k
+                col = [row[k - i] for i, row in enumerate(a[:k])] + a[k]
+                a = [[col[k], *col[:k], *col[k + 1:]],
+                     *(row[:k - i] + row[k - i + 1:] for i, row in enumerate(a[:k])),
+                     *a[k + 1:]]
             else:
-                off = next((i for i in range(1, len(a)) if a[0][i] != 0), None)
-                if off is None:
+                off = next((j for j in range(1, len(a)) if a[0][j]), 0)
+                if not off:
                     yield 0, a
-                    a = [row[1:] for row in a[1:]]
+                    a = a[1:]
                     continue
-                a[0] = [x + y for x, y in zip(a[0], a[off])]
-                for row in a:
-                    row[0] += row[off]
-        yield a[0][0], a
-        p = a[0][0]
+                # b_0 += b_off: row 0 gains row off in full, then its diagonal
+                # gains the new (0, off) entry
+                row = [r[off - j] for j, r in enumerate(a[:off])] + a[off]
+                a[0] = [x + y for x, y in zip(a[0], row)]
+                a[0][0] += a[0][off]
+        head = a[0]
+        p = head[0]
+        yield p, a
         s = 1 if p > 0 else -1
-        head = a[0][1:]
-        a = [[s * (p * x - row[0] * h) // prev for x, h in zip(row[1:], head)]
-             for row in a[1:]]
-        prev = abs(p)
+        p *= s
+        rows = []
+        for i in range(1, len(a)):
+            sh = s * head[i]
+            if sh:
+                rows.append([(p * x - sh * g) // prev for x, g in zip(a[i], head[i:])])
+            else:  # direction i is orthogonal to the pivot: the row only rescales
+                rows.append(a[i] if p == prev else [p * x // prev for x in a[i]])
+        a = rows
+        prev = p
 
 
 def inertia(gram: Matrix) -> tuple[int, int, int, int]:
@@ -200,7 +221,7 @@ def inertia(gram: Matrix) -> tuple[int, int, int, int]:
     (-1)^negative * |last pivot|: block k is |p_(k-1)| times the rational
     Schur complement, whose pivot p_k/|p_(k-1)| is the k-th rational pivot,
     so their product telescopes to p_last * prod_(k<last) sign(p_k); the
-    swap and add repairs are unimodular congruences and keep the
+    permutation and add repairs are unimodular congruences and keep the
     determinant. The empty matrix has determinant 1.
     """
     pos = neg = zero = 0

@@ -55,7 +55,7 @@ class Signature(NamedTuple):
 
 def _coords(lattice: Lattice, v: Coords) -> tuple[int, ...]:
     """The one coordinate check: integer entries, one per basis vector."""
-    coords = tuple(operator.index(x) for x in v)
+    coords = tuple(map(operator.index, v))
     if len(coords) != lattice.rank:
         raise ValueError(
             f"vector of length {len(coords)} in a rank-{lattice.rank} lattice"
@@ -95,14 +95,15 @@ class Isometry:
             raise ValueError(f"reflection requires (e,e) in {{2, -2}}, got {ee}")
         if sign == -1 and ee != 2:
             raise ValueError(f"negated reflection requires (r,r) = 2, got {ee}")
-        # column j is sign * (b_j - c (b_j, e) e), and (b_j, e) = ge[j]
+        # column j is sign * (b_j - c (b_j, e) e), and (b_j, e) = ge[j]: row i
+        # is -sign * e_i * f with f_j = c (b_j, e), plus sign on the diagonal
         f = [2 * x // ee for x in ge]
+        rows = [[-sign * c * fj for fj in f] for c in ce]
+        for i, row in enumerate(rows):
+            row[i] += sign
         object.__setattr__(self, "root", ce)
         object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "matrix", tuple(
-            tuple(sign * (int(i == j) - c * fj) for j, fj in enumerate(f))
-            for i, c in enumerate(ce)
-        ))
+        object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
 
     def apply(self, v: Coords) -> tuple[int, ...]:
         return tuple(intmat.mat_vec(self.matrix, _coords(self.lattice, v)))
@@ -160,34 +161,36 @@ def orthogonal_complement(lattice: Lattice, v: Coords) -> list[tuple[int, ...]]:
     return intmat.kernel([intmat.mat_vec(lattice.gram, cv)], lattice.rank)
 
 
+def _combination(support, rows, start: int) -> list[int]:
+    """The sum of x * rows[j][start:] over the pairs (j, x) of ``support``."""
+    j, x = support[0]
+    out = [x * g for g in rows[j][start:]]
+    for j, x in support[1:]:
+        out = [u + x * g for u, g in zip(out, rows[j][start:])]
+    return out
+
+
 def induced_gram(lattice: Lattice, basis: Sequence[Coords]) -> Lattice:
     """The sublattice spanned by ``basis`` as an abstract lattice, B^T G B.
 
     Built from each basis vector's support, as complement bases are mostly
     zeros: G b is the combination of the Gram rows at the nonzero
-    coordinates of b (G is symmetric, so row j is column j), and (a, G b)
-    sums over the support of a only. Only the upper triangle is computed;
-    the lower one is its mirror image.
+    coordinates of b (G is symmetric, so row j is column j). Row i of the
+    upper triangle, the pairings (b_i, G b_k) for k >= i, is then the same
+    combination, over the support of b_i, of the columns of the images
+    G b_i, ..., G b_(m-1). The lower triangle is its mirror image.
     """
     vecs = [_coords(lattice, b) for b in basis]
     if intmat.rank(vecs) != len(vecs):
         raise ValueError("basis vectors are linearly dependent")
     gram = lattice.gram
     supports = [[(j, x) for j, x in enumerate(b) if x] for b in vecs]
-    images = []
-    for support in supports:
-        j, x = support[0]
-        gb = [x * g for g in gram[j]]
-        for j, x in support[1:]:
-            gb = [u + x * g for u, g in zip(gb, gram[j])]
-        images.append(gb)
-    m = len(vecs)
-    rows = [[0] * m for _ in vecs]
-    for i, support in enumerate(supports):
-        for k in range(i, m):
-            gb = images[k]
-            rows[i][k] = rows[k][i] = sum([x * gb[j] for j, x in support])
-    return Lattice(tuple(map(tuple, rows)))
+    images = [_combination(support, gram, 0) for support in supports]
+    columns = list(zip(*images))
+    upper = [_combination(support, columns, i) for i, support in enumerate(supports)]
+    rows = [tuple([u[i - k] for k, u in enumerate(upper[:i])] + u_i)
+            for i, u_i in enumerate(upper)]
+    return Lattice(tuple(rows))
 
 
 def saturation(lattice: Lattice, basis: Sequence[Coords]) -> list[tuple[int, ...]]:
@@ -199,11 +202,11 @@ def saturation(lattice: Lattice, basis: Sequence[Coords]) -> list[tuple[int, ...
     kernel also checks the input: it has rank - len(basis) rows iff the
     basis vectors are linearly independent.
     """
-    vecs = [list(_coords(lattice, b)) for b in basis]
+    vecs = [_coords(lattice, b) for b in basis]
     functionals = intmat.kernel(vecs, lattice.rank)
     if len(functionals) != lattice.rank - len(vecs):
         raise ValueError("basis vectors are linearly dependent")
-    return intmat.kernel([list(f) for f in functionals], lattice.rank)
+    return intmat.kernel(functionals, lattice.rank)
 
 
 def is_primitive(lattice: Lattice, v: Coords) -> bool:

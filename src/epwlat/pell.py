@@ -42,6 +42,7 @@ discrepancy; the enumeration here deliberately uses odd unit powers instead.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
@@ -257,22 +258,36 @@ def is_solvable_negative(d: int) -> bool:
     return cf_expansion(d).period_length % 2 == 1
 
 
-# The first 13 primes as Miller-Rabin witnesses are proven complete below
-# psi_13 = 3317044064679887385961981 (Sorenson and Webster, 2017). Without
-# 41 they are complete only below psi_12 = 318665857834031151167461, a
-# strong pseudoprime to every base 2..37.
+# psi_k is the least composite that is a strong pseudoprime to each of the
+# first k prime bases (OEIS A014233; Jaeschke 1993; Sorenson and Webster
+# 2017), so the first k primes are complete Miller-Rabin witnesses below
+# psi_k.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every n < psi_13.
 
-    Raises ValueError for n >= psi_13, where the fixed witnesses are no
-    longer proven complete.
+    Tests n < psi_k with the first k primes only. Raises ValueError for
+    n >= psi_13, where the 13 witnesses are no longer proven complete.
     """
-    if n >= _PSI_13:
-        raise ValueError(f"primality is decided exactly only below {_PSI_13}")
+    if n >= _PSI[-1]:
+        raise ValueError(f"primality is decided exactly only below {_PSI[-1]}")
     if n < 2:
         return False
     for p in _WITNESSES:
@@ -283,7 +298,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _WITNESSES:
+    for a in _WITNESSES[:bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -368,7 +368,7 @@ class TestPrimeCriterion:
             if n < 2:
                 return False
             return all(n % k for k in range(2, isqrt(n) + 1))
-        assert all(pell.is_prime(n) == trial(n) for n in range(0, 2000))
+        assert all(pell.is_prime(n) == trial(n) for n in range(0, 10**5))
         assert pell.is_prime(10**12 + 39)  # beyond trial-division comfort
 
     # psi_12 is a strong pseudoprime to every prime base 2..37
@@ -378,6 +378,18 @@ class TestPrimeCriterion:
     def test_psi_12_is_not_prime(self):
         assert self.PSI_12 == 399165290221 * 798330580441
         assert not pell.is_prime(self.PSI_12)
+
+    # psi_k, the least strong pseudoprime to each of the first k prime bases
+    # (OEIS A014233); psi_13 is refused
+    PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461]
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_psi_k_is_not_prime(self, k):
+        # psi_k fools the first k bases, so a table that tests n = psi_k with
+        # only k of them calls it prime
+        assert pell.is_prime(self.PSI[k - 1]) is False
 
     def test_psi_12_rejected_by_criterion(self):
         with pytest.raises(ValueError, match="not prime"):

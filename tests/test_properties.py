@@ -423,6 +423,52 @@ def test_inertia_entry_growth_is_bounded(name, seed):
     assert largest.bit_length() <= 64
 
 
+# Hand-made Grams that each reach one repair of a zero pivot, with the pivots
+# congruence_pivots yields: a later direction taken as the pivot, the add
+# repair b_0 += b_off (pivot 2 * (b_0, b_off)), and radical directions (0).
+_BRANCH_GRAMS = {
+    "later-pivot-2": ([[0, 1], [1, 3]], [3, -1]),
+    "later-pivot-3": ([[0, 0, 1], [0, 0, 2], [1, 2, 5]], [5, -1, 0]),
+    "add-repair-U": ([[0, 1], [1, 0]], [2, -1]),
+    "radical-after-pivot": ([[0, 0], [0, 5]], [5, 0]),
+    "radical-zero-3": ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], [0, 0, 0]),
+    "radical-U+<0>": ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], [2, -1, 0]),
+}
+
+
+@pytest.mark.parametrize("gram,pivots", _BRANCH_GRAMS.values(), ids=_BRANCH_GRAMS)
+def test_congruence_pivots_branches(gram, pivots):
+    assert [p for p, _ in intmat.congruence_pivots(gram)] == pivots
+    pos, neg, zero, d = intmat.inertia(gram)
+    assert (pos, neg, zero) == inertia_by_fraction_congruence(gram)
+    assert d == intmat.det(gram)
+
+
+def test_congruence_pivots_add_repair_on_k3():
+    # the K3 Gram starts with 3U: once the E8(-1) directions are pivoted on,
+    # every diagonal entry left is 0 and only the add repair applies
+    gram = catalog.build("K3").gram
+    pivots = [p for p, _ in intmat.congruence_pivots(gram)]
+    assert pivots[-6:] == [2, -1, 2, -1, 2, -1]
+    pos, neg, zero, d = intmat.inertia(gram)
+    assert (pos, neg, zero) == inertia_by_fraction_congruence(gram) == (3, 19, 0)
+    assert d == intmat.det(gram) == -1
+
+
+@pytest.mark.parametrize("gram", [g for g, _ in _BRANCH_GRAMS.values()]
+                         + [catalog.build("K3").gram, catalog.build("I22_2").gram],
+                         ids=[*_BRANCH_GRAMS, "K3", "I22_2"])
+def test_congruence_pivots_yield_upper_triangles(gram):
+    # the block of step k has m - k rows, row i has m - k - i entries, and
+    # its corner is the pivot
+    m = len(gram)
+    steps = [(p, [len(row) for row in block], block[0][0])
+             for p, block in intmat.congruence_pivots(gram)]
+    assert [shape for _, shape, _ in steps] == [list(range(m - k, 0, -1))
+                                                for k in range(m)]
+    assert all(p == corner for p, _, corner in steps)
+
+
 def product_by_double_sum(gram, x, y):
     n = len(gram)
     return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
