@@ -163,8 +163,7 @@ def congruence_pivots(gram: Matrix) -> Iterator[tuple[int, list[list[int]]]]:
 
     With s the sign of p and h = block[0], the step maps the triangle to
     ``(|p|*a_ij - (s*h_i)*h_j) // prev`` with ``prev`` the previous nonzero
-    pivot; a row with h_i = 0 is orthogonal to the pivot and only rescales
-    by |p|/prev. As in Bareiss's determinant the division is exact: entries
+    pivot. As in Bareiss's determinant the division is exact: entries
     stay (up to sign) minors of the matrix after the basis changes below,
     so they obey Hadamard's bound instead of doubling in length every step.
     A zero pivot is first repaired by pivoting on the first later basis
@@ -205,10 +204,7 @@ def congruence_pivots(gram: Matrix) -> Iterator[tuple[int, list[list[int]]]]:
         rows = []
         for i in range(1, len(a)):
             sh = s * head[i]
-            if sh:
-                rows.append([(p * x - sh * g) // prev for x, g in zip(a[i], head[i:])])
-            else:  # direction i is orthogonal to the pivot: the row only rescales
-                rows.append(a[i] if p == prev else [p * x // prev for x in a[i]])
+            rows.append([(p * x - sh * g) // prev for x, g in zip(a[i], head[i:])])
         a = rows
         prev = p
 
