@@ -13,12 +13,20 @@ stderr and exit 1; the handlers raise ``ValueError`` or ``OSError`` and
 ``main`` alone reports them.
 Output is deterministic; CSV uses a header row, comma separators and
 newline-terminated records, with plain decimal integers.
+
+``main`` parses with one parser per process, built on its first call (not
+at import), so a caller that runs ``main`` many times builds it once;
+``build_parser`` still returns a fresh parser. Reuse is safe because
+argparse fills a fresh namespace on every ``parse_args``, and usage,
+help and version text is wrapped to the terminal width (``COLUMNS``) read
+when it is printed, not when the parser is built.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from typing import Optional, Sequence
@@ -235,6 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
 _HANDLERS = {
     "pell": cmd_pell,
     "lattice": cmd_lattice,
@@ -246,7 +256,7 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with status 2 on usage errors; the contract here
         # reserves 2 for "valid input, negative result", so remap to 1.

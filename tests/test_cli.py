@@ -417,3 +417,100 @@ class TestParsing:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert "epwlat" in capsys.readouterr().out
+
+
+def call(argv, capsys):
+    """Like ``run``, but ``--help`` and ``--version`` give ("exit", status)."""
+    try:
+        return run(argv, capsys)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return ("exit", exc.code), captured.out, captured.err
+
+
+@pytest.fixture
+def cold_parser():
+    """Start and end the test with no parser built in this process."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+# valid calls of every subcommand with usage errors, input errors, --help and
+# --version in between, so each kind of call follows each other kind
+REUSE_SEQUENCE = [
+    ["pell", "--d", "5", "--count", "3"],
+    ["pell", "--d", "x"],
+    ["--format", "csv", "pell", "--d", "13"],
+    ["--help"],
+    ["pell", "--d", "5"],
+    ["lattice", "--id", "K3", "--gram", "1"],
+    ["--format", "csv", "lattice", "--id", "LAMBDA0"],
+    ["--version"],
+    ["lattice", "--gram", "0,1;1,0", "--op", "disc"],
+    ["pell", "--help"],
+    ["family", "--n-min", "1", "--n-max", "3"],
+    [],
+    ["ogrady", "--r", "4"],
+    ["pell", "--d", "34"],
+    ["verify", "--n-max", "0"],
+    ["bogus"],
+    ["--format", "csv", "ogrady", "--r", "6"],
+    ["lattice", "--id", "NS_HILB(10)", "--op", "signature"],
+    ["pell", "--d", "5", "--bogus"],
+    ["family", "--n-min", "2", "--n-max", "2"],
+]
+
+_PELL5 = "D=5: solvable; minimal solution (y, x) = (2, 1)\n  n=0: y=2 x=1\n"
+_K3_REPORT = """\
+lattice  rank  discriminant  signature  even
+K3       22    -1            (3,19)     true
+"""
+
+
+class TestParserReuse:
+    def test_warm_parser_matches_fresh_parser_per_call(self, cold_parser,
+                                                        monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        call(["pell", "--d", "5"], capsys)
+        warm = [call(argv, capsys) for argv in REUSE_SEQUENCE]
+        assert cli._parser.cache_info().misses == 1  # every call reused one parser
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [call(argv, capsys) for argv in REUSE_SEQUENCE]
+        assert warm == fresh
+        assert {code for code, _, _ in warm} == {0, 1, 2, ("exit", 0)}
+
+    @pytest.mark.parametrize("first,first_code,then,expected", [
+        pytest.param(["pell", "--d", "5", "--count", "3"], 0,
+                     ["pell", "--d", "5"], (0, _PELL5, ""), id="count"),
+        pytest.param(["--format", "csv", "pell", "--d", "5"], 0,
+                     ["pell", "--d", "5"], (0, _PELL5, ""), id="format"),
+        pytest.param(["lattice", "--id", "K3", "--gram", "1"], 1,
+                     ["lattice", "--id", "K3"], (0, _K3_REPORT, ""),
+                     id="exclusive-group"),
+    ])
+    def test_nothing_leaks_between_calls(self, first, first_code, then, expected,
+                                         monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(first, capsys)[0] == first_code
+        assert run(then, capsys) == expected
+
+    def test_help_width_read_at_call_time(self, cold_parser, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "20")
+        cli._parser()
+        helps = {}
+        for width in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", width)
+            warm = call(["pell", "--help"], capsys)
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(["pell", "--help"])
+            assert warm == (("exit", 0), capsys.readouterr().out, "")
+            helps[width] = warm[1]
+        assert helps["40"] != helps["200"]
+
+    def test_import_builds_no_parser(self):
+        # building it at import would add to every process's cold start
+        proc = fresh_python("-c", "import epwlat.cli as c; "
+                            "print(c._parser.cache_info().currsize)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"

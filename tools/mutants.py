@@ -71,6 +71,12 @@ MUTANTS = (
            "for n in range(1, top + 1):\n        ambient",
            "for n in range(1, n_max + 1):\n        ambient",
            ("tests/test_family.py::TestFamilyRecords::test_verify_builds_each_record_once",)),
+    # one Namespace for every call: the top-level --format default is set only
+    # when the namespace lacks it, so a previous call's --format csv sticks
+    Mutant("parser reuse shares one namespace", "src/epwlat/cli.py",
+           "_parser().parse_args(argv)",
+           "_parser().parse_args(argv, globals().setdefault('_ns', argparse.Namespace()))",
+           ("tests/test_cli.py::TestParserReuse::test_nothing_leaks_between_calls",)),
 )
 
 
