@@ -3,9 +3,11 @@
 Everything in here works on plain lists/tuples of Python ints (arbitrary
 precision); no floating point and no rationals are used anywhere. The
 matrices in this package are small (rank <= 24): determinants use
-fraction-free Bareiss elimination; rank, integer kernels and Hermite
-normal forms all come from one Euclidean row echelon (``echelon``) under
-unimodular row operations; and inertia counts come from fraction-free
+fraction-free Bareiss elimination; rank, integer kernels, saturations and
+Hermite normal forms all come from one Euclidean row echelon (``echelon``)
+under unimodular row operations (``kernel`` reads the transform rows of
+the echelon of [m^T | I] below the pivots, ``saturation`` the pivot block
+above them); and inertia counts come from fraction-free
 symmetric (Bareiss) elimination applied as a congruence, which stores and
 updates only the upper triangle and repairs a zero pivot by pivoting on a
 later direction (a permutation) or, failing that, by adding a basis vector
@@ -77,8 +79,11 @@ def echelon(a: list[list[int]], cols: int) -> int:
     Works in place with unimodular row operations only. In each column the
     row with the smallest nonzero entry reduces the others (Euclid) until
     one nonzero entry is left; that row is moved into place and made
-    positive. Returns the pivot count r: rows r and below vanish on the
-    first ``cols`` columns. Entries above the pivots are left unreduced.
+    positive. Ties keep the earlier row as the reducer. Two live rows take
+    the plain two-term Euclid step: the remainder is strictly smaller than
+    the pivot, so the two rows swap roles each step. Returns the pivot
+    count r: rows r and below vanish on the first ``cols`` columns. Entries
+    above the pivots are left unreduced.
     """
     r = 0
     for c in range(cols):
@@ -90,7 +95,7 @@ def echelon(a: list[list[int]], cols: int) -> int:
             (live if row[c] else done).append(row)
         if not live:
             continue
-        while len(live) > 1:
+        while len(live) > 2:
             live.sort(key=lambda row: abs(row[c]))
             top, *others = live
             p = top[c]
@@ -100,6 +105,17 @@ def echelon(a: list[list[int]], cols: int) -> int:
                 row = [x - q * y for x, y in zip(row, top)]
                 (live if row[c] else done).append(row)
         top = live[0]
+        if len(live) == 2:
+            row = live[1]
+            if abs(row[c]) < abs(top[c]):
+                top, row = row, top
+            while True:
+                q = row[c] // top[c]
+                row = [x - q * y for x, y in zip(row, top)]
+                if not row[c]:
+                    break
+                top, row = row, top
+            done.append(row)
         a[r:] = [top if top[c] > 0 else [-x for x in top], *done]
         r += 1
     return r
@@ -124,6 +140,38 @@ def kernel(m: Matrix, width: int) -> list[tuple[int, ...]]:
          for j in range(width)]
     r = echelon(a, rows)
     return [tuple(row[rows:]) for row in a[r:]]
+
+
+def saturation(vectors: Matrix) -> list[tuple[int, ...]]:
+    """Basis of (Q-span of ``vectors``) intersected with Z^n.
+
+    With V the k x n matrix of the vectors, ``echelon`` on the rows of V^T
+    gives U V^T = [R; 0] for a unimodular U (the transform that ``kernel``
+    records in its identity columns; it is not needed here), with R upper
+    triangular with a positive diagonal when the vectors are independent.
+    Then V^T = W R with W the first k columns of U^-1. So the rows of
+    S = W^T = R^-T V are integral, and they extend, by the other columns of
+    U^-1, to a basis of Z^n: they span a saturated sublattice, and as
+    V = R^T S, it has the Q-span of V. S comes from R^T S = V by forward
+    substitution; as S is integral, every division is exact.
+
+    Raises ``ValueError`` when the vectors are linearly dependent (fewer
+    than k pivots).
+    """
+    k = len(vectors)
+    a = transpose(vectors)
+    if echelon(a, k) < k:
+        raise ValueError("basis vectors are linearly dependent")
+    s: list[tuple[int, ...]] = []
+    for i, v in enumerate(vectors):
+        acc = v
+        for j in range(i):
+            c = a[j][i]  # (R^T)[i][j]
+            if c:
+                acc = [x - c * y for x, y in zip(acc, s[j])]
+        p = a[i][i]
+        s.append(tuple([x // p for x in acc]))
+    return s
 
 
 def row_hnf(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -196,17 +196,14 @@ def induced_gram(lattice: Lattice, basis: Sequence[Coords]) -> Lattice:
 def saturation(lattice: Lattice, basis: Sequence[Coords]) -> list[tuple[int, ...]]:
     """Basis of (Q-span of basis) intersected with the lattice.
 
-    Computed by two integer kernel extractions: first the functionals
-    vanishing on the span, then the joint kernel of those functionals.
-    The input spans a finite-index sublattice of the output. The first
-    kernel also checks the input: it has rank - len(basis) rows iff the
-    basis vectors are linearly independent.
+    ``intmat.saturation`` on the coordinates: one Hermite echelon of V^T
+    gives V^T = W R with R upper triangular and W part of a unimodular
+    matrix, and the rows of R^-T V = W^T are integral, extend to a basis of
+    the lattice, and span the input's Q-span. The input spans a
+    finite-index sublattice of the output. Raises ``ValueError`` when the
+    basis vectors are linearly dependent.
     """
-    vecs = [_coords(lattice, b) for b in basis]
-    functionals = intmat.kernel(vecs, lattice.rank)
-    if len(functionals) != lattice.rank - len(vecs):
-        raise ValueError("basis vectors are linearly dependent")
-    return intmat.kernel(functionals, lattice.rank)
+    return intmat.saturation([_coords(lattice, b) for b in basis])
 
 
 def is_primitive(lattice: Lattice, v: Coords) -> bool:

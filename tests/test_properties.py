@@ -207,18 +207,20 @@ def integer_matrices(draw, max_rows=5, max_cols=6):
     return m
 
 
-def assert_saturated_kernel(m, width, basis):
-    """basis solves m @ x = 0, has full length, and spans a saturated lattice.
-
-    A k x width basis spans a saturated sublattice iff the gcd of its
-    k x k minors is 1.
-    """
-    assert all(intmat.mat_vec(m, x) == [0] * len(m) for x in basis)
-    assert len(basis) == width - rank_by_fraction_elimination(m)
+def assert_saturated(basis, width):
+    """A k x width basis spans a saturated sublattice iff the gcd of its
+    k x k minors is 1."""
     if basis:
         minors = [intmat.det([[x[j] for j in pick] for x in basis])
                   for pick in combinations(range(width), len(basis))]
         assert gcd(*minors) == 1
+
+
+def assert_saturated_kernel(m, width, basis):
+    """basis solves m @ x = 0, has full length, and spans a saturated lattice."""
+    assert all(intmat.mat_vec(m, x) == [0] * len(m) for x in basis)
+    assert len(basis) == width - rank_by_fraction_elimination(m)
+    assert_saturated(basis, width)
 
 
 @given(integer_matrices())
@@ -260,6 +262,121 @@ def test_kernel_of_k3_functional_and_its_kernel(seed):
     assert_saturated_kernel(ker, k3.rank, line)
     g = gcd(*w)
     assert line in ([tuple(x // g for x in w)], [tuple(-x // g for x in w)])
+
+
+def saturation_by_two_kernels(vectors, width):
+    """The saturation as the kernel of the functionals vanishing on the span."""
+    return intmat.kernel(intmat.kernel(vectors, width), width)
+
+
+@st.composite
+def independent_rows(draw, max_width=8):
+    """k independent rows in Z^n, n <= max_width, some scaled by 2, 3 or 6.
+
+    Row i is nonzero at its own pivot column and zero at the pivot columns
+    of the rows before it, so the rows are independent; random row
+    additions then hide that shape, and the scaling makes the span
+    non-saturated.
+    """
+    n = draw(st.integers(1, max_width))
+    k = draw(st.integers(1, n))
+    pivots = draw(st.permutations(range(n)))[:k]
+    rows = []
+    for i, c in enumerate(pivots):
+        row = [draw(st.integers(-3, 3)) for _ in range(n)]
+        for earlier in pivots[:i]:
+            row[earlier] = 0
+        row[c] = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 2 * k))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i != j:
+            t = draw(st.sampled_from([-2, -1, 1, 2]))
+            rows[i] = [x + t * y for x, y in zip(rows[i], rows[j])]
+    factors = [draw(st.sampled_from([1, 1, 2, 3, 6])) for _ in range(k)]
+    return n, [tuple(f * x for x in row) for f, row in zip(factors, rows)]
+
+
+def assert_is_saturation(vectors, width, sat):
+    """sat has len(vectors) rows, the Q-span of vectors, is saturated, and
+    spans the same lattice as the two-kernel reference."""
+    k = len(vectors)
+    assert len(sat) == k
+    assert rank_by_fraction_elimination([*vectors, *sat]) == k
+    assert_saturated(sat, width)
+    assert intmat.row_hnf(sat) == intmat.row_hnf(saturation_by_two_kernels(vectors, width))
+
+
+@settings(max_examples=200)
+@given(independent_rows())
+def test_saturation_from_one_echelon(case):
+    n, vecs = case
+    assert_is_saturation(vecs, n, intmat.saturation(vecs))
+
+
+@given(independent_rows(), st.data())
+def test_saturation_of_dependent_rows_raises(case, data):
+    n, vecs = case
+    coeffs = [data.draw(st.integers(-2, 2)) for _ in vecs]
+    extra = tuple(sum(c * v[j] for c, v in zip(coeffs, vecs)) for j in range(n))
+    vecs = [*vecs]
+    vecs.insert(data.draw(st.integers(0, len(vecs))), extra)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        intmat.saturation(vecs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_saturation_of_scaled_k3_kernel(seed):
+    # the 21 kernel vectors of a K3 functional span a saturated lattice;
+    # scaled by 1, 2, 3 and 6 in turn they do not, and saturation undoes it
+    rng = random.Random(seed)
+    k3 = catalog.build("K3")
+    v = [rng.randint(-5, 5) for _ in range(k3.rank)]
+    ker = intmat.kernel([intmat.mat_vec(k3.gram, v)], k3.rank)
+    scaled = [tuple(f * x for x in w) for f, w in zip([1, 2, 3, 6] * 6, ker)]
+    assert len(scaled) == 21
+    sat = lattices.saturation(k3, scaled)
+    assert_is_saturation(scaled, k3.rank, sat)
+    assert intmat.row_hnf(sat) == intmat.row_hnf(ker)
+
+
+def echelon_reference(a, cols):
+    """``intmat.echelon`` before its two-row step: every round sorts."""
+    r = 0
+    for c in range(cols):
+        if r == len(a):
+            break
+        live = []
+        done = []
+        for row in a[r:]:
+            (live if row[c] else done).append(row)
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda row: abs(row[c]))
+            top, *others = live
+            p = top[c]
+            live = [top]
+            for row in others:
+                q = row[c] // p
+                row = [x - q * y for x, y in zip(row, top)]
+                (live if row[c] else done).append(row)
+        top = live[0]
+        a[r:] = [top if top[c] > 0 else [-x for x in top], *done]
+        r += 1
+    return r
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_echelon_matches_sorting_reference(rows, width, data):
+    # small entries, so that ties in absolute value are common
+    m = [[data.draw(st.sampled_from([0, 1, -1, 2, -2, 3, -3])) for _ in range(width)]
+         for _ in range(rows)]
+    cols = data.draw(st.integers(0, width))
+    a, b = [list(row) for row in m], [list(row) for row in m]
+    assert intmat.echelon(a, cols) == echelon_reference(b, cols)
+    assert a == b
 
 
 @given(st.integers(1, 5), st.data())

@@ -71,6 +71,18 @@ MUTANTS = (
            "for n in range(1, top + 1):\n        ambient",
            "for n in range(1, n_max + 1):\n        ambient",
            ("tests/test_family.py::TestFamilyRecords::test_verify_builds_each_record_once",)),
+    # forward substitution with R, whose entries below the diagonal are 0,
+    # so each row is divided as if R were diagonal
+    Mutant("saturation solves with R, not R^T", "src/epwlat/intmat.py",
+           "c = a[j][i]", "c = a[i][j]",
+           (f"{_PROPS}::test_saturation_from_one_echelon",)),
+    Mutant("saturation skips the division by the pivot", "src/epwlat/intmat.py",
+           "s.append(tuple([x // p for x in acc]))", "s.append(tuple(acc))",
+           (f"{_PROPS}::test_saturation_from_one_echelon",)),
+    # the tie rule of the sorting rounds is that the earlier row reduces
+    Mutant("two-row step swaps on ties", "src/epwlat/intmat.py",
+           "if abs(row[c]) < abs(top[c]):", "if abs(row[c]) <= abs(top[c]):",
+           (f"{_PROPS}::test_echelon_matches_sorting_reference",)),
     # one Namespace for every call: the top-level --format default is set only
     # when the namespace lacks it, so a previous call's --format csv sticks
     Mutant("parser reuse shares one namespace", "src/epwlat/cli.py",
