@@ -1,10 +1,11 @@
 """One-shot verifier: every identity this package exists to check.
 
 Each check group recomputes a set of claims two independent ways (closed
-formula vs. lattice arithmetic, continued fractions vs. brute force,
-residue criterion vs. solver) and reports PASS/FAIL with the first
-counterexample. ``run_all(n_max)`` scales the n-indexed ranges; the
-default n_max = 100 reproduces the full acceptance scale:
+formula vs. lattice arithmetic, continued fractions vs. brute force, the
+half-period solver vs. a full-period walk, residue criterion vs. solver)
+and reports PASS/FAIL with the first counterexample. ``run_all(n_max)``
+scales the n-indexed ranges; the default n_max = 100 reproduces the full
+acceptance scale:
 
     family identities        n <= 5 * n_max       (500)
     involution soundness     n <= n_max           (100)
@@ -13,7 +14,7 @@ default n_max = 100 reproduces the full acceptance scale:
     disc obstruction         n <= 10 * n_max      (1000)
     reflection inequality    n <= n_max / 5       (20)
     Pell vs. brute force     D <= 20 * n_max      (2000), x <= 10^4
-    Pell minimality          D <= 5 * n_max       (500)
+    Pell minimality          D <= 5 * n_max       (500), no bound on x
     prime criterion          p < 100 * n_max      (10000)
     randomized properties    10 * n_max cases     (1000)
     signature, direct sums   max(1, n_max // 2) cases (50)
@@ -81,6 +82,44 @@ def min_solution_x_brute(top: int, x_max: int = BRUTE_X_MAX) -> dict[int, int]:
                     table[d] = x
                     break
     return table
+
+
+# --- independent full-period reference for the fundamental solution --------
+
+def full_period_walk(d):
+    """Reference: (a0, period) of sqrt(d), walking the whole period until the
+    first post-initial state (m, q) recurs; by Lagrange the expansion is
+    purely periodic from a1 on, so it does. No palindrome is used."""
+    a0 = isqrt(d)
+    m, q, a = 0, 1, a0
+    period = []
+    first_state = None
+    while True:
+        m = a * q - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        if first_state is None:
+            first_state = (m, q)
+        elif (m, q) == first_state:
+            break
+        period.append(a)
+    return a0, tuple(period)
+
+
+def sequential_fundamental(d):
+    """Reference: the one-term-at-a-time convergent recurrence over the whole
+    period of the full walk. By Lagrange, y^2 - d x^2 = -1 is solvable iff
+    the period length L is odd, and its least positive solution is then the
+    convergent p/q of [a0; a1, ..., a_{L-1}]; returns (p, q), or None."""
+    a0, period = full_period_walk(d)
+    if len(period) % 2 == 0:
+        return None
+    p_prev, p = 1, a0
+    q_prev, q = 0, 1
+    for a in period[:-1]:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return p, q
 
 
 # --- randomized input generation (deterministic) ----------------------------
@@ -283,6 +322,19 @@ def oracle_law(d: int, brute_x: int | None) -> bool:
     return solver
 
 
+def minimality_law(d: int) -> bool:
+    """The solver's fundamental solution for a non-square D is the least one:
+    the full-period reference ``sequential_fundamental`` gives the same
+    (y, x), with no bound on x, or both give none; returns whether D is
+    solvable."""
+    fund = pell.fundamental_negative(d)
+    got = None if fund is None else (fund.y, fund.x)
+    ref = sequential_fundamental(d)
+    if got != ref:
+        _fail(f"D={d}: solver fundamental (y, x) = {got}, full-period reference {ref}")
+    return ref is not None
+
+
 # --- check groups -----------------------------------------------------------
 
 def _degree(n: int) -> int:
@@ -393,21 +445,23 @@ def check_pell_d5(n_max: int) -> str:
 def check_pell_oracle(n_max: int) -> str:
     top = 20 * n_max
     brute = min_solution_x_brute(top)
+    solvable = 0
     for d in range(2, top + 1):
         if isqrt(d) ** 2 != d:
-            oracle_law(d, brute.get(d))
-    return f"continued-fraction decision matches brute force (x <= {BRUTE_X_MAX}) for D <= {top}"
+            solvable += oracle_law(d, brute.get(d))
+    return (f"continued-fraction decision matches brute force (x <= {BRUTE_X_MAX}) for D <= {top}"
+            f"; minimal x compared for {len(brute)} of {solvable} solvable D")
 
 
 def check_pell_minimality(n_max: int) -> str:
     top = 5 * n_max
-    brute = min_solution_x_brute(top)
+    solvable = 0
     for d in range(2, top + 1):
-        if isqrt(d) ** 2 == d:
-            continue
-        if oracle_law(d, brute.get(d)):
+        if isqrt(d) ** 2 != d and minimality_law(d):
             enumeration_law(d, 4)
-    return f"fundamental = brute-force minimum, monotone enumeration, D <= {top}"
+            solvable += 1
+    return (f"fundamental = full-period reference minimum (no x bound) for {solvable} solvable D"
+            f", monotone enumeration, D <= {top}")
 
 
 def check_prime_criterion(n_max: int) -> str:

@@ -283,8 +283,8 @@ PASS h2-basis: Gram of Pi in the (h2, delta2) basis is diag(d(n), -2) for n <= 3
 PASS involution-soundness: J^2 = I, J gamma = gamma, J = -1 on gamma-perp for n <= 3
 PASS necessary-condition: witness (2n+2, 1) for n <= 1; d=12 rejected; d=10 gives (2,1)
 PASS pell-d5: D=5: minimal (2,1), then (38,17), (682,305); D=34 unsolvable
-PASS pell-oracle: continued-fraction decision matches brute force (x <= 10000) for D <= 60
-PASS pell-minimality: fundamental = brute-force minimum, monotone enumeration, D <= 15
+PASS pell-oracle: continued-fraction decision matches brute force (x <= 10000) for D <= 60; minimal x compared for 12 of 12 solvable D
+PASS pell-minimality: fundamental = full-period reference minimum (no x bound) for 4 solvable D, monotone enumeration, D <= 15
 PASS prime-criterion: p = 2 or p = 1 (mod 4) matches the solver for primes p < 300
 PASS catalog-reports: LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)
 PASS disc-obstruction: disc R(n) = -n(n+20), no disc -20 sublattice, n <= 30; strict inequality grid n <= 1
@@ -304,8 +304,8 @@ h2-basis,PASS,"Gram of Pi in the (h2, delta2) basis is diag(d(n), -2) for n <= 3
 involution-soundness,PASS,"J^2 = I, J gamma = gamma, J = -1 on gamma-perp for n <= 3"
 necessary-condition,PASS,"witness (2n+2, 1) for n <= 1; d=12 rejected; d=10 gives (2,1)"
 pell-d5,PASS,"D=5: minimal (2,1), then (38,17), (682,305); D=34 unsolvable"
-pell-oracle,PASS,continued-fraction decision matches brute force (x <= 10000) for D <= 60
-pell-minimality,PASS,"fundamental = brute-force minimum, monotone enumeration, D <= 15"
+pell-oracle,PASS,continued-fraction decision matches brute force (x <= 10000) for D <= 60; minimal x compared for 12 of 12 solvable D
+pell-minimality,PASS,"fundamental = full-period reference minimum (no x bound) for 4 solvable D, monotone enumeration, D <= 15"
 prime-criterion,PASS,p = 2 or p = 1 (mod 4) matches the solver for primes p < 300
 catalog-reports,PASS,"LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)"
 disc-obstruction,PASS,"disc R(n) = -n(n+20), no disc -20 sublattice, n <= 30; strict inequality grid n <= 1"

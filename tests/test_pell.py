@@ -2,7 +2,9 @@
 enumeration, the prime criterion, and the misprinted D=5 closed form.
 
 Brute-force oracles here search for x with D x^2 - 1 a perfect square,
-independently of the continued-fraction machinery under test."""
+independently of the continued-fraction machinery under test; the
+full-period reference walk comes from ``epwlat.verify``, which checks the
+solver against it too."""
 
 import random
 from fractions import Fraction
@@ -11,7 +13,8 @@ from math import isqrt
 import pytest
 
 from epwlat import cli, pell, verify
-from epwlat.verify import min_solution_x_brute
+from epwlat.errors import InvariantError
+from epwlat.verify import full_period_walk, min_solution_x_brute, sequential_fundamental
 
 
 def brute_first_solutions(d, count, x_max=10**4):
@@ -39,25 +42,6 @@ def brute_table(top, x_max):
 @pytest.fixture(scope="module")
 def brute_500():
     return min_solution_x_brute(500)
-
-
-def full_period_walk(d):
-    """Reference: (a0, period) of sqrt(d), walking the whole period until the
-    first post-initial state (m, q) recurs."""
-    a0 = isqrt(d)
-    m, q, a = 0, 1, a0
-    period = []
-    first_state = None
-    while True:
-        m = a * q - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        if first_state is None:
-            first_state = (m, q)
-        elif (m, q) == first_state:
-            break
-        period.append(a)
-    return a0, tuple(period)
 
 
 class TestContinuedFraction:
@@ -216,20 +200,6 @@ class TestEnumeration:
             pell.enumerate_negative(5, 0)
 
 
-def sequential_fundamental(d):
-    """Reference: the one-term-at-a-time convergent recurrence over the whole
-    period of the full walk."""
-    a0, period = full_period_walk(d)
-    if len(period) % 2 == 0:
-        return None
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    for a in period[:-1]:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    return p, q
-
-
 def odd_powers(d, y0, x0, k):
     """Reference: the first k odd powers of y0 + x0 sqrt(d), multiplying by
     the fundamental solution one power at a time."""
@@ -245,16 +215,30 @@ class TestConvergentProduct:
     def test_matches_sequential_recurrence_to_2000(self):
         lengths = set()
         for d in range(2, 2301):
-            if isqrt(d) ** 2 == d:
-                continue
-            sol = pell.fundamental_negative(d)
-            assert (sol and (sol.y, sol.x)) == sequential_fundamental(d), d
-            if sol is not None:
+            if isqrt(d) ** 2 != d and verify.minimality_law(d):
                 lengths.add(pell.cf_expansion(d).period_length)
         # one-term periods, and lengths on both sides of the 16-term leaf
         # and of two leaves, counted in L and in the half period h = L // 2
         # (L = 33, 35, 65, 67); the first L = 65 is D = 2293
         assert {1, 15, 17, 31, 33, 35, 65, 67}.issubset(lengths) and max(lengths) > 64
+
+    def test_cubed_fundamental_beyond_brute_force_cap(self, monkeypatch):
+        # the cube of the fundamental solution still solves y^2 - D x^2 = -1;
+        # brute force compares x only up to its cap, the full-period
+        # reference at every x, and D = 109 is the least D with x > 10^4
+        true = pell.fundamental_negative
+
+        def cubed(d):
+            sol = true(d)
+            if sol is None or sol.x <= verify.BRUTE_X_MAX:
+                return sol
+            y, x = sol.y, sol.x
+            return pell.PellSolution(d, y**3 + 3 * d * y * x * x, 3 * y * y * x + d * x**3)
+
+        monkeypatch.setattr(pell, "fundamental_negative", cubed)
+        verify.check_pell_oracle(100)
+        with pytest.raises(InvariantError, match=r"^D=109: "):
+            verify.check_pell_minimality(100)
 
     def test_large_prime(self):
         d = 10**9 + 9

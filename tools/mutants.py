@@ -83,6 +83,13 @@ MUTANTS = (
     Mutant("two-row step swaps on ties", "src/epwlat/intmat.py",
            "if abs(row[c]) < abs(top[c]):", "if abs(row[c]) <= abs(top[c]):",
            (f"{_PROPS}::test_echelon_matches_sorting_reference",)),
+    # a valid but non-minimal solution, the cube of the fundamental one, only
+    # where brute force (x <= 10^4) cannot see it; D = 109 is the first
+    Mutant("fundamental cubed beyond the brute-force cap", "src/epwlat/pell.py",
+           "    y = cf.a0 * x + p * q + pp * qq\n",
+           "    y = cf.a0 * x + p * q + pp * qq\n"
+           "    if x > 10**4: y, x = y**3 + 3 * d * y * x * x, 3 * y * y * x + d * x**3\n",
+           ("tests/test_acceptance.py::test_check_group[pell-minimality]",)),
     # one Namespace for every call: the top-level --format default is set only
     # when the namespace lacks it, so a previous call's --format csv sticks
     Mutant("parser reuse shares one namespace", "src/epwlat/cli.py",
