@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 from typing import Callable
 
@@ -58,29 +59,68 @@ def _fail(msg: str):
 
 # --- independent brute-force oracle for the negative Pell equation ---------
 
+SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37)
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+@cache  # at most sum(SIEVE_MODULI) = 359 small ints
+def _residue_pattern(m: int, dm: int) -> int:
+    """Bit r set for the r in 0..m-1 with dm*r^2 - 1 a square mod m."""
+    squares = {r * r % m for r in range(m)}
+    return sum(1 << r for r in range(m) if (dm * r * r - 1) % m in squares)
+
+
 def min_solution_x_brute(top: int, x_max: int = BRUTE_X_MAX) -> dict[int, int]:
     """Every D in 2..top with a solution, mapped to its least x <= x_max with
     D*x^2 - 1 a perfect square: brute force by ``isqrt``, no continued fractions.
 
     A solution makes -1 a square mod D and mod x^2, so 4 does not divide D,
     x is odd, and no p = 3 (mod 4) divides D or x; one flag table skips the
-    rest. Clearing the multiples of composite p = 3 (mod 4) too is harmless:
-    each has a prime factor = 3 (mod 4).
+    rest. It clears the multiples of each p = 3 (mod 4) in increasing order
+    but skips a p whose flag is already clear: that p is a multiple of an
+    earlier one, so its multiples are clear too. A composite p = 3 (mod 4)
+    has a smaller prime factor = 3 (mod 4), so only the primes clear.
+
+    For each flagged D the candidate x are the bits of one int, the odd
+    flagged x <= x_max. A quadratic-residue sieve (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 1.7.3, applied to a whole
+    range of x at once) ANDs it, for each m in ``SIEVE_MODULI``, with the
+    pattern of the x mod m for which D*x^2 - 1 is a square mod m, tiled
+    by one multiplication with the repunit sum of 2^(k*m). The survivors
+    are tested in increasing x with ``isqrt``, the only test that accepts
+    an x. The sieve is sound: D*x^2 - 1 = s^2 makes D*x^2 - 1 a square mod
+    every m, so the least x survives and the table is that of the plain
+    scan.
     """
+    x_max = max(x_max, 0)
     n = max(top, x_max) + 1
     flag = bytearray(b"\1") * n
-    for p in [4, *range(3, n, 4)]:
-        flag[0::p] = bytes(len(range(0, n, p)))
-    xs = [x for x in range(1, x_max + 1, 2) if flag[x]]
+    flag[0::4] = bytes(len(range(0, n, 4)))
+    for p in range(3, n, 4):
+        if flag[p]:
+            flag[0::p] = bytes(len(range(0, n, p)))
+    width = x_max + 1
+    odd = flag[:width]
+    odd[0::2] = bytes(len(range(0, width, 2)))
+    base = int(odd.translate(_BITS)[::-1], 2)  # bit x set for each candidate x
+    repunits = [(m, ((1 << m * -(-width // m)) - 1) // ((1 << m) - 1)) for m in SIEVE_MODULI]
     table = {}
     for d in range(2, top + 1):
         if flag[d]:
-            for x in xs:
+            mask = base
+            for m, repunit in repunits:
+                mask &= _residue_pattern(m, d % m) * repunit
+                if not mask:
+                    break
+            bits = bin(mask)[:1:-1]  # bits[x] is bit x
+            x = bits.find("1")
+            while x >= 0:
                 v = d * x * x - 1
                 s = isqrt(v)
                 if s * s == v:
                     table[d] = x
                     break
+                x = bits.find("1", x + 1)
     return table
 
 
@@ -311,12 +351,17 @@ def enumeration_law(
 def oracle_law(d: int, brute_x: int | None) -> bool:
     """The solver agrees with the brute-force least x <= BRUTE_X_MAX for a
     non-square D (``brute_x`` is None when the search found none); returns
-    whether D is solvable."""
-    solver = pell.is_solvable_negative(d)
+    whether D is solvable.
+
+    sqrt(D) is expanded once: the parity of its period decides solvability,
+    and for an odd period ``pell.negative_solutions`` builds the fundamental
+    solution from the same expansion and checks it exactly."""
+    cf = pell.cf_expansion(d)
+    solver = cf.period_length % 2 == 1
     if brute_x is not None and not solver:
         _fail(f"D={d}: brute force found x={brute_x}, solver says unsolvable")
     if solver:
-        fund = pell.fundamental_negative(d)
+        fund = pell.negative_solutions(cf, 1)[0]
         if fund.x <= BRUTE_X_MAX and brute_x != fund.x:
             _fail(f"D={d}: solver minimal x={fund.x}, brute force x={brute_x}")
     return solver

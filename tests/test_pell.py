@@ -175,6 +175,24 @@ class TestBruteForceTable:
         assert len(brute_500) == 62
         assert len(min_solution_x_brute(2000)) == 145
 
+    def test_sieve_matches_per_d_scan_to_300(self):
+        assert min_solution_x_brute(300, 10**4) == brute_table(300, 10**4)
+
+    def test_sieve_matches_per_d_scan_with_top_below_x_max(self):
+        assert min_solution_x_brute(60, 5000) == brute_table(60, 5000)
+
+    def test_sieve_matches_full_period_reference_to_2000(self):
+        # D is in the table exactly when the least solution has x <= 10^4,
+        # and then with that x
+        table = min_solution_x_brute(2000)
+        expected = {}
+        for d in range(2, 2001):
+            if isqrt(d) ** 2 != d:
+                ref = sequential_fundamental(d)
+                if ref is not None and ref[1] <= verify.BRUTE_X_MAX:
+                    expected[d] = ref[1]
+        assert table == expected
+
 
 class TestEnumeration:
     def test_d5_first_three(self):

@@ -90,6 +90,16 @@ MUTANTS = (
            "    y = cf.a0 * x + p * q + pp * qq\n"
            "    if x > 10**4: y, x = y**3 + 3 * d * y * x * x, 3 * y * y * x + d * x**3\n",
            ("tests/test_acceptance.py::test_check_group[pell-minimality]",)),
+    # the sieve keeps the x with D x^2 + 1 a square mod m, and so drops true
+    # solutions: x = 1 for D = 2, as 3 is no square mod 64
+    Mutant("sieve residue condition D x^2 + 1", "src/epwlat/verify.py",
+           "(dm * r * r - 1) % m in squares", "(dm * r * r + 1) % m in squares",
+           ("tests/test_pell.py::TestBruteForceTable::"
+            "test_sieve_matches_full_period_reference_to_2000",)),
+    # a row swap negates the determinant; U = [[0, 1], [1, 0]] needs one
+    Mutant("det without its sign", "src/epwlat/intmat.py",
+           "return sign * a[n - 1][n - 1]", "return a[n - 1][n - 1]",
+           (f"{_PROPS}::test_inertia_det_of_zero_diagonal_and_degenerate_grams",)),
     # one Namespace for every call: the top-level --format default is set only
     # when the namespace lacks it, so a previous call's --format csv sticks
     Mutant("parser reuse shares one namespace", "src/epwlat/cli.py",
