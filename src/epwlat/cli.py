@@ -31,7 +31,7 @@ import io
 import sys
 from typing import Optional, Sequence
 
-from . import __version__, catalog, epwfamily, lattices, pell, verify
+from . import __version__, catalog, epwfamily, lattices, pell
 from .lattices import Lattice
 
 EXIT_OK = 0
@@ -186,6 +186,8 @@ def cmd_ogrady(args, fmt: str) -> int:
 
 
 def cmd_verify(args, fmt: str) -> int:
+    from . import verify  # only this subcommand needs it; keeps the others' start short
+
     results = verify.run_all(args.n_max)
     first_failure = next((r for r in results if not r.passed), None)
     if fmt == "csv":

@@ -30,8 +30,8 @@ class Lattice:
 
     def __post_init__(self):
         n = len(self.gram)
-        rows = tuple(tuple(map(operator.index, row)) for row in self.gram)
-        if any(len(row) != n for row in rows):
+        rows = tuple([tuple(map(operator.index, row)) for row in self.gram])
+        if set(map(len, rows)) - {n}:
             raise ValueError("Gram matrix must be square")
         if rows != tuple(zip(*rows)):
             raise ValueError("Gram matrix must be symmetric")

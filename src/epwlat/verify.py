@@ -21,9 +21,14 @@ acceptance scale:
     saturation example       fixed: sat{2 delta} = {delta} in NS_HILB(10)
 
 Randomized suites draw from a fixed-seed generator, so output is
-deterministic across runs and platforms. The laws they and the Pell
-groups check are ``*_law`` functions over explicit inputs, which the
-property tests call too, with hypothesis draws.
+deterministic across runs and platforms. Their sampler ``_Draws`` reads
+``random.Random(seed).getrandbits`` directly and draws the entries of a
+Gram matrix or vector in one loop; its ``randint``, ``randrange``,
+``choice`` and ``sample(range(n), 2)`` equal the stdlib's bit for bit
+(pinned in tests/test_properties.py), so the cases are those of
+``random.Random``. The laws they and the Pell groups check are ``*_law``
+functions over explicit inputs, which the property tests call too, with
+hypothesis draws.
 
 A failed law and a failed ``errors.ensure`` inside the package both raise
 ``InvariantError``; ``run_all`` reports its message as the group's
@@ -164,18 +169,71 @@ def sequential_fundamental(d):
 
 # --- randomized input generation (deterministic) ----------------------------
 
-def _random_unimodular_ops(rng: random.Random, n: int, steps: int):
+class _Draws:
+    """Seeded draws equal, bit for bit, to those of ``random.Random(seed)``.
+
+    Every draw takes k-bit words from the generator's ``getrandbits`` as
+    the stdlib's own methods do (``Random._randbelow_with_getrandbits``),
+    without their three Python frames per integer:
+
+    - ``below(n)`` takes k = n.bit_length() bits and redraws while the
+      result is >= n; it is ``randrange(n)``;
+    - ``randint(a, b)`` is a + below(b - a + 1), and ``ints`` is ``count``
+      successive ``randint(lo, hi)`` drawn in one loop;
+    - ``choice(seq)`` is seq[below(len(seq))];
+    - ``pair(n)`` is ``sample(range(n), 2)``, which for n <= 21 takes the
+      stdlib's pool path: i = below(n), j = below(n - 1), and j is the last
+      element n - 1 when it hits i, moved into i's slot.
+
+    The tests pin each draw against ``random.Random`` over several seeds.
+    """
+
+    __slots__ = ("_bits",)
+
+    def __init__(self, seed: int):
+        self._bits = random.Random(seed).getrandbits
+
+    def below(self, n: int) -> int:
+        bits, k = self._bits, n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    def randint(self, a: int, b: int) -> int:
+        return a + self.below(b - a + 1)
+
+    def ints(self, lo: int, hi: int, count: int) -> list[int]:
+        bits, width = self._bits, hi - lo + 1
+        k = width.bit_length()
+        out = []
+        for _ in range(count):  # below's loop inlined: a call per entry costs more than the draw
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            out.append(lo + r)
+        return out
+
+    def choice(self, seq):
+        return seq[self.below(len(seq))]
+
+    def pair(self, n: int) -> tuple[int, int]:
+        i, j = self.below(n), self.below(n - 1)
+        return i, (n - 1 if j == i else j)
+
+
+def _random_unimodular_ops(rng: _Draws, n: int, steps: int):
     ops = []
     for _ in range(steps):
         kind = rng.choice(("add", "swap", "neg"))
         if kind == "add" and n >= 2:
-            i, j = rng.sample(range(n), 2)
+            i, j = rng.pair(n)
             ops.append(("add", i, j, rng.choice((-2, -1, 1, 2))))
         elif kind == "swap" and n >= 2:
-            i, j = rng.sample(range(n), 2)
+            i, j = rng.pair(n)
             ops.append(("swap", i, j, 0))
         else:
-            ops.append(("neg", rng.randrange(n), 0, 0))
+            ops.append(("neg", rng.below(n), 0, 0))
     return ops
 
 
@@ -232,16 +290,18 @@ def _reflection_seeds() -> list[tuple[Lattice, tuple[int, ...]]]:
     return seeds
 
 
-def _random_symmetric(rng: random.Random, n: int, bound: int = 9) -> Lattice:
+def _random_symmetric(rng: _Draws, n: int, bound: int = 9) -> Lattice:
+    """Entries in [-bound, bound], drawn row by row over the upper triangle."""
+    entries = iter(rng.ints(-bound, bound, n * (n + 1) // 2))
     g = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            g[i][j] = g[j][i] = rng.randint(-bound, bound)
+            g[i][j] = g[j][i] = next(entries)
     return Lattice(g)
 
 
-def _random_vec(rng: random.Random, n: int, bound: int = 6) -> tuple[int, ...]:
-    return tuple(rng.randint(-bound, bound) for _ in range(n))
+def _random_vec(rng: _Draws, n: int, bound: int = 6) -> tuple[int, ...]:
+    return tuple(rng.ints(-bound, bound, n))
 
 
 # --- laws: each draws nothing and raises InvariantError with the counterexample
@@ -562,11 +622,11 @@ def check_disc_obstruction(n_max: int) -> str:
 
 
 def check_reflection_properties(n_max: int) -> str:
-    rng = random.Random(_SEED)
+    rng = _Draws(_SEED)
     seeds = _reflection_seeds()
     cases = 10 * n_max
     for _ in range(cases):
-        base, e0 = seeds[rng.randrange(len(seeds))]
+        base, e0 = rng.choice(seeds)
         ops = _random_unimodular_ops(rng, base.rank, rng.randint(0, 6))
         lat = Lattice(_apply_ops_to_basis(base.gram, ops))
         reflection_law(lat, _apply_ops_to_coords(e0, ops))
@@ -574,20 +634,21 @@ def check_reflection_properties(n_max: int) -> str:
 
 
 def check_index_law(n_max: int) -> str:
-    rng = random.Random(_SEED + 1)
+    rng = _Draws(_SEED + 1)
     cases = 10 * n_max
     done = 0
     while done < cases:
         n = rng.randint(1, 4)
         lat = _random_symmetric(rng, n)
-        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        flat = rng.ints(-4, 4, n * n)
+        b = [flat[i:i + n] for i in range(0, n * n, n)]
         if index_law(lat, b):
             done += 1
     return f"disc(B^T G B) = det(B)^2 disc(G) on {cases} randomized pairs"
 
 
 def check_saturation(n_max: int) -> str:
-    rng = random.Random(_SEED + 2)
+    rng = _Draws(_SEED + 2)
     cases = 10 * n_max
     done = 0
     while done < cases:
@@ -597,7 +658,7 @@ def check_saturation(n_max: int) -> str:
         vecs = [_random_vec(rng, n, 4) for _ in range(k)]
         if intmat.rank(vecs) != k:
             continue
-        factors = [rng.choice((1, 2, 3)) for _ in vecs]
+        factors = rng.ints(1, 3, k)  # k draws of choice((1, 2, 3))
         saturation_law(lat, [tuple(c * x for x in v) for c, v in zip(factors, vecs)])
         complement_law(lat, _random_vec(rng, n, 4))
         done += 1
@@ -609,13 +670,13 @@ def check_saturation(n_max: int) -> str:
 
 
 def check_bilinear_properties(n_max: int) -> str:
-    rng = random.Random(_SEED + 3)
+    rng = _Draws(_SEED + 3)
     cases = 10 * n_max
     for _ in range(cases):
         n = rng.randint(1, 5)
         lat = _random_symmetric(rng, n)
         x, y, z = (_random_vec(rng, n) for _ in range(3))
-        bilinear_law(lat, x, y, z, rng.randint(-5, 5), rng.randint(-5, 5))
+        bilinear_law(lat, x, y, z, *rng.ints(-5, 5, 2))
     for _ in range(max(1, n_max // 2)):
         n = rng.randint(1, 4)
         lat = _random_symmetric(rng, n)

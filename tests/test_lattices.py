@@ -43,6 +43,15 @@ class TestTypes:
         with pytest.raises(ValueError, match="length 3 in a rank-2 lattice"):
             lattices.is_primitive(U, (1, 2, 3))
 
+    def test_bool_entries_stored_as_int(self):
+        lat = Lattice(((True, False), (False, True)))
+        assert lat.gram == ((1, 0), (0, 1))
+        assert {type(x) for row in lat.gram for x in row} == {int}
+
+    def test_gram_without_len_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Lattice(row for row in ((1,),))
+
     def test_rank_zero_lattice(self):
         empty = Lattice(())
         assert empty.rank == 0

@@ -664,3 +664,60 @@ def test_enumeration_exact_and_monotone(d, k):
     assert len(sols) == k
     for s in sols:
         assert s.y * s.y - d * s.x * s.x == -1
+
+
+# --- verify's seeded draws: the same cases as random.Random ------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 0x5EED, 0x5EED + 3, 2**61 - 1])
+def test_draws_equal_stdlib_random(seed):
+    # an interleaved sequence of every kind of draw, widths 1-19 and pair
+    # sizes 2-21, from a plan drawn by a third generator
+    ours, ref = verify._Draws(seed), random.Random(seed)
+    plan = random.Random(f"plan {seed}")
+    for _ in range(3000):
+        kind, lo = plan.randrange(5), plan.randint(-9, 0)
+        width = plan.randint(1, 19)
+        hi = lo + width - 1
+        if kind == 0:
+            assert ours.randint(lo, hi) == ref.randint(lo, hi)
+        elif kind == 1:
+            assert ours.below(width) == ref.randrange(width)
+        elif kind == 2:
+            seq = tuple(range(lo, hi + 1))
+            assert ours.choice(seq) == ref.choice(seq)
+        elif kind == 3:
+            n = plan.randint(2, 21)
+            assert ours.pair(n) == tuple(ref.sample(range(n), 2))
+        else:
+            count = plan.randint(0, 25)
+            assert ours.ints(lo, hi, count) == [ref.randint(lo, hi) for _ in range(count)]
+    assert ours.below(2**64) == ref.randrange(2**64)  # both streams at the same word
+
+
+def _stdlib_unimodular_ops(rng, n, steps):
+    """The unimodular moves drawn with the stdlib's own methods."""
+    ops = []
+    for _ in range(steps):
+        kind = rng.choice(("add", "swap", "neg"))
+        if kind == "add" and n >= 2:
+            i, j = rng.sample(range(n), 2)
+            ops.append(("add", i, j, rng.choice((-2, -1, 1, 2))))
+        elif kind == "swap" and n >= 2:
+            i, j = rng.sample(range(n), 2)
+            ops.append(("swap", i, j, 0))
+        else:
+            ops.append(("neg", rng.randrange(n), 0, 0))
+    return ops
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_inputs_equal_stdlib_loops(seed):
+    ours, ref = verify._Draws(seed), random.Random(seed)
+    for n in range(1, 9):
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = ref.randint(-9, 9)
+        assert verify._random_symmetric(ours, n).gram == tuple(map(tuple, g))
+        assert verify._random_vec(ours, n, 4) == tuple(ref.randint(-4, 4) for _ in range(n))
+        assert verify._random_unimodular_ops(ours, n, 6) == _stdlib_unimodular_ops(ref, n, 6)

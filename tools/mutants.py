@@ -106,6 +106,19 @@ MUTANTS = (
            "_parser().parse_args(argv)",
            "_parser().parse_args(argv, globals().setdefault('_ns', argparse.Namespace()))",
            ("tests/test_cli.py::TestParserReuse::test_nothing_leaks_between_calls",)),
+    # accepting r == n draws n itself and shifts every later draw of the
+    # stream, so the seeded cases are no longer those of random.Random
+    Mutant("sampler accepts r == n", "src/epwlat/verify.py",
+           "while r >= n:", "while r > n:",
+           (f"{_PROPS}::test_draws_equal_stdlib_random",)),
+    Mutant("bulk draws accept r == width", "src/epwlat/verify.py",
+           "while r >= width:", "while r > width:",
+           (f"{_PROPS}::test_draws_equal_stdlib_random",)),
+    # only the first row's length is compared with the rank, so a ragged
+    # Gram whose first row fits is reported as not symmetric
+    Mutant("square check reads the first row only", "src/epwlat/lattices.py",
+           "set(map(len, rows)) - {n}", "set(map(len, rows[:1])) - {n}",
+           ("tests/test_lattices.py::TestTypes::test_gram_checks_in_order",)),
 )
 
 
