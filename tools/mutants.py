@@ -68,8 +68,8 @@ MUTANTS = (
            ("tests/test_pell.py::TestPrimeCriterion::test_psi_k_is_not_prime",)),
     # the loop covers n <= n_max while the detail still says n <= 5 * n_max
     Mutant("family-identities loop shrinks, label kept", "src/epwlat/verify.py",
-           "for n in range(1, top + 1):\n        ambient",
-           "for n in range(1, n_max + 1):\n        ambient",
+           "for n in range(1, top + 1):\n        rec",
+           "for n in range(1, n_max + 1):\n        rec",
            ("tests/test_family.py::TestFamilyRecords::test_verify_builds_each_record_once",)),
     # forward substitution with R, whose entries below the diagonal are 0,
     # so each row is divided as if R were diagonal
@@ -119,6 +119,16 @@ MUTANTS = (
     Mutant("square check reads the first row only", "src/epwlat/lattices.py",
            "set(map(len, rows)) - {n}", "set(map(len, rows[:1])) - {n}",
            ("tests/test_lattices.py::TestTypes::test_gram_checks_in_order",)),
+    # the orthogonal complement is then fixed whatever the sign, which the
+    # negated reflections of involution-soundness (s = -1) contradict
+    Mutant("involution law ignores the sign on r-perp", "src/epwlat/verify.py",
+           "tuple(s * x for x in w)", "w",
+           ("tests/test_acceptance.py::test_check_group[involution-soundness]",)),
+    # gamma = h - y delta has square d - 2y^2 != 2 once the witness has x > 1
+    # (d = 26 is the first), so the involution is refused there
+    Mutant("epw_involution drops the witness's x", "src/epwlat/epwfamily.py",
+           "(witness.x, -witness.y)", "(1, -witness.y)",
+           ("tests/test_family.py::TestInvolution::test_every_passing_degree_to_2000",)),
 )
 
 
