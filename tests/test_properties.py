@@ -8,7 +8,9 @@ hypothesis draws instead of the verifier's seeded ones. The other tests
 compare primitives with independent references (rational elimination,
 double sums)."""
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
@@ -136,6 +138,21 @@ def test_orthogonal_complement_saturated(lat, data):
     v = tuple(data.draw(st.integers(-5, 5)) for _ in range(lat.rank))
     for w in verify.complement_law(lat, v):
         assert lattices.product(lat, w, v) == 0
+
+
+def test_same_span(monkeypatch):
+    calls = []
+    real = intmat.row_hnf
+
+    def counting(vectors):
+        calls.append(vectors)
+        return real(vectors)
+
+    monkeypatch.setattr(intmat, "row_hnf", counting)
+    assert verify._same_span([(1, 2), (0, 3)], [(1, 2), (0, 3)])
+    assert calls == []  # equal lists need no Hermite form
+    assert verify._same_span([(1, 0), (0, 1)], [(1, 1), (0, 1)])  # two bases of Z^2
+    assert not verify._same_span([(2, 0)], [(1, 0)])
 
 
 @given(symmetric_lattices(), st.data())
@@ -720,3 +737,61 @@ def test_random_inputs_equal_stdlib_loops(seed):
         assert verify._random_symmetric(ours, n).gram == tuple(map(tuple, g))
         assert verify._random_vec(ours, n, 4) == tuple(ref.randint(-4, 4) for _ in range(n))
         assert verify._random_unimodular_ops(ours, n, 6) == _stdlib_unimodular_ops(ref, n, 6)
+
+
+# --- verify's randomized groups: each distinct case checked once ------------
+
+# the laws of reflection-properties, index-law, saturation and
+# bilinear-properties; _law_input makes a call's arguments hashable
+_RANDOMIZED_LAWS = ("involution_law", "index_law", "saturation_law", "complement_law",
+                    "bilinear_law", "congruence_law", "direct_sum_law")
+
+
+def _hashable(a):
+    if isinstance(a, Lattice):
+        return a.gram
+    if isinstance(a, (list, tuple)):
+        return tuple(map(_hashable, a))
+    return a
+
+
+def _law_input(name, args):
+    if name == "involution_law":
+        (iso,) = args
+        args = (iso.lattice, iso.root, iso.sign)
+    return (name, *map(_hashable, args))
+
+
+def _spy_laws(monkeypatch) -> Counter:
+    """Counts the calls of each randomized law per input, from here on."""
+    seen = Counter()
+    for name in _RANDOMIZED_LAWS:
+        def spy(*args, _real=getattr(verify, name), _name=name):
+            seen[_law_input(_name, args)] += 1
+            return _real(*args)
+        monkeypatch.setattr(verify, name, spy)
+    return seen
+
+
+def test_randomized_groups_check_each_case_once(monkeypatch):
+    seen = _spy_laws(monkeypatch)
+    assert all(r.passed for r in verify.run_all(10))
+    assert [k for k, c in seen.items() if c > 1] == []
+    # skipping repeats leaves the set of distinct inputs as it was
+    digest = hashlib.sha256("\n".join(sorted(map(repr, seen))).encode()).hexdigest()
+    assert digest == "e1ea38c11ebfee19fbe46e6e620135d050ece1e0a5a00aaf2fa57a23cce9af90"
+
+
+def test_no_memo_across_runs(monkeypatch):
+    seen = _spy_laws(monkeypatch)
+
+    def calls():
+        counts = Counter()
+        for key, c in seen.items():
+            counts[key[0]] += c
+        return counts["involution_law"], counts["index_law"]
+
+    verify.run_all(3)
+    first = calls()
+    verify.run_all(3)
+    assert calls() == tuple(2 * c for c in first)
