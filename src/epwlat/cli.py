@@ -14,6 +14,13 @@ stderr and exit 1; the handlers raise ``ValueError`` or ``OSError`` and
 Output is deterministic; CSV uses a header row, comma separators and
 newline-terminated records, with plain decimal integers.
 
+Output has one path: each handler builds its rows once and hands them to
+``_emit``, the only code that branches on the format. CSV writes the rows;
+human format writes an aligned table of them or the handler's own lines,
+which are made only in human format. The text is complete before any of
+it is written, so an error while it is made (an int too large to convert
+to decimal) leaves stdout empty in both formats.
+
 ``main`` parses with one parser per process, built on its first call (not
 at import), so a caller that runs ``main`` many times builds it once;
 ``build_parser`` still returns a fresh parser. Reuse is safe because
@@ -29,7 +36,7 @@ import csv
 import functools
 import io
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__, catalog, epwfamily, lattices, pell
 from .lattices import Lattice
@@ -40,21 +47,23 @@ EXIT_UNSOLVABLE = 2
 EXIT_VERIFY_FAILED = 3
 
 
-def _emit_table(header: list[str], rows: list[list], fmt: str) -> None:
+def _emit(fmt: str, header: list[str], rows: list[list],
+          human: Optional[Callable[[], Iterable[str]]] = None) -> None:
+    """Write ``rows`` under ``header`` to stdout: as CSV, or in human format
+    as ``human()``'s lines when given, else as a table with aligned columns.
+    The whole text is built before it is written."""
     if fmt == "csv":
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        sys.stdout.write(out.getvalue())
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
+        text = out.getvalue()
+    elif human is None:
+        cells = [list(map(str, r)) for r in (header, *rows)]
+        widths = [max(map(len, col)) for col in zip(*cells)]
+        text = "".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n"
+                       for r in cells)
     else:
-        widths = [
-            max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
-            for i, h in enumerate(header)
-        ]
-        print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip())
-        for r in rows:
-            print("  ".join(str(x).ljust(w) for x, w in zip(r, widths)).rstrip())
+        text = "".join(f"{line}\n" for line in human())
+    sys.stdout.write(text)
 
 
 def _signature_str(sig: lattices.Signature) -> str:
@@ -91,27 +100,22 @@ def cmd_pell(args, fmt: str) -> int:
         raise ValueError("--count must be >= 1")
     if d == 1:
         # degenerate: y^2 - x^2 = -1 has only (y, x) = (0, 1)
-        if fmt == "csv":
-            _emit_table(["d", "solvable", "y", "x"], [[1, "true", 0, 1]], fmt)
-        else:
-            print("D=1: solvable (degenerate); only solution (y, x) = (0, 1)")
+        _emit(fmt, ["d", "solvable", "y", "x"], [[1, "true", 0, 1]],
+              lambda: ["D=1: solvable (degenerate); only solution (y, x) = (0, 1)"])
         return EXIT_OK
-    if cf.period_length % 2 == 0:
-        if fmt == "csv":
-            _emit_table(["d", "solvable", "period_length"],
-                        [[d, "false", cf.period_length]], fmt)
-        else:
-            print(f"D={d}: unsolvable (continued-fraction period length "
-                  f"{cf.period_length} is even)")
+    if not cf.solvable:
+        _emit(fmt, ["d", "solvable", "period_length"], [[d, "false", cf.period_length]],
+              lambda: [f"D={d}: unsolvable (continued-fraction period length "
+                       f"{cf.period_length} is even)"])
         return EXIT_UNSOLVABLE
     sols = pell.negative_solutions(cf, args.count)
-    if fmt == "csv":
-        _emit_table(["d", "index", "y", "x"],
-                    [[d, i, s.y, s.x] for i, s in enumerate(sols)], fmt)
-    else:
-        print(f"D={d}: solvable; minimal solution (y, x) = ({sols[0].y}, {sols[0].x})")
-        for i, s in enumerate(sols):
-            print(f"  n={i}: y={s.y} x={s.x}")
+    rows = [[d, i, s.y, s.x] for i, s in enumerate(sols)]
+
+    def human():
+        yield f"D={d}: solvable; minimal solution (y, x) = ({sols[0].y}, {sols[0].x})"
+        yield from (f"  n={i}: y={y} x={x}" for _, i, y, x in rows)
+
+    _emit(fmt, ["d", "index", "y", "x"], rows, human)
     return EXIT_OK
 
 
@@ -128,60 +132,47 @@ def cmd_lattice(args, fmt: str) -> int:
         label = "inline"
 
     rep = catalog.report_of(lat)
-    if args.op == "disc":
-        header, row = ["lattice", "discriminant"], [label, rep.discriminant]
-    elif args.op == "signature":
-        if fmt == "csv":
-            header = ["lattice", "sig_positive", "sig_negative", "sig_zero"]
-            row = [label, *rep.signature]
-        else:
-            header, row = ["lattice", "signature"], [label, _signature_str(rep.signature)]
-    elif args.op == "even":
-        header, row = ["lattice", "even"], [label, str(rep.even).lower()]
-    else:  # report
-        if fmt == "csv":
-            header = ["lattice", "rank", "discriminant",
-                      "sig_positive", "sig_negative", "sig_zero", "even"]
-            row = [label, rep.rank, rep.discriminant, *rep.signature,
-                   str(rep.even).lower()]
-        else:
-            header = ["lattice", "rank", "discriminant", "signature", "even"]
-            row = [label, rep.rank, rep.discriminant,
-                   _signature_str(rep.signature), str(rep.even).lower()]
-    _emit_table(header, [row], fmt)
+    # the signature is one column in human format, three in CSV
+    if fmt == "csv":
+        signature = dict(zip(("sig_positive", "sig_negative", "sig_zero"), rep.signature))
+    else:
+        signature = {"signature": _signature_str(rep.signature)}
+    columns = {"rank": rep.rank, "discriminant": rep.discriminant, **signature,
+               "even": str(rep.even).lower()}
+    names = {"report": columns, "disc": ["discriminant"], "signature": signature,
+             "even": ["even"]}[args.op]
+    _emit(fmt, ["lattice", *names], [[label, *(columns[c] for c in names)]])
     return EXIT_OK
 
 
 def cmd_family(args, fmt: str) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValueError("need 1 <= n-min <= n-max")
-    header = ["n", "d", "g", "r", "gamma_delta2", "disc_pi", "pell_y", "pell_x"]
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        rec = epwfamily.family(n)
-        rows.append([rec.n, rec.d, rec.g, rec.ogrady_r, rec.gram_pi[0][1],
-                     rec.disc_pi, rec.pell.y, rec.pell.x])
-    _emit_table(header, rows, fmt)
+    records = map(epwfamily.family, range(args.n_min, args.n_max + 1))
+    _emit(fmt, ["n", "d", "g", "r", "gamma_delta2", "disc_pi", "pell_y", "pell_x"],
+          [[rec.n, rec.d, rec.g, rec.ogrady_r, rec.gram_pi[0][1], rec.disc_pi,
+            rec.pell.y, rec.pell.x] for rec in records])
     return EXIT_OK
 
 
 def cmd_ogrady(args, fmt: str) -> int:
-    status = epwfamily.ogrady_status(args.r)
+    r = args.r
+    status = epwfamily.ogrady_status(r)
     case, rec = status.case, status.record
-    if fmt == "csv":
-        header = ["r", "status", "n", "d"]
-        row = [args.r, case.name, rec.n if rec else "", rec.d if rec else ""]
-        _emit_table(header, [row], fmt)
-        return EXIT_OK
-    if case is epwfamily.OgradyCase.EVEN_FAMILY:
-        print(f"r={args.r}: even family, n={rec.n}, d={rec.d}")
-    elif case is epwfamily.OgradyCase.OGRADY_R2:
-        print(f"r={args.r}: O'Grady's case, {status.note}")
-    elif case is epwfamily.OgradyCase.CLASSICAL_R0:
-        print(f"r={args.r}: classical case")
-    else:
-        note = f" ({status.note})" if status.note else ""
-        print(f"r={args.r}: odd, open{note}")
+
+    def human():
+        if case is epwfamily.OgradyCase.EVEN_FAMILY:
+            yield f"r={r}: even family, n={rec.n}, d={rec.d}"
+        elif case is epwfamily.OgradyCase.OGRADY_R2:
+            yield f"r={r}: O'Grady's case, {status.note}"
+        elif case is epwfamily.OgradyCase.CLASSICAL_R0:
+            yield f"r={r}: classical case"
+        else:
+            note = f" ({status.note})" if status.note else ""
+            yield f"r={r}: odd, open{note}"
+
+    _emit(fmt, ["r", "status", "n", "d"],
+          [[r, case.name, rec.n if rec else "", rec.d if rec else ""]], human)
     return EXIT_OK
 
 
@@ -189,17 +180,12 @@ def cmd_verify(args, fmt: str) -> int:
     from . import verify  # only this subcommand needs it; keeps the others' start short
 
     results = verify.run_all(args.n_max)
+    rows = [[r.name, "PASS" if r.passed else "FAIL", r.detail] for r in results]
+    _emit(fmt, ["check", "status", "detail"], rows, lambda: [
+        *(f"{mark} {name}: {detail}" for name, mark, detail in rows),
+        f"{sum(r.passed for r in results)}/{len(rows)} check groups passed "
+        f"(n-max {args.n_max})"])
     first_failure = next((r for r in results if not r.passed), None)
-    if fmt == "csv":
-        header = ["check", "status", "detail"]
-        rows = [[r.name, "PASS" if r.passed else "FAIL", r.detail] for r in results]
-        _emit_table(header, rows, fmt)
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            print(f"{mark} {r.name}: {r.detail}")
-        n_pass = sum(r.passed for r in results)
-        print(f"{n_pass}/{len(results)} check groups passed (n-max {args.n_max})")
     if first_failure is not None:
         print(f"first counterexample: {first_failure.name}: {first_failure.detail}",
               file=sys.stderr)

@@ -97,6 +97,12 @@ class ContinuedFraction:
     def period_length(self) -> int:
         return len(self.period)
 
+    @property
+    def solvable(self) -> bool:
+        """Whether y^2 - d x^2 = -1 has a solution: Lagrange's rule, the
+        period length is odd."""
+        return len(self.period) % 2 == 1
+
 
 def _require_nonsquare(d: int) -> int:
     if d < 2:
@@ -203,7 +209,7 @@ def negative_solutions(
     if k < 1:
         raise ValueError("k must be >= 1")
     d = cf.d
-    if cf.period_length % 2 == 0:
+    if not cf.solvable:
         raise ValueError(f"y^2 - {d} x^2 = -1 has no integer solutions")
     p, pp, q, qq = _convergent_matrix(cf.period, 0, cf.period_length // 2)
     x = p * p + pp * pp
@@ -228,7 +234,7 @@ def fundamental_negative(d: int) -> PellSolution | None:
     over half the period.
     """
     cf = cf_expansion(d)
-    return negative_solutions(cf, 1)[0] if cf.period_length % 2 else None
+    return negative_solutions(cf, 1)[0] if cf.solvable else None
 
 
 def enumerate_negative(d: int, k: int) -> list[PellSolution | DerivedSolution]:
@@ -255,7 +261,7 @@ def is_solvable_negative(d: int) -> bool:
         return True
     if isqrt(d) ** 2 == d:
         return False
-    return cf_expansion(d).period_length % 2 == 1
+    return cf_expansion(d).solvable
 
 
 # psi_k is the least composite that is a strong pseudoprime to each of the

@@ -428,7 +428,7 @@ def oracle_law(d: int, brute_x: int | None) -> bool:
     and for an odd period ``pell.negative_solutions`` builds the fundamental
     solution from the same expansion and checks it exactly."""
     cf = pell.cf_expansion(d)
-    solver = cf.period_length % 2 == 1
+    solver = cf.solvable
     if brute_x is not None and not solver:
         _fail(f"D={d}: brute force found x={brute_x}, solver says unsolvable")
     if solver:

@@ -129,6 +129,20 @@ class TestPell:
         assert optimized.returncode == plain.returncode
         assert optimized.stdout == plain.stdout
 
+    def test_same_exit_and_clean_stdout_in_both_formats(self, capsys):
+        # the fundamental solution has about 945 digits, the third (its
+        # fifth power) about 4730, past Python's 4300-digit int->str limit;
+        # the text is complete before it is written, so a failure leaves
+        # stdout empty in both formats, and a fix makes both exit 0
+        argv = ["pell", "--d", "1000609", "--count", "3"]
+        human, csv_ = run(argv, capsys), run(["--format", "csv", *argv], capsys)
+        assert human[0] == csv_[0]
+        if human[0] == 1:
+            for _, out, err in (human, csv_):
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert err.endswith("\n")
+
     @pytest.mark.xfail(strict=True, reason="the 4300-digit defect: the 102089-bit "
                        "solution exceeds Python's 4300-digit int->str conversion limit")
     def test_huge_solution_printed(self, capsys):

@@ -26,8 +26,9 @@ imported from this checkout's ``src/``::
 Exit status 0 when every section matches, 1 when any differs (each one is
 named), 2 on any other argument. A change that alters output on purpose
 rewrites the file with ``--write`` and says which sections changed and
-why. The script is kept out of the tier-1 suite (``testpaths =
-["tests"]``), as the two ``verify --n-max 100`` calls take about 1.5 s.
+why. ``tests/test_golden.py`` imports ``corpus`` and ``section_digest``
+and checks every section but ``verify`` in the tier-1 suite; ``verify``
+is checked only here, as its two ``--n-max 100`` calls take about 1.1 s.
 """
 
 from __future__ import annotations

@@ -138,6 +138,13 @@ MUTANTS = (
     Mutant("span test requires equal lists", "src/epwlat/verify.py",
            "a == b or", "a == b and",
            (f"{_PROPS}::test_same_span",)),
+    # each human line is printed as it is made and none is kept: the same
+    # bytes when every line converts, but a conversion that fails midway
+    # leaves the lines before it on stdout
+    Mutant("human text written before it is complete", "src/epwlat/cli.py",
+           'text = "".join(f"{line}\\n" for line in human())',
+           'text = "".join(f"{line}\\n" for line in human() if print(line))',
+           ("tests/test_cli.py::TestPell::test_same_exit_and_clean_stdout_in_both_formats",)),
 )
 
 
