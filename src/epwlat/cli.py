@@ -27,6 +27,13 @@ at import), so a caller that runs ``main`` many times builds it once;
 argparse fills a fresh namespace on every ``parse_args``, and usage,
 help and version text is wrapped to the terminal width (``COLUMNS``) read
 when it is printed, not when the parser is built.
+
+Imports: at module level only what ``pell`` needs (``argparse``, ``csv``,
+the package ``__init__``, ``errors`` and ``pell``). Every other handler
+imports its own modules (``catalog``, ``lattices``, ``epwfamily``,
+``verify``) when it runs, so ``epwlat pell`` never loads the lattice code.
+``pell`` stays eager: a lazy import would only move its cost into the
+first call.
 """
 
 from __future__ import annotations
@@ -36,10 +43,12 @@ import csv
 import functools
 import io
 import sys
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from . import __version__, catalog, epwfamily, lattices, pell
-from .lattices import Lattice
+from . import __version__, pell
+
+if TYPE_CHECKING:
+    from .lattices import Lattice, Signature
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,13 +75,15 @@ def _emit(fmt: str, header: list[str], rows: list[list],
     sys.stdout.write(text)
 
 
-def _signature_str(sig: lattices.Signature) -> str:
+def _signature_str(sig: Signature) -> str:
     if sig.zero:
         return f"({sig.positive},{sig.negative};{sig.zero})"
     return f"({sig.positive},{sig.negative})"
 
 
 def _parse_gram(text: str) -> Lattice:
+    from .lattices import Lattice
+
     text = text.strip()
     if not text:
         raise ValueError("empty Gram matrix")
@@ -112,14 +123,19 @@ def cmd_pell(args, fmt: str) -> int:
     rows = [[d, i, s.y, s.x] for i, s in enumerate(sols)]
 
     def human():
-        yield f"D={d}: solvable; minimal solution (y, x) = ({sols[0].y}, {sols[0].x})"
-        yield from (f"  n={i}: y={y} x={x}" for _, i, y, x in rows)
+        # the minimal solution goes to decimal once, for its two lines
+        y0, x0 = str(sols[0].y), str(sols[0].x)
+        yield f"D={d}: solvable; minimal solution (y, x) = ({y0}, {x0})"
+        yield f"  n=0: y={y0} x={x0}"
+        yield from (f"  n={i}: y={y} x={x}" for _, i, y, x in rows[1:])
 
     _emit(fmt, ["d", "index", "y", "x"], rows, human)
     return EXIT_OK
 
 
 def cmd_lattice(args, fmt: str) -> int:
+    from . import catalog
+
     if args.id is not None:
         lat = catalog.build(args.id)
         label = args.id
@@ -146,6 +162,8 @@ def cmd_lattice(args, fmt: str) -> int:
 
 
 def cmd_family(args, fmt: str) -> int:
+    from . import epwfamily
+
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValueError("need 1 <= n-min <= n-max")
     records = map(epwfamily.family, range(args.n_min, args.n_max + 1))
@@ -156,6 +174,8 @@ def cmd_family(args, fmt: str) -> int:
 
 
 def cmd_ogrady(args, fmt: str) -> int:
+    from . import epwfamily
+
     r = args.r
     status = epwfamily.ogrady_status(r)
     case, rec = status.case, status.record
@@ -177,7 +197,7 @@ def cmd_ogrady(args, fmt: str) -> int:
 
 
 def cmd_verify(args, fmt: str) -> int:
-    from . import verify  # only this subcommand needs it; keeps the others' start short
+    from . import verify
 
     results = verify.run_all(args.n_max)
     rows = [[r.name, "PASS" if r.passed else "FAIL", r.detail] for r in results]

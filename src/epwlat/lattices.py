@@ -42,7 +42,10 @@ class Lattice:
         return len(self.gram)
 
     def basis_vector(self, i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(self.rank))
+        n = self.rank
+        if not 0 <= i < n:
+            raise IndexError(f"basis index {i} out of range for rank {n}")
+        return tuple(1 if j == i else 0 for j in range(n))
 
 
 class Signature(NamedTuple):

@@ -59,7 +59,8 @@ class PellSolution:
     def __post_init__(self):
         if self.y <= 0 or self.x <= 0:
             raise ValueError("Pell solutions are stored with positive y, x")
-        if self.y * self.y - self.d * self.x * self.x != -1:
+        # d * (x * x): CPython squares x * x faster than it multiplies (d * x) * x
+        if self.y * self.y - self.d * (self.x * self.x) != -1:
             raise ValueError(
                 f"({self.y}, {self.x}) does not solve y^2 - {self.d} x^2 = -1"
             )
@@ -216,7 +217,7 @@ def negative_solutions(
     y = cf.a0 * x + p * q + pp * qq
     out: list[PellSolution | DerivedSolution] = [PellSolution(d, y, x)]
     if k > 1:
-        t = 4 * y * y + 2
+        t = 4 * (y * y) + 2  # y * y is a squaring, as in PellSolution's check
         y_prev, x_prev = -y, x
         for _ in range(k - 1):
             y, y_prev = t * y - y_prev, y

@@ -35,6 +35,40 @@ def test_cli_import_stays_stdlib_light():
     assert proc.stdout == "[]\n"
 
 
+def test_package_import_is_lazy_and_resolves():
+    # only __version__ and InvariantError are bound; the rest loads on access
+    proc = fresh_python("-c", (
+        "import sys, epwlat; "
+        "print(sorted(m for m in sys.modules if m.startswith('epwlat'))); "
+        "print(epwlat.lattices.__name__, epwlat.Lattice.__module__, "
+        "epwlat.__version__, epwlat.InvariantError.__module__)"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("['epwlat', 'epwlat.errors']\n"
+                           "epwlat.lattices epwlat.lattices 0.1.0 epwlat.errors\n")
+
+
+# Imports ``epwlat.cli`` as ``epwlat pell`` does, lists which lattice-side
+# modules that loaded, then runs one call of each other handler but
+# ``verify`` through ``main`` and prints their exit codes.
+_COLD_CLI = """
+import contextlib, io, sys
+import epwlat.cli as cli
+print(sorted(m for m in ("lattices", "intmat", "catalog", "epwfamily", "verify")
+             if f"epwlat.{m}" in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ["lattice", "--gram", "2,1;1,2"], ["lattice", "--id", "NS_HILB(10)"],
+        ["family", "--n-min", "1", "--n-max", "2"], ["ogrady", "--r", "3"])]
+print(codes)
+"""
+
+
+def test_cli_import_loads_only_the_pell_path():
+    proc = fresh_python("-c", _COLD_CLI)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[0, 0, 0, 0]\n"
+
+
 # Every usage or input error: exactly one ``error: ...`` line on stderr,
 # nothing on stdout, exit 1. Paths are relative to a temporary directory
 # that holds ``empty.txt`` (zero bytes) and no ``missing.txt``.

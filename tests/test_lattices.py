@@ -39,6 +39,16 @@ class TestTypes:
         with pytest.raises(error, match=message):
             Lattice(gram)
 
+    def test_basis_vector_first_and_last(self):
+        lat = Lattice(((2, 1), (1, 2)))
+        assert (lat.basis_vector(0), lat.basis_vector(1)) == ((1, 0), (0, 1))
+
+    @pytest.mark.parametrize("i", [-1, 2, 5])
+    def test_basis_vector_out_of_range(self, i):
+        # below 0 and from the rank on there is no basis vector, not a zero one
+        with pytest.raises(IndexError, match=f"basis index {i} out of range for rank 2"):
+            Lattice(((2, 1), (1, 2))).basis_vector(i)
+
     def test_vector_length_checked(self):
         with pytest.raises(ValueError, match="length 3 in a rank-2 lattice"):
             lattices.is_primitive(U, (1, 2, 3))

@@ -145,6 +145,11 @@ MUTANTS = (
            'text = "".join(f"{line}\\n" for line in human())',
            'text = "".join(f"{line}\\n" for line in human() if print(line))',
            ("tests/test_cli.py::TestPell::test_same_exit_and_clean_stdout_in_both_formats",)),
+    # every `epwlat pell` then loads the lattice code at import and never uses it
+    Mutant("cli imports the lattice stack eagerly", "src/epwlat/cli.py",
+           "from . import __version__, pell\n",
+           "from . import __version__, pell\nfrom . import catalog, epwfamily, lattices\n",
+           ("tests/test_cli.py::test_cli_import_loads_only_the_pell_path",)),
 )
 
 
