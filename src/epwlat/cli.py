@@ -91,13 +91,10 @@ def _parse_gram(text: str) -> Lattice:
     for chunk in text.split(";"):
         if not chunk.strip():
             raise ValueError("empty row in Gram matrix")
-        entries = [e.strip() for e in chunk.split(",")]
         try:
-            rows.append([int(e) for e in entries])
+            rows.append([int(e) for e in chunk.split(",")])
         except ValueError:
             raise ValueError(f"non-integer Gram entry in {chunk!r}")
-    if len({len(r) for r in rows}) != 1 or len(rows[0]) != len(rows):
-        raise ValueError("Gram matrix must be square (rows separated by ';')")
     return Lattice(rows)
 
 

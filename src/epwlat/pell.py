@@ -5,8 +5,10 @@ of the continued fraction of sqrt(D): the equation has a solution iff the
 period length is odd, in which case the convergent at the end of the
 first period is the fundamental (minimal) solution. The body of the period
 is a palindrome, so ``cf_expansion`` walks only to its middle (detected by
-Q_{h+1} = Q_h for an odd period, P_{h+1} = P_h for an even one) and mirrors
-the rest. The convergent is the product of the 2x2 matrices
+Q_{h+1} = Q_h for an odd period, P_{h+1} = P_h for an even one) and
+``ContinuedFraction`` keeps that half and the period's parity; the full
+period is mirrored from them only when it is read. The convergent is the
+product of the 2x2 matrices
 M(a) = [[a, 1], [1, 0]] over a0, a1, ..., a_{2h}; by the palindrome it is
 M(a0) N N^T with N = M(a1) ... M(a_h), so only the half product N is
 formed, as a balanced product tree (binary splitting; Lagarias, Trans. AMS
@@ -80,38 +82,39 @@ class DerivedSolution(NamedTuple):
 
 @dataclass(frozen=True)
 class ContinuedFraction:
-    """The periodic continued fraction of sqrt(d): [a0; period repeated]."""
+    """The periodic continued fraction of sqrt(d): [a0; period repeated].
+
+    Only what the half-period walk of ``cf_expansion`` computes is stored:
+    a0, the first half ``half`` = (a_1, ..., a_h) of the period and ``odd``,
+    the parity of its length L = 2h + odd. The period is a palindromic body
+    followed by 2*a0, so it is determined by these and is mirrored from
+    them when ``period`` is read.
+    """
 
     d: int
     a0: int
-    period: tuple[int, ...]
+    half: tuple[int, ...]
+    odd: bool
 
-    def __post_init__(self):
-        # classical shape: the period is a palindrome followed by 2*a0
-        if not self.period or self.period[-1] != 2 * self.a0:
-            raise ValueError("period must end with 2*a0")
-        body = self.period[:-1]
-        if tuple(body) != tuple(reversed(body)):
-            raise ValueError("period body must be a palindrome")
+    @property
+    def period(self) -> tuple[int, ...]:
+        """The full period (a_1, ..., a_L): the half, its mirror, then 2*a0.
+
+        For odd L = 2h + 1 the body is a_1 ... a_h followed by its reverse;
+        for even L = 2h it is a_1 ... a_h followed by a_{h-1} ... a_1.
+        """
+        mirror = self.half[::-1] if self.odd else self.half[-2::-1]
+        return self.half + mirror + (2 * self.a0,)
 
     @property
     def period_length(self) -> int:
-        return len(self.period)
+        return 2 * len(self.half) + self.odd
 
     @property
     def solvable(self) -> bool:
         """Whether y^2 - d x^2 = -1 has a solution: Lagrange's rule, the
         period length is odd."""
-        return len(self.period) % 2 == 1
-
-
-def _require_nonsquare(d: int) -> int:
-    if d < 2:
-        raise ValueError("D must be an integer >= 2")
-    a0 = isqrt(d)
-    if a0 * a0 == d:
-        raise ValueError(f"D = {d} is a perfect square")
-    return a0
+        return self.odd
 
 
 def cf_expansion(d: int) -> ContinuedFraction:
@@ -122,31 +125,31 @@ def cf_expansion(d: int) -> ContinuedFraction:
         a_{k+1} = floor((a0 + P_{k+1}) / Q_{k+1}),
     starting from (P_0, Q_0) = (0, 1). The period [a_1, ..., a_L] ends with
     2*a0 and its body a_1 ... a_{L-1} is a palindrome, so the walk stops at
-    the middle of the period and mirrors the half it has seen:
+    the middle of the period and keeps the half a_1 ... a_h it has seen:
 
-    - odd L = 2h + 1: the first k >= 0 with Q_{k+1} = Q_k is h, and the body
-      is a_1 ... a_h followed by its reverse;
-    - even L = 2h: the first k >= 1 with P_{k+1} = P_k is h, and the body is
-      a_1 ... a_h followed by a_{h-1} ... a_1.
+    - odd L = 2h + 1: the first k >= 0 with Q_{k+1} = Q_k is h;
+    - even L = 2h: the first k >= 1 with P_{k+1} = P_k is h.
 
-    The returned period is the full one.
+    The returned ``ContinuedFraction`` holds that half and the parity of L;
+    its ``period`` mirrors the half into the full period.
     """
-    a0 = _require_nonsquare(d)
+    if d < 2:
+        raise ValueError("D must be an integer >= 2")
+    a0 = isqrt(d)
+    if a0 * a0 == d:
+        raise ValueError(f"D = {d} is a perfect square")
     p, q, a = 0, 1, a0
     half = []
     while True:
         p_next = a * q - p
         if p_next == p:  # never at k = 0, where P_1 = a0 > 0 = P_0
-            body = half + half[-2::-1]
-            break
+            return ContinuedFraction(d, a0, tuple(half), False)
         q_next = (d - p_next * p_next) // q
         if q_next == q:
-            body = half + half[::-1]
-            break
+            return ContinuedFraction(d, a0, tuple(half), True)
         p, q = p_next, q_next
         a = (a0 + p) // q
         half.append(a)
-    return ContinuedFraction(d, a0, tuple(body) + (2 * a0,))
 
 
 # Leaves of the convergent product tree run the sequential recurrence on at
@@ -192,7 +195,7 @@ def negative_solutions(
 
         x = P^2 + P'^2,   y = a0 x + P Q + P' Q'.
 
-    N is computed over half the period by binary splitting down to
+    N is computed over ``cf.half`` by binary splitting down to
     sequential leaves of at most 16 terms. The fundamental solution is
     checked exactly, as the one ``PellSolution`` of the list.
 
@@ -212,7 +215,7 @@ def negative_solutions(
     d = cf.d
     if not cf.solvable:
         raise ValueError(f"y^2 - {d} x^2 = -1 has no integer solutions")
-    p, pp, q, qq = _convergent_matrix(cf.period, 0, cf.period_length // 2)
+    p, pp, q, qq = _convergent_matrix(cf.half, 0, len(cf.half))
     x = p * p + pp * pp
     y = cf.a0 * x + p * q + pp * qq
     out: list[PellSolution | DerivedSolution] = [PellSolution(d, y, x)]

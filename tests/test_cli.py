@@ -86,7 +86,7 @@ USAGE_ERRORS = [
     pytest.param(["lattice", "--id", "FOO"], "unknown catalog lattice: 'FOO'",
                  id="lattice-unknown-id"),
     pytest.param(["lattice", "--gram", "1,2;3"],
-                 "Gram matrix must be square (rows separated by ';')", id="gram-ragged"),
+                 "Gram matrix must be square", id="gram-ragged"),
     pytest.param(["lattice", "--gram", "1,2;3,4"], "Gram matrix must be symmetric",
                  id="gram-asymmetric"),
     pytest.param(["lattice", "--gram", "x"], "non-integer Gram entry in 'x'",
@@ -237,6 +237,18 @@ class TestLattice:
                            capsys)
         assert code == 0
         assert "-1" in out
+
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_whitespace_in_gram_text_is_ignored(self, fmt, tmp_path, capsys):
+        path = tmp_path / "gram.txt"
+        path.write_text("2, 1;\n 1, 2\n", encoding="utf-8")
+        reports = []
+        for source in (["--gram", " 2 , 1 ; 1 , 2 "], ["--gram-file", str(path)],
+                       ["--gram", "2,1;1,2"]):
+            code, out, err = run(["--format", fmt, "lattice", *source], capsys)
+            assert (code, err) == (0, "")
+            reports.append(out)
+        assert reports[0] == reports[1] == reports[2]
 
     def test_csv_report_round_trips(self, capsys):
         code, out, _ = run(

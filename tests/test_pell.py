@@ -131,6 +131,39 @@ class TestHalfPeriodWalk:
         self.check_cli_even_row(d, capsys)
 
 
+def seeded_nonsquares_to_1e9():
+    """The 200 non-square D of ``TestHalfPeriodWalk.test_seeded_up_to_1e9``."""
+    rng = random.Random(20261018)
+    ds = []
+    while len(ds) < 200:  # log-uniform in [10^2, 10^9)
+        d = int(10 ** rng.uniform(2, 9))
+        if isqrt(d) ** 2 != d:
+            ds.append(d)
+    return ds
+
+
+class TestHalfPeriodRepresentation:
+    """``ContinuedFraction`` stores the half period and its parity; the full
+    period, its length and solvability are derived from them."""
+
+    @pytest.mark.parametrize("ds", [
+        pytest.param([d for d in range(2, 3001) if isqrt(d) ** 2 != d], id="to-3000"),
+        pytest.param(seeded_nonsquares_to_1e9(), id="seeded-to-1e9"),
+    ])
+    def test_half_is_the_first_half_of_the_full_walk(self, ds):
+        for d in ds:
+            _, period = full_period_walk(d)
+            length = len(period)
+            cf = pell.cf_expansion(d)
+            assert cf.half == period[:length // 2], d
+            assert cf.period_length == len(cf.period) == length, d
+            assert cf.solvable == (length % 2 == 1), d
+
+    def test_hand_built_periods(self):
+        assert pell.ContinuedFraction(2, 1, (), True).period == (2,)
+        assert pell.ContinuedFraction(3, 1, (1,), False).period == (1, 2)
+
+
 class TestFundamental:
     @pytest.mark.parametrize("d,expected", [
         (5, (2, 1)),

@@ -66,6 +66,18 @@ MUTANTS = (
            "_WITNESSES[:bisect_right(_PSI, n) + 1]",
            "_WITNESSES[:bisect_right(_PSI, n)]",
            ("tests/test_pell.py::TestPrimeCriterion::test_psi_k_is_not_prime",)),
+    # the period is mirrored from its stored half only when read; for odd
+    # L = 2h + 1 the body is a_1 ... a_h a_h ... a_1, for even L = 2h it is
+    # a_1 ... a_h a_{h-1} ... a_1
+    Mutant("odd mirror drops a_h", "src/epwlat/pell.py",
+           "self.half[::-1] if self.odd", "self.half[-2::-1] if self.odd",
+           ("tests/test_pell.py::TestHalfPeriodWalk::test_every_nonsquare_to_20000",)),
+    Mutant("even mirror repeats a_h", "src/epwlat/pell.py",
+           "else self.half[-2::-1]", "else self.half[::-1]",
+           ("tests/test_pell.py::TestHalfPeriodWalk::test_every_nonsquare_to_20000",)),
+    Mutant("period_length loses its parity term", "src/epwlat/pell.py",
+           "return 2 * len(self.half) + self.odd", "return 2 * len(self.half)",
+           ("tests/test_pell.py::TestHalfPeriodWalk::test_every_nonsquare_to_20000",)),
     # the loop covers n <= n_max while the detail still says n <= 5 * n_max
     Mutant("family-identities loop shrinks, label kept", "src/epwlat/verify.py",
            "for n in range(1, top + 1):\n        rec",
@@ -118,7 +130,8 @@ MUTANTS = (
     # Gram whose first row fits is reported as not symmetric
     Mutant("square check reads the first row only", "src/epwlat/lattices.py",
            "set(map(len, rows)) - {n}", "set(map(len, rows[:1])) - {n}",
-           ("tests/test_lattices.py::TestTypes::test_gram_checks_in_order",)),
+           ("tests/test_lattices.py::TestTypes::test_gram_checks_in_order",
+            "tests/test_cli.py::test_usage_error[gram-ragged]")),
     # the orthogonal complement is then fixed whatever the sign, which the
     # negated reflections of involution-soundness (s = -1) contradict
     Mutant("involution law ignores the sign on r-perp", "src/epwlat/verify.py",
