@@ -33,7 +33,10 @@ the package ``__init__``, ``errors`` and ``pell``). Every other handler
 imports its own modules (``catalog``, ``lattices``, ``epwfamily``,
 ``verify``) when it runs, so ``epwlat pell`` never loads the lattice code.
 ``pell`` stays eager: a lazy import would only move its cost into the
-first call.
+first call. Its records are NamedTuples, so ``epwlat pell`` loads no
+``dataclasses`` either (nor the ``inspect`` it imports); the other
+subcommands load it with ``lattices``, ``catalog``, ``epwfamily`` and
+``verify``.
 """
 
 from __future__ import annotations

@@ -22,6 +22,13 @@ two-term recurrence s_{m+1} = T s_m - s_{m-1} with T = 4 y0^2 + 2, whose
 terms have norm -1 by multiplicativity. ``negative_solutions`` builds
 them from an already expanded ``ContinuedFraction``.
 
+The records ``PellSolution``, ``DerivedSolution`` and ``ContinuedFraction``
+are ``typing.NamedTuple``s, not dataclasses, so that importing this module
+(and with it ``epwlat pell``) loads no ``dataclasses``. A record compares
+equal to the plain tuple of its fields and unpacks like one.
+``PellSolution.__post_init__`` is its one check hook: ``__new__`` calls
+it, and ``_make`` (hence ``_replace``) goes through ``__new__``.
+
 For prime D the classical criterion applies: y^2 - p x^2 = -1 is solvable
 iff p = 2 or p = 1 (mod 4). ``prime_criterion`` implements it and the
 test suite pins its agreement with the continued-fraction decision. Its
@@ -45,18 +52,38 @@ discrepancy; the enumeration here deliberately uses odd unit powers instead.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PellSolution:
-    """A positive solution of y^2 - d x^2 = -1, validated exactly."""
-
+class _PellFields(NamedTuple):
     d: int
     y: int
     x: int
+
+
+class PellSolution(_PellFields):
+    """A positive solution of y^2 - d x^2 = -1, validated exactly.
+
+    A NamedTuple record (d, y, x): it compares equal to the plain tuple of
+    its fields, hashes as that tuple and unpacks as one. ``__post_init__``
+    is its one check. ``__new__`` calls it, looked up on the instance at
+    call time, and ``_make`` goes through the constructor, so every way of
+    building a record reaches it: the constructor, ``_make``, ``_replace``
+    (which calls ``_make``), ``copy`` and ``pickle`` (which call
+    ``__new__``).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, y: int, x: int):
+        self = tuple.__new__(cls, (d, y, x))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __post_init__(self):
         if self.y <= 0 or self.x <= 0:
@@ -80,15 +107,15 @@ class DerivedSolution(NamedTuple):
     x: int
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(NamedTuple):
     """The periodic continued fraction of sqrt(d): [a0; period repeated].
 
     Only what the half-period walk of ``cf_expansion`` computes is stored:
     a0, the first half ``half`` = (a_1, ..., a_h) of the period and ``odd``,
     the parity of its length L = 2h + odd. The period is a palindromic body
     followed by 2*a0, so it is determined by these and is mirrored from
-    them when ``period`` is read.
+    them when ``period`` is read. A NamedTuple record (d, a0, half, odd):
+    it compares equal to the plain tuple of its fields and unpacks as one.
     """
 
     d: int
@@ -121,9 +148,15 @@ def cf_expansion(d: int) -> ContinuedFraction:
     """Continued fraction of sqrt(d) for non-square d >= 2.
 
     Integer recurrence on the states (P_k, Q_k) with partial quotients a_k:
-        P_{k+1} = a_k Q_k - P_k,  Q_{k+1} = (d - P_{k+1}^2) / Q_k,
+        P_{k+1} = a_k Q_k - P_k,  Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}),
         a_{k+1} = floor((a0 + P_{k+1}) / Q_{k+1}),
-    starting from (P_0, Q_0) = (0, 1). The period [a_1, ..., a_L] ends with
+    starting from (P_0, Q_0) = (0, 1) and Q_{-1} = d. The Q update is the
+    division-free form of Q_{k+1} = (d - P_{k+1}^2) / Q_k (Jacobson and
+    Williams, Solving the Pell Equation, 2009, ch. 3): it follows from
+    d - P_{k+1}^2 = Q_k Q_{k+1} and d - P_k^2 = Q_{k-1} Q_k, whose
+    difference is (P_k - P_{k+1})(P_k + P_{k+1}) = (P_k - P_{k+1}) a_k Q_k.
+    ``verify.full_period_walk`` keeps the division form, as an independent
+    reference. The period [a_1, ..., a_L] ends with
     2*a0 and its body a_1 ... a_{L-1} is a palindrome, so the walk stops at
     the middle of the period and keeps the half a_1 ... a_h it has seen:
 
@@ -138,16 +171,16 @@ def cf_expansion(d: int) -> ContinuedFraction:
     a0 = isqrt(d)
     if a0 * a0 == d:
         raise ValueError(f"D = {d} is a perfect square")
-    p, q, a = 0, 1, a0
+    p, q, q_prev, a = 0, 1, d, a0
     half = []
     while True:
         p_next = a * q - p
         if p_next == p:  # never at k = 0, where P_1 = a0 > 0 = P_0
             return ContinuedFraction(d, a0, tuple(half), False)
-        q_next = (d - p_next * p_next) // q
+        q_next = q_prev + a * (p - p_next)
         if q_next == q:
             return ContinuedFraction(d, a0, tuple(half), True)
-        p, q = p_next, q_next
+        p, q, q_prev = p_next, q_next, q
         a = (a0 + p) // q
         half.append(a)
 

@@ -69,6 +69,15 @@ def test_cli_import_loads_only_the_pell_path():
     assert proc.stdout == "[]\n[0, 0, 0, 0]\n"
 
 
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses and the inspect it imports were half of `epwlat pell`'s
+    # cold start; the Pell records are NamedTuples so that it loads neither
+    proc = fresh_python("-c", "import sys, epwlat.cli; "
+                        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # Every usage or input error: exactly one ``error: ...`` line on stderr,
 # nothing on stdout, exit 1. Paths are relative to a temporary directory
 # that holds ``empty.txt`` (zero bytes) and no ``missing.txt``.

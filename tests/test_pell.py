@@ -6,6 +6,8 @@ independently of the continued-fraction machinery under test; the
 full-period reference walk comes from ``epwlat.verify``, which checks the
 solver against it too."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import isqrt
@@ -162,6 +164,49 @@ class TestHalfPeriodRepresentation:
     def test_hand_built_periods(self):
         assert pell.ContinuedFraction(2, 1, (), True).period == (2,)
         assert pell.ContinuedFraction(3, 1, (1,), False).period == (1, 2)
+
+
+class TestRecords:
+    """``PellSolution`` and ``ContinuedFraction`` are NamedTuple records;
+    every way of building a ``PellSolution`` runs its check."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: pell.PellSolution(5, 2, 2), id="constructor"),
+        pytest.param(lambda: pell.PellSolution(d=5, y=0, x=1), id="keywords"),
+        pytest.param(lambda: pell.PellSolution._make((5, 2, 2)), id="make"),
+        pytest.param(lambda: pell.PellSolution(5, 2, 1)._replace(y=3), id="replace"),
+    ])
+    def test_every_construction_path_checks(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_copies_check_and_keep_the_record(self, monkeypatch):
+        sol = pell.PellSolution(13, 18, 5)
+        checked = []
+        check = pell.PellSolution.__post_init__
+
+        def counting(s):
+            checked.append(tuple(s))
+            check(s)
+
+        monkeypatch.setattr(pell.PellSolution, "__post_init__", counting)
+        copies = [copy.copy(sol), copy.deepcopy(sol), pickle.loads(pickle.dumps(sol)),
+                  pell.PellSolution._make([13, 18, 5]), sol._replace(d=13)]
+        assert all(type(c) is pell.PellSolution and c == sol for c in copies)
+        assert checked == [(13, 18, 5)] * len(copies)
+
+    def test_record_behaviour(self):
+        sol = pell.PellSolution(13, 18, 5)
+        assert repr(sol) == "PellSolution(d=13, y=18, x=5)"
+        assert sol == (13, 18, 5) and hash(sol) == hash((13, 18, 5))
+        d, y, x = sol
+        assert (d, y, x) == (sol.d, sol.y, sol.x)
+        with pytest.raises(AttributeError):
+            sol.y = 3
+        cf = pell.cf_expansion(13)
+        assert cf == (13, 3, (1, 1), True)
+        with pytest.raises(AttributeError):
+            cf.half = ()
 
 
 class TestFundamental:

@@ -78,6 +78,12 @@ MUTANTS = (
     Mutant("period_length loses its parity term", "src/epwlat/pell.py",
            "return 2 * len(self.half) + self.odd", "return 2 * len(self.half)",
            ("tests/test_pell.py::TestHalfPeriodWalk::test_every_nonsquare_to_20000",)),
+    # Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}) with Q_k for Q_{k-1}: at D = 2,
+    # the first D tested, Q_1 = 0 and the next quotient divides by it, so
+    # the walk fails at once instead of looping
+    Mutant("Q update reads Q_k for Q_{k-1}", "src/epwlat/pell.py",
+           "q_next = q_prev + a * (p - p_next)", "q_next = q + a * (p - p_next)",
+           ("tests/test_pell.py::TestHalfPeriodWalk::test_every_nonsquare_to_20000",)),
     # the loop covers n <= n_max while the detail still says n <= 5 * n_max
     Mutant("family-identities loop shrinks, label kept", "src/epwlat/verify.py",
            "for n in range(1, top + 1):\n        rec",
@@ -163,6 +169,12 @@ MUTANTS = (
            "from . import __version__, pell\n",
            "from . import __version__, pell\nfrom . import catalog, epwfamily, lattices\n",
            ("tests/test_cli.py::test_cli_import_loads_only_the_pell_path",)),
+    # the Pell records as dataclasses again: `epwlat pell` then loads
+    # dataclasses and inspect at import
+    Mutant("pell imports dataclasses", "src/epwlat/pell.py",
+           "from bisect import bisect_right\n",
+           "from bisect import bisect_right\nfrom dataclasses import dataclass\n",
+           ("tests/test_cli.py::test_cli_import_loads_no_dataclasses",)),
 )
 
 
