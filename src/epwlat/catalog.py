@@ -29,8 +29,7 @@ and the twist keeps them consistent here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import reduce
+from typing import NamedTuple
 
 from . import intmat, lattices
 from .lattices import Lattice, Signature
@@ -68,7 +67,7 @@ def rank_one(a: int) -> Lattice:
 
 def i22_2() -> Lattice:
     """The odd unimodular lattice 22<1> + 2<-1> of signature (22,2)."""
-    return _sum([rank_one(1)] * 22 + [rank_one(-1)] * 2)
+    return lattices.direct_sum(*[rank_one(1)] * 22, *[rank_one(-1)] * 2)
 
 
 def fano_polarization_lattice() -> Lattice:
@@ -78,14 +77,14 @@ def fano_polarization_lattice() -> Lattice:
 
 def fano_vanishing_lattice() -> Lattice:
     """2E8 + 2U + 2<2>: even of signature (20,2)."""
-    return _sum([e8(), e8(), hyperbolic_plane(), hyperbolic_plane(),
-                 rank_one(2), rank_one(2)])
+    return lattices.direct_sum(e8(), e8(), hyperbolic_plane(), hyperbolic_plane(),
+                               rank_one(2), rank_one(2))
 
 
 def k3_lattice() -> Lattice:
     """3U + 2E8(-1): even unimodular of signature (3,19)."""
     e8_neg = lattices.rescale(e8(), -1)
-    return _sum([hyperbolic_plane()] * 3 + [e8_neg, e8_neg])
+    return lattices.direct_sum(*[hyperbolic_plane()] * 3, e8_neg, e8_neg)
 
 
 def ns_hilbert_square(d: int) -> Lattice:
@@ -135,10 +134,6 @@ def epw_picard_lattice(n: int) -> Lattice:
     return lattices.induced_gram(ambient, [GAMMA_COORDS, DELTA2_COORDS])
 
 
-def _sum(parts: list[Lattice]) -> Lattice:
-    return reduce(lattices.direct_sum, parts, Lattice(()))
-
-
 _PLAIN = {
     "U": hyperbolic_plane,
     "E8": e8,
@@ -181,8 +176,10 @@ def names() -> list[str]:
     return sorted(_PLAIN) + sorted(f"{k}(...)" for k in _PARAMETRIZED)
 
 
-@dataclass(frozen=True)
-class CatalogReport:
+class CatalogReport(NamedTuple):
+    """A lattice's rank, discriminant, signature and parity; a NamedTuple
+    record, so it equals the tuple of its fields, unpacks as one, is immutable."""
+
     rank: int
     discriminant: int
     signature: Signature

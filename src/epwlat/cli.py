@@ -15,11 +15,12 @@ Output is deterministic; CSV uses a header row, comma separators and
 newline-terminated records, with plain decimal integers.
 
 Output has one path: each handler builds its rows once and hands them to
-``_emit``, the only code that branches on the format. CSV writes the rows;
-human format writes an aligned table of them or the handler's own lines,
-which are made only in human format. The text is complete before any of
-it is written, so an error while it is made (an int too large to convert
-to decimal) leaves stdout empty in both formats.
+``_emit``, which writes them. CSV writes the rows; human format writes an
+aligned table of them or the handler's own lines, made only in human
+format. Only ``_emit`` and ``cmd_lattice`` branch on the format (the
+signature is one column in human format, three in CSV). The text is
+complete before any of it is written, so an error while it is made (an
+int too large to convert to decimal) leaves stdout empty in both formats.
 
 ``main`` parses with one parser per process, built on its first call (not
 at import), so a caller that runs ``main`` many times builds it once;
@@ -35,8 +36,8 @@ imports its own modules (``catalog``, ``lattices``, ``epwfamily``,
 ``pell`` stays eager: a lazy import would only move its cost into the
 first call. Its records are NamedTuples, so ``epwlat pell`` loads no
 ``dataclasses`` either (nor the ``inspect`` it imports); the other
-subcommands load it with ``lattices``, ``catalog``, ``epwfamily`` and
-``verify``.
+subcommands load it only through ``lattices``, for ``Lattice`` and
+``Isometry``.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _parse_gram(text: str) -> Lattice:
     return Lattice(rows)
 
 
-def cmd_pell(args, fmt: str) -> int:
+def cmd_pell(args) -> int:
     d = args.d
     if d < 1:
         raise ValueError("D must be a positive integer")
@@ -111,11 +112,11 @@ def cmd_pell(args, fmt: str) -> int:
         raise ValueError("--count must be >= 1")
     if d == 1:
         # degenerate: y^2 - x^2 = -1 has only (y, x) = (0, 1)
-        _emit(fmt, ["d", "solvable", "y", "x"], [[1, "true", 0, 1]],
+        _emit(args.format, ["d", "solvable", "y", "x"], [[1, "true", 0, 1]],
               lambda: ["D=1: solvable (degenerate); only solution (y, x) = (0, 1)"])
         return EXIT_OK
     if not cf.solvable:
-        _emit(fmt, ["d", "solvable", "period_length"], [[d, "false", cf.period_length]],
+        _emit(args.format, ["d", "solvable", "period_length"], [[d, "false", cf.period_length]],
               lambda: [f"D={d}: unsolvable (continued-fraction period length "
                        f"{cf.period_length} is even)"])
         return EXIT_UNSOLVABLE
@@ -129,11 +130,11 @@ def cmd_pell(args, fmt: str) -> int:
         yield f"  n=0: y={y0} x={x0}"
         yield from (f"  n={i}: y={y} x={x}" for _, i, y, x in rows[1:])
 
-    _emit(fmt, ["d", "index", "y", "x"], rows, human)
+    _emit(args.format, ["d", "index", "y", "x"], rows, human)
     return EXIT_OK
 
 
-def cmd_lattice(args, fmt: str) -> int:
+def cmd_lattice(args) -> int:
     from . import catalog
 
     if args.id is not None:
@@ -149,7 +150,7 @@ def cmd_lattice(args, fmt: str) -> int:
 
     rep = catalog.report_of(lat)
     # the signature is one column in human format, three in CSV
-    if fmt == "csv":
+    if args.format == "csv":
         signature = dict(zip(("sig_positive", "sig_negative", "sig_zero"), rep.signature))
     else:
         signature = {"signature": _signature_str(rep.signature)}
@@ -157,23 +158,23 @@ def cmd_lattice(args, fmt: str) -> int:
                "even": str(rep.even).lower()}
     names = {"report": columns, "disc": ["discriminant"], "signature": signature,
              "even": ["even"]}[args.op]
-    _emit(fmt, ["lattice", *names], [[label, *(columns[c] for c in names)]])
+    _emit(args.format, ["lattice", *names], [[label, *(columns[c] for c in names)]])
     return EXIT_OK
 
 
-def cmd_family(args, fmt: str) -> int:
+def cmd_family(args) -> int:
     from . import epwfamily
 
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValueError("need 1 <= n-min <= n-max")
     records = map(epwfamily.family, range(args.n_min, args.n_max + 1))
-    _emit(fmt, ["n", "d", "g", "r", "gamma_delta2", "disc_pi", "pell_y", "pell_x"],
+    _emit(args.format, ["n", "d", "g", "r", "gamma_delta2", "disc_pi", "pell_y", "pell_x"],
           [[rec.n, rec.d, rec.g, rec.ogrady_r, rec.gram_pi[0][1], rec.disc_pi,
             rec.pell.y, rec.pell.x] for rec in records])
     return EXIT_OK
 
 
-def cmd_ogrady(args, fmt: str) -> int:
+def cmd_ogrady(args) -> int:
     from . import epwfamily
 
     r = args.r
@@ -191,17 +192,17 @@ def cmd_ogrady(args, fmt: str) -> int:
             note = f" ({status.note})" if status.note else ""
             yield f"r={r}: odd, open{note}"
 
-    _emit(fmt, ["r", "status", "n", "d"],
+    _emit(args.format, ["r", "status", "n", "d"],
           [[r, case.name, rec.n if rec else "", rec.d if rec else ""]], human)
     return EXIT_OK
 
 
-def cmd_verify(args, fmt: str) -> int:
+def cmd_verify(args) -> int:
     from . import verify
 
     results = verify.run_all(args.n_max)
     rows = [[r.name, "PASS" if r.passed else "FAIL", r.detail] for r in results]
-    _emit(fmt, ["check", "status", "detail"], rows, lambda: [
+    _emit(args.format, ["check", "status", "detail"], rows, lambda: [
         *(f"{mark} {name}: {detail}" for name, mark, detail in rows),
         f"{sum(r.passed for r in results)}/{len(rows)} check groups passed "
         f"(n-max {args.n_max})"])
@@ -228,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pell.add_argument("--d", type=int, required=True, help="the coefficient D")
     p_pell.add_argument("--count", type=int, default=1,
                         help="how many solutions to list (default 1)")
+    p_pell.set_defaults(handler=cmd_pell)
 
     p_lat = sub.add_parser("lattice", help="report on a lattice")
     src = p_lat.add_mutually_exclusive_group(required=True)
@@ -236,30 +238,26 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gram-file", help="file containing an inline Gram matrix")
     p_lat.add_argument("--op", choices=("report", "disc", "signature", "even"),
                        default="report")
+    p_lat.set_defaults(handler=cmd_lattice)
 
     p_fam = sub.add_parser("family", help="tabulate the degree family")
     p_fam.add_argument("--n-min", type=int, required=True)
     p_fam.add_argument("--n-max", type=int, required=True)
+    p_fam.set_defaults(handler=cmd_family)
 
     p_og = sub.add_parser("ogrady", help="classify the genus parameter r")
     p_og.add_argument("--r", type=int, required=True)
+    p_og.set_defaults(handler=cmd_ogrady)
 
     p_ver = sub.add_parser("verify", help="run every identity check")
     p_ver.add_argument("--n-max", type=int, default=100,
                        help="scale for the n-indexed ranges (default 100 = "
                             "full acceptance scale)")
+    p_ver.set_defaults(handler=cmd_verify)
     return parser
 
 
 _parser = functools.cache(build_parser)
-
-_HANDLERS = {
-    "pell": cmd_pell,
-    "lattice": cmd_lattice,
-    "family": cmd_family,
-    "ogrady": cmd_ogrady,
-    "verify": cmd_verify,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -272,7 +270,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise
         return EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args, args.format)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_USAGE

@@ -30,7 +30,6 @@ against it rather than substituted for it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple, Optional
 
@@ -102,8 +101,7 @@ def epw_involution(d: int) -> Isometry:
     return lattices.negated_reflection(catalog.ns_hilbert_square(d), (witness.x, -witness.y))
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(NamedTuple):
     """All derived data of the degree family at index n.
 
     Invariants (all enforced): d = 8n^2 + 16n + 10 = 2(4(n+1)^2 + 1),
@@ -113,6 +111,7 @@ class FamilyRecord:
     ``h2`` is in the (gamma, delta2) basis of Pi, whose Gram matrix is
     ``gram_pi``; gamma and delta2 themselves are ``catalog.GAMMA_COORDS``
     and ``catalog.DELTA2_COORDS`` in the (f, h, delta) basis of NS3(n).
+    A NamedTuple record: equal to the tuple of its fields, immutable.
     """
 
     n: int
@@ -156,16 +155,8 @@ def family(n: int) -> FamilyRecord:
     witness = necessary_condition(d)
     ensure(witness is not None, f"family({n}): no Pell solution for D = {g - 1}")
 
-    return FamilyRecord(
-        n=n,
-        d=d,
-        g=g,
-        ogrady_r=r,
-        gram_pi=pi.gram,
-        h2=h2,
-        disc_pi=disc_pi,
-        pell=witness,
-    )
+    return FamilyRecord(n=n, d=d, g=g, ogrady_r=r, gram_pi=pi.gram, h2=h2,
+                        disc_pi=disc_pi, pell=witness)
 
 
 class DiscObstruction(NamedTuple):
@@ -232,9 +223,9 @@ class OgradyCase(enum.Enum):
     ODD_OPEN = "odd r: open"
 
 
-@dataclass(frozen=True)
-class OgradyStatus:
-    """The case of r, with its family record (even r >= 4) or a note."""
+class OgradyStatus(NamedTuple):
+    """The case of r, with its family record (even r >= 4) or a note; a
+    NamedTuple record, equal to the tuple of its fields and immutable."""
 
     case: OgradyCase
     record: Optional[FamilyRecord] = None

@@ -232,14 +232,14 @@ def sublattice_discriminant_test(d_sub: int, d_sup: int) -> bool:
     return q >= 1 and isqrt(q) ** 2 == q
 
 
-def direct_sum(a: Lattice, b: Lattice) -> Lattice:
-    """Orthogonal direct sum: block-diagonal Gram matrix."""
-    na, nb = a.rank, b.rank
-    rows = []
-    for i in range(na):
-        rows.append(tuple(a.gram[i]) + (0,) * nb)
-    for i in range(nb):
-        rows.append((0,) * na + tuple(b.gram[i]))
+def direct_sum(*parts: Lattice) -> Lattice:
+    """Orthogonal direct sum: the block-diagonal Gram matrix, built in one
+    pass and checked once; ``direct_sum()`` is the rank-0 lattice."""
+    rows, before, after = [], 0, sum(part.rank for part in parts)
+    for part in parts:
+        after -= part.rank
+        rows += [(0,) * before + row + (0,) * after for row in part.gram]
+        before += part.rank
     return Lattice(tuple(rows))
 
 

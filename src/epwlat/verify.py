@@ -2,10 +2,10 @@
 
 Each check group recomputes a set of claims two independent ways (closed
 formula vs. lattice arithmetic, continued fractions vs. brute force, the
-half-period solver vs. a full-period walk, residue criterion vs. solver)
-and reports PASS/FAIL with the first counterexample. ``run_all(n_max)``
-scales the n-indexed ranges; the default n_max = 100 reproduces the full
-acceptance scale:
+half-period solver vs. a full-period walk, Miller-Rabin vs. a sieve,
+residue criterion vs. solver) and reports PASS/FAIL with the first
+counterexample. ``run_all(n_max)`` scales the n-indexed ranges; the
+default n_max = 100 reproduces the full acceptance scale:
 
     family identities        n <= 5 * n_max       (500)
     involution soundness     n <= n_max           (100)
@@ -46,10 +46,9 @@ detail, and any other exception as ``TypeName: message``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
 from math import isqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import catalog, epwfamily, intmat, lattices, pell
 from .errors import InvariantError
@@ -59,8 +58,10 @@ BRUTE_X_MAX = 10**4
 _SEED = 0x5EED
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
+    """A check group's name, PASS or FAIL, and detail line; a NamedTuple
+    record, equal to the tuple of its fields, unpacked as one, immutable."""
+
     name: str
     passed: bool
     detail: str
@@ -573,10 +574,14 @@ def check_pell_minimality(n_max: int) -> str:
 
 def check_prime_criterion(n_max: int) -> str:
     top = 100 * n_max
+    sieve = bytearray(2) + b"\1" * (top - 2)  # Eratosthenes, independent of is_prime
+    for q in range(2, isqrt(top - 1) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, top, q)))
     for p in range(2, top):
-        if not pell.is_prime(p):
-            continue
-        if pell.prime_criterion(p) != pell.is_solvable_negative(p):
+        if pell.is_prime(p) != sieve[p]:
+            _fail(f"p={p}: is_prime says {not sieve[p]}, the sieve {bool(sieve[p])}")
+        if sieve[p] and pell.prime_criterion(p) != pell.is_solvable_negative(p):
             _fail(f"p={p}: residue criterion disagrees with solver")
     return f"p = 2 or p = 1 (mod 4) matches the solver for primes p < {top}"
 

@@ -1,5 +1,8 @@
 """Catalog constructors: Gram data, derived reports, identifier parsing."""
 
+import hashlib
+import json
+
 import pytest
 
 from epwlat import catalog, lattices
@@ -24,6 +27,30 @@ def test_pi_gram_matches_induced_computation():
         assert built.gram == induced.gram == (
             (2, 4 * n + 4), (4 * n + 4, -2)
         )
+
+
+# sha256 of json.dumps(gram), pinned while these lattices were still built
+# by folding the two-part direct sum; the n-ary sum must give the same Grams
+GRAM_SHA256 = {
+    "K3": "1e35ca749f5a4b8964403529ecc1e82df19d8be49d11ffa72c284b06653aaad4",
+    "LAMBDA0": "cbb17e3318e95e2516ab8ea1953c073329e566339b75a3de944c1fca8cca824a",
+    "I22_2": "72aed0fde90de1c0e5f0ac403d817cefd8f738643d0ea1529a793cc5830bc740",
+}
+
+
+@pytest.mark.parametrize("catalog_id", GRAM_SHA256)
+def test_composite_gram_pinned(catalog_id):
+    gram = catalog.build(catalog_id).gram
+    assert hashlib.sha256(json.dumps(gram).encode()).hexdigest() == GRAM_SHA256[catalog_id]
+
+
+def test_report_is_a_plain_record():
+    rep = catalog.report("K3")
+    assert rep == (22, -1, (3, 19, 0), True)
+    rank, disc, signature, even = rep
+    assert (rank, disc, signature, even) == (rep.rank, rep.discriminant, rep.signature, rep.even)
+    with pytest.raises(AttributeError):
+        rep.rank = 23
 
 
 _REPORTED = [n for n in catalog.names() if "(" not in n] + [

@@ -418,6 +418,14 @@ class TestVerify:
         assert "FAIL injected" in out
         assert "counterexample" in err and "injected fault" in err
 
+    def test_check_result_is_a_plain_record(self):
+        result = verify.run_all(1)[0]
+        assert result == ("involution-images", True, result.detail)
+        name, passed, detail = result
+        assert (name, passed, detail) == (result.name, result.passed, result.detail)
+        with pytest.raises(AttributeError):
+            result.passed = False
+
     def test_failed_ensure_reported_bare(self, monkeypatch):
         # a failed ensure inside the package is an InvariantError, like a
         # failed law: its message is the detail, with no type-name prefix
@@ -426,6 +434,23 @@ class TestVerify:
         assert not results["family-identities"].passed
         assert results["family-identities"].detail == (
             "family(1): disc(Pi) = 0, not -2d")
+
+
+# one valid argv per subcommand: the parser binds each to its handler
+SUBCOMMAND_ARGV = {
+    "pell": ["pell", "--d", "5"],
+    "lattice": ["lattice", "--id", "K3"],
+    "family": ["family", "--n-min", "1", "--n-max", "1"],
+    "ogrady": ["ogrady", "--r", "1"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_ARGV)
+def test_subcommand_binds_its_handler(command):
+    args = cli.build_parser().parse_args(SUBCOMMAND_ARGV[command])
+    assert args.command == command
+    assert args.handler is getattr(cli, f"cmd_{command}")
 
 
 _TOP_USAGE = """\

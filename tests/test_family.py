@@ -116,6 +116,14 @@ class TestInvolution:
 
 
 class TestFamilyRecords:
+    def test_plain_record(self):
+        rec = epwfamily.family(1)
+        assert rec == (1, 34, 18, 4, ((2, 8), (8, -2)), (1, 4), -68, (17, 4, 1))
+        n, d, *_ = rec
+        assert (n, d) == (1, 34)
+        with pytest.raises(AttributeError):
+            rec.d = 35
+
     def test_n1(self):
         rec = epwfamily.family(1)
         assert (rec.d, rec.g, rec.ogrady_r) == (34, 18, 4)
@@ -239,6 +247,12 @@ class TestEmbeddingCriterion:
 
 
 class TestOgradyStatus:
+    def test_plain_record(self):
+        status = epwfamily.ogrady_status(1)
+        assert status == (OgradyCase.ODD_OPEN, None, "only partial results are known")
+        with pytest.raises(AttributeError):
+            status.note = ""
+
     def test_r4_is_family_n1(self):
         status = epwfamily.ogrady_status(4)
         assert status.case is OgradyCase.EVEN_FAMILY

@@ -5,6 +5,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -24,3 +25,12 @@ def test_section_matches_golden(section, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help text
     expected = json.loads(golden.GOLDEN.read_text())[section]
     assert golden.section_digest(cli.main, golden.corpus()[section]) == expected
+
+
+def test_help_corpus_names_every_subcommand(monkeypatch):
+    # a new subcommand must join the corpus, at least with its --help
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = cli.build_parser().format_usage()
+    commands = re.search(r"\{([^}]*)\}\s*\.\.\.", usage).group(1).split(",")
+    helped = {argv[0] for argv in golden.corpus()["argparse"] if argv[1:] == ["--help"]}
+    assert commands and set(commands) <= helped

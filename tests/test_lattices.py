@@ -301,6 +301,16 @@ class TestSumsAndTwists:
     def test_rank_zero_identity(self):
         assert lattices.direct_sum(NS10, Lattice(())).gram == NS10.gram
 
+    def test_empty_sum_is_rank_zero(self):
+        assert lattices.direct_sum() == Lattice(())
+
+    def test_three_parts_in_one_call(self):
+        summed = lattices.direct_sum(U, NS10, catalog.rank_one(-2))
+        assert summed.gram == ((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 10, 0, 0),
+                               (0, 0, 0, -2, 0), (0, 0, 0, 0, -2))
+        assert summed == lattices.direct_sum(lattices.direct_sum(U, NS10),
+                                             catalog.rank_one(-2))
+
     def test_e8_plus_u_signature(self):
         summed = lattices.direct_sum(catalog.e8(), U)
         assert summed.rank == 10

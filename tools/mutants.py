@@ -175,6 +175,19 @@ MUTANTS = (
            "from bisect import bisect_right\n",
            "from bisect import bisect_right\nfrom dataclasses import dataclass\n",
            ("tests/test_cli.py::test_cli_import_loads_no_dataclasses",)),
+    # every block starts in column 0, so the rows of a sum of two or more
+    # nonempty parts are too short; the catalog's composites then fail to
+    # build (tests/test_lattices.py builds sums while it collects)
+    Mutant("direct_sum never advances its column offset", "src/epwlat/lattices.py",
+           "        before += part.rank\n", "",
+           ("tests/test_catalog.py::test_composite_gram_pinned",)),
+    # the Baseline blind spot: prime-criterion skipped every p that is_prime
+    # rejects, so this passed it; the sieve side fails it at p = 101
+    Mutant("is_prime rejects p = 5 (mod 8) above 100", "src/epwlat/pell.py",
+           "    if n < 2:\n        return False\n    for p in _WITNESSES:",
+           "    if n < 2 or (n > 100 and n % 8 == 5):\n        return False\n"
+           "    for p in _WITNESSES:",
+           ("tests/test_acceptance.py::test_check_group[prime-criterion]",)),
 )
 
 
