@@ -34,10 +34,10 @@ the package ``__init__``, ``errors`` and ``pell``). Every other handler
 imports its own modules (``catalog``, ``lattices``, ``epwfamily``,
 ``verify``) when it runs, so ``epwlat pell`` never loads the lattice code.
 ``pell`` stays eager: a lazy import would only move its cost into the
-first call. Its records are NamedTuples, so ``epwlat pell`` loads no
-``dataclasses`` either (nor the ``inspect`` it imports); the other
-subcommands load it only through ``lattices``, for ``Lattice`` and
-``Isometry``.
+first call. Every record of the package (``Lattice`` and ``Isometry``
+among them) is a ``typing.NamedTuple``, so no subcommand loads a record
+decorator or the ``inspect`` module it would import (``tests/test_cli.py``
+checks ``epwlat.cli`` and ``epwlat.verify``).
 """
 
 from __future__ import annotations

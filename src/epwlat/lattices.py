@@ -13,7 +13,6 @@ Sign conventions for the classical building blocks live in
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import NamedTuple, Sequence
 
@@ -22,20 +21,34 @@ from . import intmat
 Coords = Sequence[int]
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """A free Z-module with an integral symmetric bilinear form."""
-
+class _LatticeFields(NamedTuple):
     gram: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = len(self.gram)
-        rows = tuple([tuple(map(operator.index, row)) for row in self.gram])
+
+class Lattice(_LatticeFields):
+    """A free Z-module with an integral symmetric bilinear form.
+
+    A NamedTuple record (gram,): immutable, equal to the 1-tuple (gram,)
+    and hashed as it. ``__new__`` is its one check (``len()`` first, so a
+    generator is a ``TypeError``, then integer entries, stored as ``int``,
+    then square, then symmetric), and the constructor, ``_make``,
+    ``_replace``, ``copy`` and ``pickle`` all go through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, gram):
+        n = len(gram)
+        rows = tuple([tuple(map(operator.index, row)) for row in gram])
         if set(map(len, rows)) - {n}:
             raise ValueError("Gram matrix must be square")
         if rows != tuple(zip(*rows)):
             raise ValueError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", rows)
+        return tuple.__new__(cls, (rows,))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -66,8 +79,14 @@ def _coords(lattice: Lattice, v: Coords) -> tuple[int, ...]:
     return coords
 
 
-@dataclass(frozen=True)
-class Isometry:
+class _IsometryFields(NamedTuple):
+    lattice: Lattice
+    root: tuple[int, ...]
+    sign: int
+    matrix: tuple[tuple[int, ...], ...]
+
+
+class Isometry(_IsometryFields):
     """The reflection in a (+-2)-root e of a lattice, or its negative.
 
     ``Isometry(lattice, e)`` is x -> x - (2(x,e)/(e,e)) e for (e,e) in
@@ -80,19 +99,36 @@ class Isometry:
     c = 2/(e,e), M = I - c e (Ge)^T is integral, as (e,e) divides 2(x,e),
     and M^T G M = G + (c^2 (e,e) - 2c)(Ge)(Ge)^T = G, M^2 = I and
     det M = 1 - c (Ge)^T e = -1; -M has determinant (-1)^(n+1) in rank n.
+
+    A NamedTuple record (lattice, root, sign, matrix): immutable, equal to
+    the tuple of its fields and hashed as it. The matrix is derived:
+    ``__new__`` hands (lattice, root, sign) to ``__post_init__``, the one
+    check, looked up on the class at call time, which returns all four
+    fields. ``_make`` (so ``_replace``, which ignores a given ``matrix``)
+    and ``__getnewargs__`` (so ``copy`` and ``pickle``) rebuild from the
+    first three.
     """
 
-    lattice: Lattice
-    root: tuple[int, ...]
-    sign: int = 1
-    matrix: tuple[tuple[int, ...], ...] = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        ce = _coords(self.lattice, self.root)
-        sign = operator.index(self.sign)
+    def __new__(cls, lattice: Lattice, root: Coords, sign: int = 1):
+        return tuple.__new__(cls, cls.__post_init__(lattice, root, sign))
+
+    @classmethod
+    def _make(cls, iterable):
+        lattice, root, sign, *_ = iterable
+        return cls(lattice, root, sign)
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    @staticmethod
+    def __post_init__(lattice: Lattice, root: Coords, sign: int):
+        ce = _coords(lattice, root)
+        sign = operator.index(sign)
         if sign not in (1, -1):
             raise ValueError(f"isometry sign must be 1 or -1, got {sign}")
-        ge = intmat.mat_vec(self.lattice.gram, ce)
+        ge = intmat.mat_vec(lattice.gram, ce)
         ee = intmat.dot(ce, ge)
         if sign == 1 and ee not in (2, -2):
             raise ValueError(f"reflection requires (e,e) in {{2, -2}}, got {ee}")
@@ -104,9 +140,7 @@ class Isometry:
         rows = [[-sign * c * fj for fj in f] for c in ce]
         for i, row in enumerate(rows):
             row[i] += sign
-        object.__setattr__(self, "root", ce)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
+        return lattice, ce, sign, tuple(map(tuple, rows))
 
     def apply(self, v: Coords) -> tuple[int, ...]:
         return tuple(intmat.mat_vec(self.matrix, _coords(self.lattice, v)))
@@ -251,9 +285,9 @@ def rescale(lattice: Lattice, a: int) -> Lattice:
 
 
 def is_isometry(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> bool:
-    """True iff M^T G M = G exactly."""
+    """True iff M^T G M = G exactly; M must have integer entries."""
     n = lattice.rank
-    rows = [list(row) for row in matrix]
+    rows = [list(map(operator.index, row)) for row in matrix]
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError("matrix dimensions do not match the lattice rank")
     g = [list(row) for row in lattice.gram]

@@ -23,9 +23,8 @@ terms have norm -1 by multiplicativity. ``negative_solutions`` builds
 them from an already expanded ``ContinuedFraction``.
 
 The records ``PellSolution``, ``DerivedSolution`` and ``ContinuedFraction``
-are ``typing.NamedTuple``s, not dataclasses, so that importing this module
-(and with it ``epwlat pell``) loads no ``dataclasses``. A record compares
-equal to the plain tuple of its fields and unpacks like one.
+are ``typing.NamedTuple``s, like every record of the package: a record
+compares equal to the plain tuple of its fields and unpacks like one.
 ``PellSolution.__post_init__`` is its one check hook: ``__new__`` calls
 it, and ``_make`` (hence ``_replace``) goes through ``__new__``.
 

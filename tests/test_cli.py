@@ -78,6 +78,15 @@ def test_cli_import_loads_no_dataclasses():
     assert proc.stdout == "[]\n"
 
 
+def test_verify_import_loads_no_dataclasses():
+    # Lattice and Isometry are NamedTuples too, so the lattice stack that
+    # every other subcommand loads imports neither dataclasses nor inspect
+    proc = fresh_python("-c", "import sys, epwlat.verify; "
+                        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # Every usage or input error: exactly one ``error: ...`` line on stderr,
 # nothing on stdout, exit 1. Paths are relative to a temporary directory
 # that holds ``empty.txt`` (zero bytes) and no ``missing.txt``.

@@ -43,8 +43,13 @@ class TestNecessaryCondition:
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_witness_is_the_minimal_solution(self, n):
+        # d/2 = (2n + 2)^2 + 1, whose least solution is (2n + 2, 1); the
+        # reference walks the full period one convergent at a time
         d = 8 * n * n + 16 * n + 10
-        assert epwfamily.necessary_condition(d) == pell.fundamental_negative(d // 2)
+        witness = epwfamily.necessary_condition(d)
+        assert witness.d == d // 2
+        assert (witness.y, witness.x) == verify.sequential_fundamental(d // 2)
+        assert (witness.y, witness.x) == (2 * n + 2, 1)
 
     @pytest.mark.parametrize("d", [8, 9, 11, 0, -4])
     def test_domain_checked(self, d):
@@ -157,8 +162,11 @@ class TestFamilyRecords:
         assert lattices.product(ambient, gamma, delta2) == 16
 
     def test_pell_witness_is_minimal(self):
+        # g - 1 = 101 = 10^2 + 1, whose least solution is (2n + 2, 1) = (10, 1)
         rec = epwfamily.family(4)
-        assert rec.pell == pell.fundamental_negative(rec.g - 1)
+        assert rec.pell.d == rec.g - 1
+        assert (rec.pell.y, rec.pell.x) == verify.sequential_fundamental(rec.g - 1)
+        assert (rec.pell.y, rec.pell.x) == (10, 1)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,10 @@ reflections, complements, saturation. Expected values are frozen from
 independent hand computations (cofactor expansions, direct kernel
 calculations) noted inline."""
 
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 
 from epwlat import catalog, intmat, lattices
@@ -82,6 +86,73 @@ class TestTypes:
             with pytest.raises(ValueError) as exc:
                 lattices.Isometry(NS10, root, sign)
             assert str(exc.value) == message
+
+
+def _pickled(record):
+    return pickle.loads(pickle.dumps(record))
+
+
+class TestRecords:
+    def records(self):
+        return [Lattice(((10, 0), (0, -2))), lattices.reflection(NS10, DELTA),
+                lattices.negated_reflection(U, (1, 1))]
+
+    def test_equal_inputs_give_equal_records(self):
+        for a, b in zip(self.records(), self.records()):
+            assert a == b and a is not b
+            assert hash(a) == hash(b)
+        assert hash(NS10) == hash((NS10.gram,))
+
+    @pytest.mark.parametrize("field", ["gram", "lattice", "root", "sign", "matrix"])
+    def test_fields_cannot_be_assigned(self, field):
+        record = NS10 if field == "gram" else lattices.reflection(NS10, DELTA)
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+    def test_repr(self):
+        assert repr(NS10) == "Lattice(gram=((10, 0), (0, -2)))"
+        assert repr(lattices.reflection(NS10, DELTA)) == (
+            "Isometry(lattice=Lattice(gram=((10, 0), (0, -2))), root=(0, 1), "
+            "sign=1, matrix=((1, 0), (0, -1)))")
+        assert repr(lattices.negated_reflection(U, (1, 1))) == (
+            "Isometry(lattice=Lattice(gram=((0, 1), (1, 0))), root=(1, 1), "
+            "sign=-1, matrix=((0, 1), (1, 0)))")
+
+    @pytest.mark.parametrize("rebuild", [copy.copy, copy.deepcopy, _pickled],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal(self, rebuild):
+        for record in self.records():
+            again = rebuild(record)
+            assert again == record and type(again) is type(record)
+
+    def test_every_route_runs_the_hook_once(self, monkeypatch):
+        # the hook is replaced by a plain function, as a tracer replaces it,
+        # and is looked up on the class at each construction
+        iso = lattices.reflection(NS10, DELTA)
+        checked = []
+        check = lattices.Isometry.__post_init__
+
+        def counting(lattice, root, sign):
+            checked.append(tuple(root))
+            return check(lattice, root, sign)
+
+        monkeypatch.setattr(lattices.Isometry, "__post_init__", counting)
+        copies = [copy.copy(iso), copy.deepcopy(iso), _pickled(iso),
+                  lattices.Isometry._make(iso), iso._replace(sign=1)]
+        assert all(type(c) is lattices.Isometry and c == iso for c in copies)
+        assert checked == [DELTA] * len(copies)
+
+    def test_replace_checks_the_gram(self):
+        with pytest.raises(ValueError, match="must be symmetric"):
+            NS10._replace(gram=((1, 2), (3, 4)))
+
+    def test_replace_recomputes_the_matrix(self):
+        # the root h - 2 delta of NS_HILB(10) has square 10 - 8 = 2
+        moved = lattices.reflection(NS10, DELTA)._replace(root=(1, -2), sign=-1)
+        assert moved.matrix == lattices.negated_reflection(NS10, (1, -2)).matrix
+        assert moved.matrix == ((9, 4), (-20, -9))
+        # the matrix is derived: one passed to _replace is recomputed
+        assert moved._replace(matrix=((1, 0), (0, 1))) == moved
 
 
 class TestProduct:
@@ -346,3 +417,13 @@ class TestIsIsometry:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             lattices.is_isometry(NS10, ((1,),))
+
+    @pytest.mark.parametrize("half", [0.5, Fraction(1, 2)], ids=["float", "Fraction"])
+    def test_non_integer_entry_rejected(self, half):
+        # diag(2, 1/2) preserves the form of U but does not map Z^2 to itself
+        with pytest.raises(TypeError):
+            lattices.is_isometry(U, [[2, 0], [0, half]])
+
+    def test_bool_entries_accepted(self):
+        # the swap of the two isotropic basis vectors of U
+        assert lattices.is_isometry(U, [[False, True], [True, False]])

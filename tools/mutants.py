@@ -175,6 +175,11 @@ MUTANTS = (
            "from bisect import bisect_right\n",
            "from bisect import bisect_right\nfrom dataclasses import dataclass\n",
            ("tests/test_cli.py::test_cli_import_loads_no_dataclasses",)),
+    # the lattice records as dataclasses again: every subcommand but `pell`
+    # then loads dataclasses and inspect
+    Mutant("lattices imports dataclasses", "src/epwlat/lattices.py",
+           "import operator\n", "import operator\nfrom dataclasses import dataclass\n",
+           ("tests/test_cli.py::test_verify_import_loads_no_dataclasses",)),
     # every block starts in column 0, so the rows of a sum of two or more
     # nonempty parts are too short; the catalog's composites then fail to
     # build (tests/test_lattices.py builds sums while it collects)
