@@ -105,8 +105,9 @@ class FamilyRecord(NamedTuple):
     """All derived data of the degree family at index n.
 
     Invariants (all enforced): d = 8n^2 + 16n + 10 = 2(4(n+1)^2 + 1),
-    g = d/2 + 1 = ogrady_r^2 + 2, ogrady_r = 2n + 2, disc_pi = -2d, and
-    the Pell witness solves y^2 - (g-1) x^2 = -1.
+    disc_pi = -2d, and the Pell witness solves y^2 - (g-1) x^2 = -1. The
+    genus g = d/2 + 1 = ogrady_r^2 + 2, with ogrady_r = 2n + 2, follows
+    from d.
 
     ``h2`` is in the (gamma, delta2) basis of Pi, whose Gram matrix is
     ``gram_pi``; gamma and delta2 themselves are ``catalog.GAMMA_COORDS``
@@ -145,12 +146,10 @@ def family(n: int) -> FamilyRecord:
     d = lattices.product(pi, h2, h2)
     g = d // 2 + 1
     r = 2 * n + 2
-    ensure(d == 8 * n * n + 16 * n + 10 == 2 * (4 * (n + 1) ** 2 + 1),
+    ensure(d == 8 * n * n + 16 * n + 10,
            f"family({n}): degree {d} differs from 8n^2 + 16n + 10")
-    ensure(g == r * r + 2, f"family({n}): genus {g} differs from r^2 + 2")
     ensure(disc_pi == -2 * d, f"family({n}): disc(Pi) = {disc_pi}, not -2d")
-    ensure(h2 == (1, 2 * n + 2),
-           f"family({n}): h2 = {h2}, not gamma + (2n+2) delta2")
+    ensure(h2 == (1, r), f"family({n}): h2 = {h2}, not gamma + (2n+2) delta2")
 
     witness = necessary_condition(d)
     ensure(witness is not None, f"family({n}): no Pell solution for D = {g - 1}")

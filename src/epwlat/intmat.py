@@ -79,11 +79,9 @@ def echelon(a: list[list[int]], cols: int) -> int:
     Works in place with unimodular row operations only. In each column the
     row with the smallest nonzero entry reduces the others (Euclid) until
     one nonzero entry is left; that row is moved into place and made
-    positive. Ties keep the earlier row as the reducer. Two live rows take
-    the plain two-term Euclid step: the remainder is strictly smaller than
-    the pivot, so the two rows swap roles each step. Returns the pivot
-    count r: rows r and below vanish on the first ``cols`` columns. Entries
-    above the pivots are left unreduced.
+    positive. The sort is stable, so ties keep the earlier row as the
+    reducer. Returns the pivot count r: rows r and below vanish on the
+    first ``cols`` columns. Entries above the pivots are left unreduced.
     """
     r = 0
     for c in range(cols):
@@ -95,7 +93,7 @@ def echelon(a: list[list[int]], cols: int) -> int:
             (live if row[c] else done).append(row)
         if not live:
             continue
-        while len(live) > 2:
+        while len(live) > 1:
             live.sort(key=lambda row: abs(row[c]))
             top, *others = live
             p = top[c]
@@ -105,17 +103,6 @@ def echelon(a: list[list[int]], cols: int) -> int:
                 row = [x - q * y for x, y in zip(row, top)]
                 (live if row[c] else done).append(row)
         top = live[0]
-        if len(live) == 2:
-            row = live[1]
-            if abs(row[c]) < abs(top[c]):
-                top, row = row, top
-            while True:
-                q = row[c] // top[c]
-                row = [x - q * y for x, y in zip(row, top)]
-                if not row[c]:
-                    break
-                top, row = row, top
-            done.append(row)
         a[r:] = [top if top[c] > 0 else [-x for x in top], *done]
         r += 1
     return r

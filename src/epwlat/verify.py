@@ -3,9 +3,10 @@
 Each check group recomputes a set of claims two independent ways (closed
 formula vs. lattice arithmetic, continued fractions vs. brute force, the
 half-period solver vs. a full-period walk, Miller-Rabin vs. a sieve,
-residue criterion vs. solver) and reports PASS/FAIL with the first
-counterexample. ``run_all(n_max)`` scales the n-indexed ranges; the
-default n_max = 100 reproduces the full acceptance scale:
+symmetric elimination vs. Bareiss, residue criterion vs. solver) and
+reports PASS/FAIL with the first counterexample. ``run_all(n_max)``
+scales the n-indexed ranges; the default n_max = 100 reproduces the full
+acceptance scale:
 
     family identities        n <= 5 * n_max       (500)
     involution soundness     n <= n_max           (100)
@@ -333,15 +334,17 @@ def involution_law(iso: lattices.Isometry) -> None:
 def index_law(lat: Lattice, b) -> bool:
     """disc(B^T G B) = det(B)^2 disc(G) for the columns of a square matrix B.
 
-    Returns False, having checked nothing, when det(B) = 0: the columns
-    then span no sublattice of full rank.
+    The left side comes from the symmetric elimination (``intmat.inertia``),
+    the right side from Bareiss (``intmat.det``). Returns False, having
+    checked nothing, when det(B) = 0: the columns then span no sublattice
+    of full rank.
     """
     det_b = intmat.det(b)
     if det_b == 0:
         return False
     cols = [tuple(row[j] for row in b) for j in range(len(b))]
     sub = lattices.induced_gram(lat, cols)
-    if lattices.discriminant(sub) != det_b**2 * lattices.discriminant(lat):
+    if intmat.inertia(sub.gram)[3] != det_b**2 * lattices.discriminant(lat):
         _fail(f"index law fails: gram={lat.gram}, B={b}")
     return True
 
@@ -492,7 +495,7 @@ def check_family_identities(n_max: int) -> str:
         pairing = rec.gram_pi[0][1]  # computed from NS3(n) by family(n)
         if pairing != 4 * n + 4:
             _fail(f"n={n}: (gamma, delta2) = {pairing} != {4 * n + 4}")
-        if rec.pell != pell.PellSolution(rec.g - 1, 2 * n + 2, 1):
+        if rec.pell != (rec.g - 1, 2 * n + 2, 1):
             _fail(f"n={n}: Pell witness {rec.pell} != ({2 * n + 2}, 1)")
     return f"(gamma,delta2), disc Pi, (h2,h2), g(n) agree both ways for n <= {top}"
 

@@ -177,6 +177,15 @@ class TestFamilyRecords:
         with pytest.raises(InvariantError, match="no Pell solution for D = 17"):
             epwfamily.family(1)
 
+    def test_wrong_degree_raises(self, monkeypatch):
+        # (h2, h2) reads 2 too high, so d(1) = 36
+        product = lattices.product
+        monkeypatch.setattr(lattices, "product",
+                            lambda lat, x, y: product(lat, x, y) + 2 * (x == y))
+        with pytest.raises(InvariantError) as err:
+            epwfamily.family(1)
+        assert str(err.value) == "family(1): degree 36 differs from 8n^2 + 16n + 10"
+
     def test_verify_builds_each_record_once(self, monkeypatch):
         # family-identities covers n <= 5 * n_max; no other group rebuilds
         # a record, so n_max = 3 makes exactly 15 calls

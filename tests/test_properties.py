@@ -357,7 +357,8 @@ def test_saturation_of_scaled_k3_kernel(seed):
 
 
 def echelon_reference(a, cols):
-    """``intmat.echelon`` before its two-row step: every round sorts."""
+    """A frozen copy of ``intmat.echelon``'s sorting rounds: every round
+    sorts stably, so ties keep the earlier row as the reducer."""
     r = 0
     for c in range(cols):
         if r == len(a):

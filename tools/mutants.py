@@ -97,9 +97,13 @@ MUTANTS = (
     Mutant("saturation skips the division by the pivot", "src/epwlat/intmat.py",
            "s.append(tuple([x // p for x in acc]))", "s.append(tuple(acc))",
            (f"{_PROPS}::test_saturation_from_one_echelon",)),
-    # the tie rule of the sorting rounds is that the earlier row reduces
-    Mutant("two-row step swaps on ties", "src/epwlat/intmat.py",
-           "if abs(row[c]) < abs(top[c]):", "if abs(row[c]) <= abs(top[c]):",
+    # the tie rule of the sorting rounds is that the earlier row reduces; this
+    # sort is still ascending (a descending one need not terminate) but puts
+    # the later row first on ties
+    Mutant("sorting rounds prefer the later row on ties", "src/epwlat/intmat.py",
+           "live.sort(key=lambda row: abs(row[c]))",
+           "live.sort(key=lambda row: abs(row[c]), reverse=True)\n"
+           "            live.reverse()",
            (f"{_PROPS}::test_echelon_matches_sorting_reference",)),
     # a valid but non-minimal solution, the cube of the fundamental one, only
     # where brute force (x <= 10^4) cannot see it; D = 109 is the first
@@ -118,6 +122,12 @@ MUTANTS = (
     Mutant("det without its sign", "src/epwlat/intmat.py",
            "return sign * a[n - 1][n - 1]", "return a[n - 1][n - 1]",
            (f"{_PROPS}::test_inertia_det_of_zero_diagonal_and_degenerate_grams",)),
+    # index-law takes disc(B^T G B) from the symmetric elimination, so a
+    # wrong det shows against it at n-max 3
+    Mutant("det negated at odd rank >= 3", "src/epwlat/intmat.py",
+           "return sign * a[n - 1][n - 1]",
+           "return (-1 if n % 2 and n >= 3 else 1) * sign * a[n - 1][n - 1]",
+           ("tests/test_acceptance.py::test_check_group[index-law]",)),
     # one Namespace for every call: the top-level --format default is set only
     # when the namespace lacks it, so a previous call's --format csv sticks
     Mutant("parser reuse shares one namespace", "src/epwlat/cli.py",
