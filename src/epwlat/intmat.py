@@ -11,10 +11,12 @@ above them); and inertia counts come from fraction-free
 symmetric (Bareiss) elimination applied as a congruence, which stores and
 updates only the upper triangle and repairs a zero pivot by pivoting on a
 later direction (a permutation) or, failing that, by adding a basis vector
-to it. That one symmetric pass also gives the determinant of a symmetric
-matrix: each block is |previous pivot| times the rational Schur
-complement, so the rational pivots p_k/|p_(k-1)| multiply to
-(-1)^negative * |last pivot|.
+to it. The Grams of this package are sparse block sums, so a row whose
+entry in the pivot column is zero is only rescaled, or kept as it is
+(``det`` keeps the dense update). That one symmetric pass also gives the
+determinant of a symmetric matrix: each block is |previous pivot| times
+the rational Schur complement, so the rational pivots p_k/|p_(k-1)|
+multiply to (-1)^negative * |last pivot|.
 A lone determinant, of any square matrix, still comes from ``det``.
 """
 
@@ -201,6 +203,11 @@ def congruence_pivots(gram: Matrix) -> Iterator[tuple[int, list[list[int]]]]:
     pivot. As in Bareiss's determinant the division is exact: entries
     stay (up to sign) minors of the matrix after the basis changes below,
     so they obey Hadamard's bound instead of doubling in length every step.
+    A row i with h_i = 0 is the exact rescale ``|p|*a_ij // prev``, and the
+    same row object when |p| = prev; no row is edited after it is built
+    (the add repair below edits a new row 0), so a row that two yielded
+    blocks share is never changed. On sparse Grams most rows take this
+    path; every block equals the dense update's, entry by entry.
     A zero pivot is first repaired by pivoting on the first later basis
     direction with nonzero diagonal, which is moved to the front; failing
     that, by adding a basis vector that pairs nontrivially with it (which
@@ -238,8 +245,13 @@ def congruence_pivots(gram: Matrix) -> Iterator[tuple[int, list[list[int]]]]:
         p *= s
         rows = []
         for i in range(1, len(a)):
-            sh = s * head[i]
-            rows.append([(p * x - sh * g) // prev for x, g in zip(a[i], head[i:])])
+            if head[i]:
+                sh = s * head[i]
+                rows.append([(p * x - sh * g) // prev for x, g in zip(a[i], head[i:])])
+            elif p == prev:
+                rows.append(a[i])
+            else:
+                rows.append([p * x // prev for x in a[i]])
         a = rows
         prev = p
 

@@ -135,9 +135,10 @@ class Isometry(_IsometryFields):
         if sign == -1 and ee != 2:
             raise ValueError(f"negated reflection requires (r,r) = 2, got {ee}")
         # column j is sign * (b_j - c (b_j, e) e), and (b_j, e) = ge[j]: row i
-        # is -sign * e_i * f with f_j = c (b_j, e), plus sign on the diagonal
-        f = [2 * x // ee for x in ge]
-        rows = [[-sign * c * fj for fj in f] for c in ce]
+        # is e_i * f with f_j = -sign * c (b_j, e), plus sign on the diagonal;
+        # roots are mostly zeros, and a zero e_i gives a zero row
+        f = [-sign * (2 * x // ee) for x in ge]
+        rows = [[c * fj for fj in f] if c else [0] * len(f) for c in ce]
         for i, row in enumerate(rows):
             row[i] += sign
         return lattice, ce, sign, tuple(map(tuple, rows))
@@ -198,12 +199,12 @@ def orthogonal_complement(lattice: Lattice, v: Coords) -> list[tuple[int, ...]]:
     return intmat.kernel([intmat.mat_vec(lattice.gram, cv)], lattice.rank)
 
 
-def _combination(support, rows, start: int) -> list[int]:
-    """The sum of x * rows[j][start:] over the pairs (j, x) of ``support``."""
+def _combination(support, rows) -> list[int]:
+    """The sum of x * rows[j] over the pairs (j, x) of ``support``."""
     j, x = support[0]
-    out = [x * g for g in rows[j][start:]]
+    out = [x * g for g in rows[j]]
     for j, x in support[1:]:
-        out = [u + x * g for u, g in zip(out, rows[j][start:])]
+        out = [u + x * g for u, g in zip(out, rows[j])]
     return out
 
 
@@ -212,22 +213,19 @@ def induced_gram(lattice: Lattice, basis: Sequence[Coords]) -> Lattice:
 
     Built from each basis vector's support, as complement bases are mostly
     zeros: G b is the combination of the Gram rows at the nonzero
-    coordinates of b (G is symmetric, so row j is column j). Row i of the
-    upper triangle, the pairings (b_i, G b_k) for k >= i, is then the same
-    combination, over the support of b_i, of the columns of the images
-    G b_i, ..., G b_(m-1). The lower triangle is its mirror image.
+    coordinates of b (G is symmetric, so row j is column j). Row i, the
+    pairings (b_i, G b_k) for every k, is then the same combination, over
+    the support of b_i, of the columns of the images G b_0, ..., G b_(m-1).
+    Every row is built in full, with no mirror pass: B^T G B is symmetric
+    because G is, and ``Lattice`` checks that it is.
     """
     vecs = [_coords(lattice, b) for b in basis]
     if intmat.rank(vecs) != len(vecs):
         raise ValueError("basis vectors are linearly dependent")
-    gram = lattice.gram
     supports = [[(j, x) for j, x in enumerate(b) if x] for b in vecs]
-    images = [_combination(support, gram, 0) for support in supports]
+    images = [_combination(support, lattice.gram) for support in supports]
     columns = list(zip(*images))
-    upper = [_combination(support, columns, i) for i, support in enumerate(supports)]
-    rows = [tuple([u[i - k] for k, u in enumerate(upper[:i])] + u_i)
-            for i, u_i in enumerate(upper)]
-    return Lattice(tuple(rows))
+    return Lattice([_combination(support, columns) for support in supports])
 
 
 def saturation(lattice: Lattice, basis: Sequence[Coords]) -> list[tuple[int, ...]]:

@@ -18,7 +18,8 @@ acceptance scale:
     Pell minimality          D <= 5 * n_max       (500), no bound on x
     prime criterion          p < 100 * n_max      (10000)
     randomized properties    10 * n_max draws     (1000)
-    signature, direct sums   max(1, n_max // 2) cases (50)
+    signature, direct sums   max(1, n_max // 2) cases (50), and fixed:
+                             U + <0> has signature (1, 1, 1)
     saturation example       fixed: sat{2 delta} = {delta} in NS_HILB(10)
 
 In reflection-properties and index-law, a draw that repeats an earlier
@@ -388,10 +389,21 @@ def bilinear_law(lat: Lattice, x, y, z, a: int, b: int) -> None:
 
 
 def congruence_law(lat: Lattice, ops) -> None:
-    """The signature is invariant under the unimodular basis change ``ops``."""
+    """The signature is invariant under the unimodular basis change ``ops``.
+
+    Its zero count is also the corank n - rank(G), by ``intmat.rank`` (an
+    echelon), and for a nondegenerate form sign det(G) = (-1)^negative,
+    by ``intmat.det`` (Bareiss): neither comes from the symmetric
+    elimination that gives the signature.
+    """
     moved = Lattice(_apply_ops_to_basis(lat.gram, ops))
-    if lattices.signature(lat) != lattices.signature(moved):
+    sig = lattices.signature(lat)
+    if sig != lattices.signature(moved):
         _fail(f"signature changed under basis change: {lat.gram}")
+    if sig.zero != lat.rank - intmat.rank(lat.gram):
+        _fail(f"zero count of {tuple(sig)} is not the corank of {lat.gram}")
+    if not sig.zero and (-1) ** sig.negative * intmat.det(lat.gram) <= 0:
+        _fail(f"sign of det disagrees with the signature {tuple(sig)} of {lat.gram}")
 
 
 def direct_sum_law(a: Lattice, b: Lattice) -> Lattice:
@@ -698,6 +710,10 @@ def check_bilinear_properties(n_max: int) -> str:
         lat = _random_symmetric(rng, n)
         congruence_law(lat, _random_unimodular_ops(rng, n, rng.randint(1, 6)))
         direct_sum_law(lat, _random_symmetric(rng, rng.randint(1, 3)))
+    # a fixed degenerate form, U + <0>, as few random Grams are degenerate
+    sig = tuple(lattices.signature(Lattice(((0, 1, 0), (1, 0, 0), (0, 0, 0)))))
+    if sig != (1, 1, 1):
+        _fail(f"signature of U + <0> is {sig}, expected (1, 1, 1)")
     return f"symmetry, bilinearity, basis invariance on {cases} randomized cases"
 
 

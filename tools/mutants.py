@@ -55,12 +55,24 @@ MUTANTS = (
     Mutant("later pivot drops the wrong column", "src/epwlat/intmat.py",
            "row[:k - i] + row[k - i + 1:]", "row[:k - i - 1] + row[k - i:]",
            (f"{_PROPS}::test_congruence_pivots_branches",)),
+    # a row with a zero head must still be rescaled by |p| / prev; kept
+    # as it is, it drops out of step with the Bareiss identity
+    Mutant("zero-head row kept unscaled", "src/epwlat/intmat.py",
+           "rows.append([p * x // prev for x in a[i]])", "rows.append(a[i])",
+           (f"{_PROPS}::test_inertia_matches_fraction_reference_at_rank_22_and_24",)),
+    # the Baseline blind spot: congruence_law compared signature with
+    # signature; the corank by rank() and U + <0> now see the zero count
+    Mutant("inertia always reports zero = 0", "src/epwlat/intmat.py",
+           "return pos, neg, zero, 0 if zero", "return pos, neg, 0, 0 if zero",
+           ("tests/test_acceptance.py::test_check_group[bilinear-properties]",)),
     Mutant("isometry diagonal +1 instead of +sign", "src/epwlat/lattices.py",
            "row[i] += sign", "row[i] += 1",
            ("tests/test_lattices.py::TestReflections",)),
-    Mutant("induced_gram mirrors the wrong entry", "src/epwlat/lattices.py",
-           "[u[i - k] for k, u in enumerate(upper[:i])]",
-           "[u[i - k - 1] for k, u in enumerate(upper[:i])]",
+    # G b and the rows of B^T G B then see only the first nonzero
+    # coordinate of each basis vector
+    Mutant("induced_gram combines only the first support entry",
+           "src/epwlat/lattices.py",
+           "for j, x in support[1:]:", "for j, x in support[1:1]:",
            (f"{_PROPS}::test_induced_gram_on_dense_bases",)),
     Mutant("is_prime one witness too few", "src/epwlat/pell.py",
            "_WITNESSES[:bisect_right(_PSI, n) + 1]",
