@@ -7,16 +7,16 @@ fraction-free Bareiss elimination; rank, integer kernels, saturations and
 Hermite normal forms all come from one Euclidean row echelon (``echelon``)
 under unimodular row operations (``kernel`` reads the transform rows of
 the echelon of [m^T | I] below the pivots, ``saturation`` the pivot block
-above them); and inertia counts come from fraction-free
-symmetric (Bareiss) elimination applied as a congruence, which stores and
-updates only the upper triangle and repairs a zero pivot by pivoting on a
-later direction (a permutation) or, failing that, by adding a basis vector
-to it. The Grams of this package are sparse block sums, so a row whose
-entry in the pivot column is zero is only rescaled, or kept as it is
-(``det`` keeps the dense update). That one symmetric pass also gives the
-determinant of a symmetric matrix: each block is |previous pivot| times
-the rational Schur complement, so the rational pivots p_k/|p_(k-1)|
-multiply to (-1)^negative * |last pivot|.
+above them); and inertia counts come from fraction-free symmetric
+(Bareiss) elimination applied as a congruence, which stores and updates
+only the upper triangle. Both eliminations repair a zero pivot one way, by
+adding a later basis vector (in ``det``, a later row) to its own, a
+unimodular step that keeps the Bareiss divisions exact. The Grams of this
+package are sparse block sums, so a row whose entry in the pivot column is
+zero is only rescaled, or kept as it is (``det`` keeps the dense update).
+That one symmetric pass also gives the determinant of a symmetric matrix:
+each block is |previous pivot| times the rational Schur complement, so the
+rational pivots p_k/|p_(k-1)| multiply to (-1)^negative * |last pivot|.
 A lone determinant, of any square matrix, still comes from ``det``.
 """
 
@@ -50,29 +50,30 @@ def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
 
 
 def det(m: Matrix) -> int:
-    """Determinant by fraction-free Bareiss elimination (exact)."""
+    """Determinant by fraction-free Bareiss elimination (exact).
+
+    A zero pivot is repaired by adding to its row the first later row with
+    a nonzero entry in the pivot column (or the determinant is 0 when there
+    is none). A row addition keeps the determinant, so no sign is tracked.
+    """
     n = len(m)
     if n == 0:
         return 1
     a = [list(row) for row in m]
-    sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if a[i][k]), 0)
+            if not i:
                 return 0
+            a[k] = [x + y for x, y in zip(a[k], a[i])]
         pivot = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 # Bareiss: the division by the previous pivot is exact
                 a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return a[n - 1][n - 1]
 
 
 def echelon(a: list[list[int]], cols: int) -> int:
@@ -112,7 +113,7 @@ def echelon(a: list[list[int]], cols: int) -> int:
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals: the pivot count of ``echelon``."""
-    a = [list(row) for row in m if any(row)]
+    a = [list(row) for row in m]
     return echelon(a, len(a[0])) if a else 0
 
 
@@ -170,7 +171,7 @@ def row_hnf(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     [0, pivot). Two sets of vectors span the same sublattice of Z^n iff
     their forms are equal.
     """
-    a = [list(v) for v in vectors if any(v)]
+    a = [list(v) for v in vectors]
     if not a:
         return ()
     r = echelon(a, len(a[0]))
@@ -205,39 +206,32 @@ def congruence_pivots(gram: Matrix) -> Iterator[tuple[int, list[list[int]]]]:
     so they obey Hadamard's bound instead of doubling in length every step.
     A row i with h_i = 0 is the exact rescale ``|p|*a_ij // prev``, and the
     same row object when |p| = prev; no row is edited after it is built
-    (the add repair below edits a new row 0), so a row that two yielded
+    (the repair below builds a new row 0), so a row that two yielded
     blocks share is never changed. On sparse Grams most rows take this
     path; every block equals the dense update's, entry by entry.
-    A zero pivot is first repaired by pivoting on the first later basis
-    direction with nonzero diagonal, which is moved to the front; failing
-    that, by adding a basis vector that pairs nontrivially with it (which
-    makes the diagonal entry 2*(off-diagonal) != 0). Both are unimodular
-    congruences of the trailing block, so the block stays a positive
-    multiple of the Schur complement in the new basis.
+    A zero pivot a_00 is repaired by b_0 += c*b_j, with j the first later
+    direction with a_0j != 0 or a_jj != 0. The new diagonal entry is
+    2c*a_0j + a_jj: c = 1 keeps it nonzero unless 2*a_0j + a_jj = 0, and
+    then c = -1 makes it -4*a_0j != 0. With no such j, b_0 lies in the
+    radical and yields 0. The add is a unimodular congruence of the
+    trailing block, so the block stays a positive multiple of the Schur
+    complement in the new basis.
     """
     a = [list(row[i:]) for i, row in enumerate(gram)]
     prev = 1
     while a:
         if not a[0][0]:
-            k = next((i for i in range(1, len(a)) if a[i][0]), 0)
-            if k:
-                # the permutation k, 0, 1, ..., k-1, k+1, ...: row k in full
-                # leads, and rows 0..k-1 lose their column k
-                col = [row[k - i] for i, row in enumerate(a[:k])] + a[k]
-                a = [[col[k], *col[:k], *col[k + 1:]],
-                     *(row[:k - i] + row[k - i + 1:] for i, row in enumerate(a[:k])),
-                     *a[k + 1:]]
-            else:
-                off = next((j for j in range(1, len(a)) if a[0][j]), 0)
-                if not off:
-                    yield 0, a
-                    a = a[1:]
-                    continue
-                # b_0 += b_off: row 0 gains row off in full, then its diagonal
-                # gains the new (0, off) entry
-                row = [r[off - j] for j, r in enumerate(a[:off])] + a[off]
-                a[0] = [x + y for x, y in zip(a[0], row)]
-                a[0][0] += a[0][off]
+            j = next((j for j in range(1, len(a)) if a[0][j] or a[j][0]), 0)
+            if not j:
+                yield 0, a
+                a = a[1:]
+                continue
+            # b_0 += c * b_j: row 0 gains c times row j in full, then its
+            # diagonal gains c times the new (0, j) entry
+            c = -1 if 2 * a[0][j] + a[j][0] == 0 else 1
+            row = [r[j - i] for i, r in enumerate(a[:j])] + a[j]
+            a[0] = [x + c * y for x, y in zip(a[0], row)]
+            a[0][0] += c * a[0][j]
         head = a[0]
         p = head[0]
         yield p, a
@@ -264,8 +258,8 @@ def inertia(gram: Matrix) -> tuple[int, int, int, int]:
     (-1)^negative * |last pivot|: block k is |p_(k-1)| times the rational
     Schur complement, whose pivot p_k/|p_(k-1)| is the k-th rational pivot,
     so their product telescopes to p_last * prod_(k<last) sign(p_k); the
-    permutation and add repairs are unimodular congruences and keep the
-    determinant. The empty matrix has determinant 1.
+    add repair is a unimodular congruence and keeps the determinant. The
+    empty matrix has determinant 1.
     """
     pos = neg = zero = 0
     last = 1

@@ -12,7 +12,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd, isqrt
 
 import pytest
@@ -260,6 +260,8 @@ def test_row_hnf_is_reduced_and_canonical(m):
         assert h[k][c] > 0
         assert all(0 <= h[i][c] < h[k][c] for i in range(k))
     assert intmat.row_hnf(h) == h
+    # echelon sorts the zero rows of m below its pivots, wherever they stand
+    assert intmat.row_hnf([row for row in m if any(row)]) == h
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -400,6 +402,22 @@ def test_echelon_matches_sorting_reference(rows, width, data):
 def test_determinant_against_rational_elimination(n, data):
     rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
     assert intmat.det(rows) == det_by_fraction_elimination(rows)
+
+
+def permutation_sign(perm):
+    inversions = sum(x > y for x, y in combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
+@pytest.mark.parametrize("perm", [perm for n in range(1, 6)
+                                  for perm in permutations(range(n))],
+                         ids=lambda perm: "".join(map(str, perm)))
+def test_determinant_of_permutation_matrix_is_its_sign(perm):
+    # det keeps no sign of its own: its zero-pivot repair adds a row, and
+    # the anti-diagonal matrix and the cyclic shift need one at every step
+    n = len(perm)
+    m = [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    assert intmat.det(m) == permutation_sign(perm)
 
 
 @given(symmetric_lattices(max_rank=3), symmetric_lattices(max_rank=3))
@@ -561,13 +579,16 @@ def test_inertia_entry_growth_is_bounded(name, seed):
     assert largest.bit_length() <= 64
 
 
-# Hand-made Grams that each reach one repair of a zero pivot, with the pivots
-# congruence_pivots yields: a later direction taken as the pivot, the add
-# repair b_0 += b_off (pivot 2 * (b_0, b_off)), and radical directions (0).
+# Hand-made Grams that each reach the repair of a zero pivot, with the pivots
+# congruence_pivots yields: b_0 += c * b_j for the first later b_j with
+# (b_0, b_j) != 0 or (b_j, b_j) != 0, so the pivot is 2c * (b_0, b_j) +
+# (b_j, b_j), with c = -1 only where c = 1 would give 0; and radical
+# directions (0). In the "later-pivot" Grams that b_j has a nonzero square.
 _BRANCH_GRAMS = {
-    "later-pivot-2": ([[0, 1], [1, 3]], [3, -1]),
-    "later-pivot-3": ([[0, 0, 1], [0, 0, 2], [1, 2, 5]], [5, -1, 0]),
+    "later-pivot-2": ([[0, 1], [1, 3]], [5, -1]),
+    "later-pivot-3": ([[0, 0, 1], [0, 0, 2], [1, 2, 5]], [7, -4, 0]),
     "add-repair-U": ([[0, 1], [1, 0]], [2, -1]),
+    "add-repair-minus": ([[0, 1], [1, -2]], [-4, 1]),
     "radical-after-pivot": ([[0, 0], [0, 5]], [5, 0]),
     "radical-zero-3": ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], [0, 0, 0]),
     "radical-U+<0>": ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], [2, -1, 0]),
@@ -583,11 +604,11 @@ def test_congruence_pivots_branches(gram, pivots):
 
 
 def test_congruence_pivots_add_repair_on_k3():
-    # the K3 Gram starts with 3U: once the E8(-1) directions are pivoted on,
-    # every diagonal entry left is 0 and only the add repair applies
+    # the K3 Gram starts with 3U: each U block is repaired by b_0 += b_1
+    # (pivot 2) and leaves -1, before the E8(-1) directions are pivoted on
     gram = catalog.build("K3").gram
     pivots = [p for p, _ in intmat.congruence_pivots(gram)]
-    assert pivots[-6:] == [2, -1, 2, -1, 2, -1]
+    assert pivots[:6] == [2, -1, 2, -1, 2, -1]
     pos, neg, zero, d = intmat.inertia(gram)
     assert (pos, neg, zero) == inertia_by_fraction_congruence(gram) == (3, 19, 0)
     assert d == intmat.det(gram) == -1
@@ -615,21 +636,15 @@ def congruence_pivots_dense(gram):
     prev = 1
     while a:
         if not a[0][0]:
-            k = next((i for i in range(1, len(a)) if a[i][0]), 0)
-            if k:
-                col = [row[k - i] for i, row in enumerate(a[:k])] + a[k]
-                a = [[col[k], *col[:k], *col[k + 1:]],
-                     *(row[:k - i] + row[k - i + 1:] for i, row in enumerate(a[:k])),
-                     *a[k + 1:]]
-            else:
-                off = next((j for j in range(1, len(a)) if a[0][j]), 0)
-                if not off:
-                    yield 0, a
-                    a = a[1:]
-                    continue
-                row = [r[off - j] for j, r in enumerate(a[:off])] + a[off]
-                a[0] = [x + y for x, y in zip(a[0], row)]
-                a[0][0] += a[0][off]
+            j = next((j for j in range(1, len(a)) if a[0][j] or a[j][0]), 0)
+            if not j:
+                yield 0, a
+                a = a[1:]
+                continue
+            c = -1 if 2 * a[0][j] + a[j][0] == 0 else 1
+            row = [r[j - i] for i, r in enumerate(a[:j])] + a[j]
+            a[0] = [x + c * y for x, y in zip(a[0], row)]
+            a[0][0] += c * a[0][j]
         head = a[0]
         p = head[0]
         yield p, a

@@ -17,7 +17,8 @@ are the test extra)::
 Exit status 0 when every mutant is killed and the identity survives, 1
 otherwise. The repository itself is never modified. The script is kept out
 of the tier-1 suite (``testpaths = ["tests"]``), as each mutant costs one
-pytest start.
+pytest start; ``tests/test_mutants.py`` checks there, without running any
+mutant, that every entry still applies and names tests that exist.
 """
 
 from __future__ import annotations
@@ -52,8 +53,11 @@ MUTANTS = (
     Mutant("sign not folded into h", "src/epwlat/intmat.py",
            "sh = s * head[i]", "sh = head[i]",
            (f"{_PROPS}::test_congruence_pivots_add_repair_on_k3",)),
-    Mutant("later pivot drops the wrong column", "src/epwlat/intmat.py",
-           "row[:k - i] + row[k - i + 1:]", "row[:k - i - 1] + row[k - i:]",
+    # with c = 1 always, a zero pivot with 2 (b_0, b_j) + (b_j, b_j) = 0
+    # stays zero after the repair, and 0 is yielded for a direction that is
+    # not in the radical
+    Mutant("repair always adds +b_j", "src/epwlat/intmat.py",
+           "c = -1 if 2 * a[0][j] + a[j][0] == 0 else 1", "c = 1",
            (f"{_PROPS}::test_congruence_pivots_branches",)),
     # a row with a zero head must still be rescaled by |p| / prev; kept
     # as it is, it drops out of step with the Bareiss identity
@@ -130,15 +134,16 @@ MUTANTS = (
            "(dm * r * r - 1) % m in squares", "(dm * r * r + 1) % m in squares",
            ("tests/test_pell.py::TestBruteForceTable::"
             "test_sieve_matches_full_period_reference_to_2000",)),
-    # a row swap negates the determinant; U = [[0, 1], [1, 0]] needs one
-    Mutant("det without its sign", "src/epwlat/intmat.py",
-           "return sign * a[n - 1][n - 1]", "return a[n - 1][n - 1]",
+    # the repair adds a row, which keeps the determinant; a swap in its place
+    # negates it, and U = [[0, 1], [1, 0]] needs one
+    Mutant("det repairs by a row swap, without a sign", "src/epwlat/intmat.py",
+           "a[k] = [x + y for x, y in zip(a[k], a[i])]", "a[k], a[i] = a[i], a[k]",
            (f"{_PROPS}::test_inertia_det_of_zero_diagonal_and_degenerate_grams",)),
     # index-law takes disc(B^T G B) from the symmetric elimination, so a
     # wrong det shows against it at n-max 3
     Mutant("det negated at odd rank >= 3", "src/epwlat/intmat.py",
-           "return sign * a[n - 1][n - 1]",
-           "return (-1 if n % 2 and n >= 3 else 1) * sign * a[n - 1][n - 1]",
+           "    return a[n - 1][n - 1]\n",
+           "    return (-1 if n % 2 and n >= 3 else 1) * a[n - 1][n - 1]\n",
            ("tests/test_acceptance.py::test_check_group[index-law]",)),
     # one Namespace for every call: the top-level --format default is set only
     # when the namespace lacks it, so a previous call's --format csv sticks
