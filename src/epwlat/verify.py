@@ -34,7 +34,9 @@ deterministic across runs and platforms. Their sampler ``_Draws`` reads
 Gram matrix or vector in one loop; its ``randint``, ``randrange``,
 ``choice`` and ``sample(range(n), 2)`` equal the stdlib's bit for bit
 (pinned in tests/test_properties.py), so the cases are those of
-``random.Random``. The laws they and the Pell groups check are ``*_law``
+``random.Random``. A seeded basis change moves the Gram matrix and any
+vectors in one pass (``_apply_ops``), so each elementary move is written
+once for both. The laws they and the Pell groups check are ``*_law``
 functions over explicit inputs, which the property tests call too, with
 hypothesis draws. One of them, ``involution_law``, states what an
 ``Isometry`` of root r and sign s does (r -> -s*r, r-perp -> s*w); the
@@ -248,40 +250,37 @@ def _random_unimodular_ops(rng: _Draws, n: int, steps: int):
     return ops
 
 
-def _apply_ops_to_basis(gram, ops):
-    """New Gram after replacing basis vector b_j by b_j + c*b_i (etc.)."""
-    g = [list(row) for row in gram]
-    n = len(g)
+def _apply_ops(gram, ops, *vectors):
+    """Move ``gram`` and the coordinates of ``vectors`` by the basis changes ``ops``.
+
+    ("add", i, j, c) replaces b_j by b_j + c*b_i: G becomes E^T G E and
+    every vector's coordinates v_i become v_i - c*v_j; a swap or a sign
+    change acts alike on both. Returns the new Gram matrix followed by the
+    new vectors, so every pairing of the vectors is kept.
+    """
+    g = list(map(list, gram))
+    vs = list(map(list, vectors))
     for kind, i, j, c in ops:
         if kind == "add":
-            # column op on the basis matrix: G <- E^T G E
-            for r in range(n):
-                g[r][j] += c * g[r][i]
-            for r in range(n):
-                g[j][r] += c * g[i][r]
+            for row in g:
+                row[j] += c * row[i]
+            for r, x in enumerate(g[i]):
+                g[j][r] += c * x
+            for v in vs:
+                v[i] -= c * v[j]
         elif kind == "swap":
-            for r in range(n):
-                g[r][i], g[r][j] = g[r][j], g[r][i]
+            for row in g:
+                row[i], row[j] = row[j], row[i]
             g[i], g[j] = g[j], g[i]
+            for v in vs:
+                v[i], v[j] = v[j], v[i]
         else:
-            for r in range(n):
-                g[r][i] = -g[r][i]
+            for row in g:
+                row[i] = -row[i]
             g[i] = [-x for x in g[i]]
-    return tuple(tuple(row) for row in g)
-
-
-def _apply_ops_to_coords(coords, ops):
-    """Coordinates of a fixed vector in the transformed basis."""
-    v = list(coords)
-    for kind, i, j, c in ops:
-        if kind == "add":
-            # b_j' = b_j + c*b_i  =>  v_i' = v_i - c*v_j
-            v[i] -= c * v[j]
-        elif kind == "swap":
-            v[i], v[j] = v[j], v[i]
-        else:
-            v[i] = -v[i]
-    return tuple(v)
+            for v in vs:
+                v[i] = -v[i]
+    return (tuple(map(tuple, g)), *map(tuple, vs))
 
 
 # base lattices with a known vector of self-pairing +2 or -2
@@ -396,7 +395,7 @@ def congruence_law(lat: Lattice, ops) -> None:
     by ``intmat.det`` (Bareiss): neither comes from the symmetric
     elimination that gives the signature.
     """
-    moved = Lattice(_apply_ops_to_basis(lat.gram, ops))
+    moved = Lattice(*_apply_ops(lat.gram, ops))
     sig = lattices.signature(lat)
     if sig != lattices.signature(moved):
         _fail(f"signature changed under basis change: {lat.gram}")
@@ -651,7 +650,7 @@ def check_reflection_properties(n_max: int) -> str:
     for _ in range(cases):
         base, e0 = rng.choice(seeds)
         ops = _random_unimodular_ops(rng, base.rank, rng.randint(0, 6))
-        gram, root = _apply_ops_to_basis(base.gram, ops), _apply_ops_to_coords(e0, ops)
+        gram, root = _apply_ops(base.gram, ops, e0)
         key = (gram, root)
         if key not in checked:
             checked.add(key)

@@ -3,17 +3,70 @@
 One test per group in ``verify.CHECKS``, with the group's name as its id,
 run at the verifier's default scale (n_max = 100), which is what
 ``epwlat verify`` runs. A group raises ``InvariantError`` with its first
-counterexample; every comparison is exact integer equality.
+counterexample; every comparison is exact integer equality. A last test
+records which public functions of the core modules ``run_all`` calls.
 """
+
+import sys
+import types
 
 import pytest
 
-from epwlat import verify
+from epwlat import catalog, epwfamily, intmat, lattices, pell, verify
 
 FULL_SCALE = 100  # verify.run_all default: the acceptance scale
+
+# public functions that verify does not call, each with its reason
+_NOT_REACHED = {
+    "catalog.names": "a listing that tests use and verify does not",
+    "epwfamily.ogrady_status": "used only by the `ogrady` subcommand",
+    "pell.ContinuedFraction.period_length":
+        "printed only by the `pell` subcommand for an unsolvable D",
+}
 
 
 @pytest.mark.parametrize("check", [fn for _, fn in verify.CHECKS],
                          ids=[name for name, _ in verify.CHECKS])
 def test_check_group(check):
     check(FULL_SCALE)
+
+
+def _public_code(module):
+    """Code object of every public function of ``module`` and of every
+    public method or property of a class defined there, by dotted name."""
+    short = module.__name__.rpartition(".")[2]
+    found = {}
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if isinstance(obj, types.FunctionType):
+            found[f"{short}.{name}"] = obj.__code__
+        elif isinstance(obj, type):
+            for attr, member in vars(obj).items():
+                if isinstance(member, property):
+                    member = member.fget
+                if not attr.startswith("_") and isinstance(member, types.FunctionType):
+                    found[f"{short}.{name}.{attr}"] = member.__code__
+    return found
+
+
+def test_verify_reaches_every_public_function():
+    # a law that no group reaches cannot catch a fault; the small scale
+    # n_max = 3 already reaches everything that n_max = 100 does
+    public = {}
+    for module in (intmat, lattices, pell, catalog, epwfamily):
+        public.update(_public_code(module))
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        results = verify.run_all(3)
+    finally:
+        sys.setprofile(previous)
+    assert all(r.passed for r in results)
+    assert sorted(n for n, code in public.items() if code not in called) == sorted(_NOT_REACHED)

@@ -154,6 +154,17 @@ class TestFamilyRecords:
         assert lattices.product(pi, rec.h2, (1, 0)) > 0
         assert rec.disc_pi == lattices.discriminant(pi)
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_h2_sign_turned_towards_gamma(self, monkeypatch, n):
+        # the complement fixes its generator only up to sign; handed the
+        # negated one, family turns it so that (h2, gamma) > 0
+        complement = lattices.orthogonal_complement
+        monkeypatch.setattr(lattices, "orthogonal_complement",
+                            lambda lat, v: [tuple(-x for x in w) for w in complement(lat, v)])
+        pi = catalog.epw_picard_lattice(n)
+        assert lattices.orthogonal_complement(pi, (0, 1)) == [(-1, -2 * n - 2)]
+        assert epwfamily.family(n).h2 == (1, 2 * n + 2)
+
     def test_gamma_delta2_live_in_ambient(self):
         ambient = catalog.rank3_neron_severi(3)
         gamma, delta2 = catalog.GAMMA_COORDS, catalog.DELTA2_COORDS

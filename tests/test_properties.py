@@ -12,7 +12,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, isqrt
 
 import pytest
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from epwlat import catalog, intmat, lattices, pell, verify
 from epwlat.lattices import Lattice
-from epwlat.verify import _apply_ops_to_basis, _apply_ops_to_coords
+from epwlat.verify import _apply_ops
 
 entries = st.integers(min_value=-9, max_value=9)
 small = st.integers(min_value=-6, max_value=6)
@@ -88,7 +88,8 @@ _SEEDS = [
 def reflection_inputs(draw):
     base, root = draw(st.sampled_from(_SEEDS))
     ops = draw(unimodular_ops(base.rank))
-    return Lattice(_apply_ops_to_basis(base.gram, ops)), _apply_ops_to_coords(root, ops)
+    gram, moved = _apply_ops(base.gram, ops, root)
+    return Lattice(gram), moved
 
 
 @settings(max_examples=200)
@@ -108,6 +109,17 @@ def test_isometry_from_its_root(data):
         iso = lattices.Isometry(lat, e, sign)
         verify.involution_law(iso)
         assert intmat.det(iso.matrix) == (-1 if sign == 1 else (-1) ** (lat.rank + 1))
+
+
+@given(symmetric_lattices(), st.integers(min_value=2, max_value=3), st.data())
+def test_apply_ops_keeps_every_pairing(lat, count, data):
+    # the Gram matrix and several vectors move in one pass, so every
+    # product of two of them, a vector with itself included, is kept
+    vecs = [data.draw(vectors_for(lat)) for _ in range(count)]
+    gram, *moved = _apply_ops(lat.gram, data.draw(unimodular_ops(lat.rank)), *vecs)
+    for i, j in combinations_with_replacement(range(count), 2):
+        assert (lattices.product(Lattice(gram), moved[i], moved[j])
+                == lattices.product(lat, vecs[i], vecs[j]))
 
 
 @given(symmetric_lattices(), st.data())
@@ -168,7 +180,7 @@ def test_signature_of_conjugated_diagonal(diag, data):
     n = len(diag)
     gram = tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n))
     ops = data.draw(unimodular_ops(n))
-    moved = Lattice(_apply_ops_to_basis(gram, ops))
+    moved = Lattice(*_apply_ops(gram, ops))
     expected = (sum(1 for x in diag if x > 0), sum(1 for x in diag if x < 0),
                 sum(1 for x in diag if x == 0))
     assert tuple(lattices.signature(moved)) == expected
@@ -477,7 +489,7 @@ def _moved_gram(name, seed):
     """The catalog Gram of ``name``, moved by seeded ops unless seed is 0."""
     gram = catalog.build(name).gram
     if seed:
-        gram = _apply_ops_to_basis(gram, seeded_unimodular_ops(seed, len(gram)))
+        (gram,) = _apply_ops(gram, seeded_unimodular_ops(seed, len(gram)))
     return gram
 
 
@@ -570,7 +582,7 @@ def test_inertia_entry_growth_is_bounded(name, seed):
     gram = catalog.build(name).gram
     n = len(gram)
     if seed:
-        gram = _apply_ops_to_basis(gram, seeded_unimodular_ops(seed, n))
+        (gram,) = _apply_ops(gram, seeded_unimodular_ops(seed, n))
     m = max(abs(x) for row in gram for x in row)
     assert m <= 50
     largest = max(abs(x) for _, block in intmat.congruence_pivots(gram)

@@ -180,6 +180,18 @@ MUTANTS = (
     Mutant("reflection memo keyed on the Gram only", "src/epwlat/verify.py",
            "key = (gram, root)", "key = gram",
            (f"{_PROPS}::test_randomized_groups_check_each_case_once",)),
+    # the vectors then move by E, not by E^-1, so a transported root of
+    # square +-2 loses its square
+    Mutant("transport adds to vectors with the Gram's sign", "src/epwlat/verify.py",
+           "v[i] -= c * v[j]", "v[i] += c * v[j]",
+           ("tests/test_acceptance.py::test_check_group[reflection-properties]",)),
+    # orthogonal_complement fixes h2 only up to sign; no input of the
+    # package hands family the negated generator, so only a patched
+    # complement shows the missing flip
+    Mutant("family keeps the complement's sign for h2", "src/epwlat/epwfamily.py",
+           "    if lattices.product(pi, h2, (1, 0)) < 0:\n        h2 = tuple(-x for x in h2)\n",
+           "",
+           ("tests/test_family.py::TestFamilyRecords::test_h2_sign_turned_towards_gamma",)),
     # two bases of one lattice are then reported as different spans
     Mutant("span test requires equal lists", "src/epwlat/verify.py",
            "a == b or", "a == b and",
