@@ -145,6 +145,19 @@ def saturation(vectors: Matrix) -> list[tuple[int, ...]]:
     V = R^T S, it has the Q-span of V. S comes from R^T S = V by forward
     substitution; as S is integral, every division is exact.
 
+    The result is unchanged, as a list, when a vector is scaled by a
+    positive constant, and when the result is saturated again. In column
+    c, ``echelon``'s sort order, its zero tests, its quotients
+    row[c] // p and its sign rule read only that column, and none of them
+    changes when the column is multiplied by a positive constant. Scaling
+    vector i by l_i > 0 scales column i of V^T, so U is the same, R
+    becomes R diag(l), and the substitution gives the same S. V^T = S^T R
+    with R upper triangular and positive on its diagonal, so on the rows
+    still live at column c, column c of V^T is R[c][c] times that of S^T:
+    S^T takes the same U too, its R is I, and S comes back unchanged. So a
+    law that compares ``saturation`` with itself cannot see a fault that
+    keeps each column's decisions positively homogeneous.
+
     Raises ``ValueError`` when the vectors are linearly dependent (fewer
     than k pivots).
     """

@@ -42,6 +42,12 @@ hypothesis draws. One of them, ``involution_law``, states what an
 ``Isometry`` of root r and sign s does (r -> -s*r, r-perp -> s*w); the
 randomized reflections and the EPW involutions are both checked by it.
 
+A fixed claim, such as one of the paper's numbers or a catalog lattice,
+is a row (what, computed, expected) checked by ``_expect``, which fails
+on the first mismatch with both values; a record is compared with the
+plain tuple of its fields. The laws and the range loops keep their own
+tests, as their messages carry the counterexample input.
+
 A failed law and a failed ``errors.ensure`` inside the package both raise
 ``InvariantError``; ``run_all`` reports its message as the group's
 detail, and any other exception as ``TypeName: message``.
@@ -73,6 +79,14 @@ class CheckResult(NamedTuple):
 
 def _fail(msg: str):
     raise InvariantError(msg)
+
+
+def _expect(*claims) -> None:
+    """Check fixed claims, each a tuple (what, computed, expected); the first
+    mismatch fails with both values."""
+    for what, got, want in claims:
+        if got != want:
+            _fail(f"{what} = {got}, expected {want}")
 
 
 # --- independent brute-force oracle for the negative Pell equation ---------
@@ -475,27 +489,19 @@ def _degree(n: int) -> int:
 
 def check_involution_images(n_max: int) -> str:
     j = epwfamily.epw_involution(10)
-    jh, jdelta = j.apply((1, 0)), j.apply((0, 1))
-    if jh != (9, -20):
-        _fail(f"j(h) = {jh}, expected (9, -20)")
-    if jdelta != (4, -9):
-        _fail(f"j(delta) = {jdelta}, expected (4, -9)")
-    neg_refl = lattices.reflection(j.lattice, j.root)
-    negated = tuple(tuple(-x for x in row) for row in neg_refl.matrix)
-    if negated != j.matrix:
-        _fail("negated reflection does not equal -reflection")
+    reflected = lattices.reflection(j.lattice, j.root).matrix
+    _expect(("j(h)", j.apply((1, 0)), (9, -20)),
+            ("j(delta)", j.apply((0, 1)), (4, -9)),
+            ("matrix of j", j.matrix, tuple(tuple(-x for x in row) for row in reflected)))
     return "j(h) = 9h - 20delta and j(delta) = 4h - 9delta on NS_HILB(10)"
 
 
 def check_fujiki_pipeline(n_max: int) -> str:
     top = epwfamily.epw_top_intersection()
-    if top != 12:
-        _fail(f"top intersection = {top}, expected 12")
-    s = epwfamily.fujiki_degree_to_bb(top, epwfamily.FUJIKI_HILBERT_SQUARE)
-    if s != 2:
-        _fail(f"Beauville square = {s}, expected 2")
-    if epwfamily.fujiki_degree_to_bb(0, 3) != 0 or epwfamily.fujiki_degree_to_bb(48, 3) != 4:
-        _fail("auxiliary Fujiki inversions wrong")
+    bb = epwfamily.fujiki_degree_to_bb
+    _expect(("top intersection", top, 12),
+            ("Beauville square", bb(top, epwfamily.FUJIKI_HILBERT_SQUARE), 2),
+            ("Fujiki inversions of 0 and 48 with c = 3", (bb(0, 3), bb(48, 3)), (0, 4)))
     return "gamma^4 = 2*6 = 12 and 12 = 3*(gamma,gamma)^2 gives (gamma,gamma) = 2"
 
 
@@ -541,26 +547,17 @@ def check_necessary_condition(n_max: int) -> str:
             _fail(f"n={n}: necessary condition unexpectedly fails at d={d}")
         if (witness.y, witness.x) != (2 * n + 2, 1):
             _fail(f"n={n}: minimal witness {witness} != ({2 * n + 2}, 1)")
-    if epwfamily.necessary_condition(12) is not None:
-        _fail("d=12 should be unsolvable (D=6 has even period)")
-    witness10 = epwfamily.necessary_condition(10)
-    if witness10 is None or (witness10.y, witness10.x) != (2, 1):
-        _fail(f"d=10 witness {witness10} != (2, 1)")
+    _expect(("d=12 witness", epwfamily.necessary_condition(12), None),
+            ("d=10 witness", epwfamily.necessary_condition(10), (5, 2, 1)))
     return f"witness (2n+2, 1) for n <= {top}; d=12 rejected; d=10 gives (2,1)"
 
 
 def check_pell_d5(n_max: int) -> str:
-    fund = pell.fundamental_negative(5)
-    if (fund.y, fund.x) != (2, 1):
-        _fail(f"fundamental for D=5 is {fund}, expected (2,1)")
-    first3 = [(s.y, s.x) for s in pell.enumerate_negative(5, 3)]
-    if first3 != [(2, 1), (38, 17), (682, 305)]:
-        _fail(f"first three solutions for D=5: {first3}")
-    if pell.is_solvable_negative(34):
-        _fail("D=34 must be unsolvable")
     cf5 = pell.cf_expansion(5)
-    if (cf5.a0, cf5.period) != (2, (4,)):
-        _fail(f"cf(sqrt 5) = {cf5}")
+    _expect(("fundamental for D=5", pell.fundamental_negative(5), (5, 2, 1)),
+            ("first 3 for D=5", pell.enumerate_negative(5, 3), [(5, 2, 1), (38, 17), (682, 305)]),
+            ("D=34 solvable", pell.is_solvable_negative(34), False),
+            ("(a0, period) of sqrt 5", (cf5.a0, cf5.period), (2, (4,))))
     return "D=5: minimal (2,1), then (38,17), (682,305); D=34 unsolvable"
 
 
@@ -601,24 +598,14 @@ def check_prime_criterion(n_max: int) -> str:
 
 
 def check_catalog_reports(n_max: int) -> str:
-    lam0 = catalog.report("LAMBDA0")
-    if (lam0.rank, lam0.signature, lam0.even) != (22, (20, 2, 0), True):
-        _fail(f"LAMBDA0 report: {lam0}")
-    k3 = catalog.report("K3")
-    if (k3.rank, k3.signature, k3.even, k3.discriminant) != (22, (3, 19, 0), True, -1):
-        _fail(f"K3 report: {k3}")
-    i22 = catalog.report("I22_2")
-    if (i22.signature, i22.even) != ((22, 2, 0), False):
-        _fail(f"I22_2 report: {i22}")
-    lam2 = catalog.build("LAMBDA2")
-    if lam2.gram != ((2, 0), (0, 2)):
-        _fail(f"LAMBDA2 gram: {lam2.gram}")
-    r1 = catalog.build("R(1)")
-    if r1.gram != ((10, 11), (11, 10)):
-        _fail(f"R(1) gram: {r1.gram}")
-    pi1 = catalog.build("PI(1)")
-    if pi1.gram != ((2, 8), (8, -2)):
-        _fail(f"PI(1) gram: {pi1.gram}")
+    lam0, k3, i22 = map(catalog.report, ("LAMBDA0", "K3", "I22_2"))
+    _expect(("LAMBDA0 (rank, signature, even)", (lam0.rank, lam0.signature, lam0.even),
+             (22, (20, 2, 0), True)),
+            ("K3 report", k3, (22, -1, (3, 19, 0), True)),
+            ("I22_2 (signature, even)", (i22.signature, i22.even), ((22, 2, 0), False)),
+            ("LAMBDA2 gram", catalog.build("LAMBDA2").gram, ((2, 0), (0, 2))),
+            ("R(1) gram", catalog.build("R(1)").gram, ((10, 11), (11, 10))),
+            ("PI(1) gram", catalog.build("PI(1)").gram, ((2, 8), (8, -2))))
     return "LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)"
 
 
@@ -691,8 +678,7 @@ def check_saturation(n_max: int) -> str:
         done += 1
     # the motivating example: the diagonal class is twice a lattice vector
     ns = catalog.ns_hilbert_square(10)
-    if lattices.saturation(ns, [(0, 2)]) != [(0, 1)]:
-        _fail("saturation of {2*delta} is not {delta}")
+    _expect(("saturation of {2*delta}", lattices.saturation(ns, [(0, 2)]), [(0, 1)]))
     return f"saturation idempotent and complements saturated on {cases} randomized cases"
 
 
@@ -710,22 +696,16 @@ def check_bilinear_properties(n_max: int) -> str:
         congruence_law(lat, _random_unimodular_ops(rng, n, rng.randint(1, 6)))
         direct_sum_law(lat, _random_symmetric(rng, rng.randint(1, 3)))
     # a fixed degenerate form, U + <0>, as few random Grams are degenerate
-    sig = tuple(lattices.signature(Lattice(((0, 1, 0), (1, 0, 0), (0, 0, 0)))))
-    if sig != (1, 1, 1):
-        _fail(f"signature of U + <0> is {sig}, expected (1, 1, 1)")
+    u0 = Lattice(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+    _expect(("signature of U + <0>", lattices.signature(u0), (1, 1, 1)))
     return f"symmetry, bilinearity, basis invariance on {cases} randomized cases"
 
 
 def check_closed_form_erratum(n_max: int) -> str:
     y1, x1 = pell.d5_closed_form_misprint(1)
-    if (y1, x1) != (49, 22):
-        _fail(f"misprinted closed form at n=1 gives ({y1}, {x1}), expected (49, 22)")
-    residual = y1 * y1 - 5 * x1 * x1
-    if residual != -19:
-        _fail(f"misprint residual {residual}, expected -19")
-    second = pell.enumerate_negative(5, 2)[1]
-    if (second.y, second.x) != (38, 17):
-        _fail(f"true second solution {second}, expected (38, 17)")
+    _expect(("misprinted closed form at n=1", (y1, x1), (49, 22)),
+            ("misprint residual", y1 * y1 - 5 * x1 * x1, -19),
+            ("true second solution", pell.enumerate_negative(5, 2)[1], (38, 17)))
     return "printed D=5 closed form gives (49,22) with residual -19; enumeration gives (38,17)"
 
 

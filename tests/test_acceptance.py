@@ -3,8 +3,10 @@
 One test per group in ``verify.CHECKS``, with the group's name as its id,
 run at the verifier's default scale (n_max = 100), which is what
 ``epwlat verify`` runs. A group raises ``InvariantError`` with its first
-counterexample; every comparison is exact integer equality. A last test
-records which public functions of the core modules ``run_all`` calls.
+counterexample; every comparison is exact integer equality. Two tests
+check ``_expect``, which compares the fixed claims: on its own, and as
+the pell-d5 group reports a false claim. A last test records which public
+functions of the core modules ``run_all`` calls.
 """
 
 import sys
@@ -12,7 +14,7 @@ import types
 
 import pytest
 
-from epwlat import catalog, epwfamily, intmat, lattices, pell, verify
+from epwlat import InvariantError, catalog, epwfamily, intmat, lattices, pell, verify
 
 FULL_SCALE = 100  # verify.run_all default: the acceptance scale
 
@@ -29,6 +31,20 @@ _NOT_REACHED = {
                          ids=[name for name, _ in verify.CHECKS])
 def test_check_group(check):
     check(FULL_SCALE)
+
+
+def test_expect_fails_on_the_first_false_claim():
+    assert verify._expect(("a", 1, 1), ("b", (2, 3), (2, 3))) is None
+    with pytest.raises(InvariantError) as caught:
+        verify._expect(("a", 1, 1), ("b", 2, 3), ("c", 4, 5))
+    assert str(caught.value) == "b = 2, expected 3"
+
+
+def test_pell_d5_reports_its_third_claim(monkeypatch):
+    # is_solvable_negative feeds only the third of the group's four claims
+    monkeypatch.setattr(pell, "is_solvable_negative", lambda d: True)
+    row = {r.name: r for r in verify.run_all(1)}["pell-d5"]
+    assert row == ("pell-d5", False, "D=34 solvable = True, expected False")
 
 
 def _public_code(module):

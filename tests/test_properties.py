@@ -345,6 +345,16 @@ def test_saturation_from_one_echelon(case):
 
 
 @given(independent_rows(), st.data())
+def test_saturation_is_idempotent_and_ignores_row_scales(case, data):
+    # exact list equalities, not equal spans: see the intmat.saturation docstring
+    n, vecs = case
+    sat = intmat.saturation(vecs)
+    assert intmat.saturation(sat) == sat
+    scales = [data.draw(st.integers(1, 7)) for _ in vecs]
+    assert intmat.saturation([tuple(c * x for x in v) for c, v in zip(scales, vecs)]) == sat
+
+
+@given(independent_rows(), st.data())
 def test_saturation_of_dependent_rows_raises(case, data):
     n, vecs = case
     coeffs = [data.draw(st.integers(-2, 2)) for _ in vecs]

@@ -232,6 +232,22 @@ MUTANTS = (
            "    if n < 2 or (n > 100 and n % 8 == 5):\n        return False\n"
            "    for p in _WITNESSES:",
            ("tests/test_acceptance.py::test_check_group[prime-criterion]",)),
+    # a fixed-claim group then checks only its first row
+    Mutant("_expect checks only its first claim", "src/epwlat/verify.py",
+           "for what, got, want in claims:", "for what, got, want in claims[:1]:",
+           ("tests/test_acceptance.py::test_expect_fails_on_the_first_false_claim",
+            "tests/test_acceptance.py::test_pell_d5_reports_its_third_claim")),
+    # y = a0 x + P Q + P' Q' with the cross terms swapped is no solution's y,
+    # so the fundamental solution fails its own check at D = 2
+    Mutant("wrong cross term in y", "src/epwlat/pell.py",
+           "p * q + pp * qq", "p * qq + pp * q",
+           ("tests/test_acceptance.py::test_check_group[pell-minimality]",)),
+    # the sign then reaches only the diagonal: a negated reflection maps
+    # its root to -3r, so it no longer fixes gamma
+    Mutant("negated reflection loses its sign", "src/epwlat/lattices.py",
+           "f = [-sign * (2 * x // ee) for x in ge]", "f = [-(2 * x // ee) for x in ge]",
+           ("tests/test_acceptance.py::test_check_group[involution-images]",
+            "tests/test_acceptance.py::test_check_group[involution-soundness]")),
 )
 
 
