@@ -12,7 +12,8 @@ acceptance scale:
     involution soundness     n <= n_max           (100)
     change of basis to h2    n <= n_max           (100)
     necessary condition      n <= n_max / 2       (50)
-    disc obstruction         n <= 10 * n_max      (1000)
+    disc obstruction         n <= 10 * n_max      (1000), and fixed:
+                             -80 passes and -60 fails in disc -20
     reflection inequality    n <= n_max / 5       (20)
     Pell vs. brute force     D <= 20 * n_max      (2000), x <= 10^4
     Pell minimality          D <= 5 * n_max       (500), no bound on x
@@ -626,6 +627,10 @@ def check_disc_obstruction(n_max: int) -> str:
                 _fail(f"n={n}, fh_bar={fh_bar}: disc R' = {res.disc_r_prime}")
             if not res.strict:
                 _fail(f"n={n}, fh_bar={fh_bar}: inequality not strict")
+    # |disc R(n)| = n(n+20) > 20, so the family never reaches the square test
+    sub = lattices.sublattice_discriminant_test
+    _expect(("disc -80 in disc -20 (index 2)", sub(-80, -20), True),
+            ("disc -60 in disc -20", sub(-60, -20), False))
     return f"disc R(n) = -n(n+20), no disc -20 sublattice, n <= {top}; strict inequality grid n <= {grid_top}"
 
 
