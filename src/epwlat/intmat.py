@@ -154,9 +154,7 @@ def saturation(vectors: Matrix) -> list[tuple[int, ...]]:
     becomes R diag(l), and the substitution gives the same S. V^T = S^T R
     with R upper triangular and positive on its diagonal, so on the rows
     still live at column c, column c of V^T is R[c][c] times that of S^T:
-    S^T takes the same U too, its R is I, and S comes back unchanged. So a
-    law that compares ``saturation`` with itself cannot see a fault that
-    keeps each column's decisions positively homogeneous.
+    S^T takes the same U too, its R is I, and S comes back unchanged.
 
     Raises ``ValueError`` when the vectors are linearly dependent (fewer
     than k pivots).

@@ -42,6 +42,11 @@ functions over explicit inputs, which the property tests call too, with
 hypothesis draws. One of them, ``involution_law``, states what an
 ``Isometry`` of root r and sign s does (r -> -s*r, r-perp -> s*w); the
 randomized reflections and the EPW involutions are both checked by it.
+Saturation has one criterion, ``_saturated``: k vectors span a saturated
+sublattice exactly when the Hermite form of V^T has k rows and unit
+pivots. ``saturation_law`` and ``complement_law`` apply it to the one
+output of ``saturation`` or ``orthogonal_complement`` that each draw
+computes.
 
 A fixed claim, such as one of the paper's numbers or a catalog lattice,
 is a row (what, computed, expected) checked by ``_expect``, which fails
@@ -366,27 +371,42 @@ def index_law(lat: Lattice, b) -> bool:
 
 def _same_span(a, b) -> bool:
     """Whether two lists of vectors span the same sublattice of Z^n; equal
-    lists do without the Hermite forms."""
+    lists do without the Hermite forms. No law calls it: ``_saturated`` is
+    verify's one saturation test, and this stays for its property test
+    (ROADMAP item 11)."""
     return a == b or intmat.row_hnf(a) == intmat.row_hnf(b)
 
 
+def _saturated(vecs) -> bool:
+    """Whether k vectors are independent and span a saturated sublattice of
+    Z^n: the Hermite form of V^T has k rows and every pivot is 1. The
+    pivots multiply to the index of span(V) in its saturation (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4)."""
+    h = intmat.row_hnf(intmat.transpose(vecs))
+    return len(h) == len(vecs) and all(row[i] == 1 for i, row in enumerate(h))
+
+
 def saturation_law(lat: Lattice, vecs) -> list[tuple[int, ...]]:
-    """Saturating independent vectors is idempotent; returns the saturation."""
+    """The saturation of k independent vectors is k vectors with unit
+    Hermite pivots (``_saturated``) and the vectors' Q-span; returns it."""
     sat = lattices.saturation(lat, vecs)
-    if not _same_span(sat, lattices.saturation(lat, sat)):
-        _fail(f"saturation not idempotent for {vecs}")
+    if not _saturated(sat):
+        _fail(f"saturation {sat} of {vecs} is not saturated")
+    if len(sat) != len(vecs) or intmat.rank([*vecs, *sat]) != len(vecs):
+        _fail(f"saturation {sat} of {vecs} does not have their Q-span")
     return sat
 
 
 def complement_law(lat: Lattice, v) -> list[tuple[int, ...]]:
-    """The orthogonal complement of v is saturated; returns its basis.
+    """The orthogonal complement of v has unit Hermite pivots
+    (``_saturated``); returns its basis.
 
     The zero vector has no complement and checks nothing.
     """
     if not any(v):
         return []
     oc = lattices.orthogonal_complement(lat, v)
-    if oc and not _same_span(oc, lattices.saturation(lat, oc)):
+    if not _saturated(oc):
         _fail(f"orthogonal complement of {v} not saturated in {lat.gram}")
     return oc
 
@@ -595,7 +615,7 @@ def check_prime_criterion(n_max: int) -> str:
             _fail(f"p={p}: is_prime says {not sieve[p]}, the sieve {bool(sieve[p])}")
         if sieve[p] and pell.prime_criterion(p) != pell.is_solvable_negative(p):
             _fail(f"p={p}: residue criterion disagrees with solver")
-    return f"p = 2 or p = 1 (mod 4) matches the solver for primes p < {top}"
+    return f"p = 2 or p = 1 (mod 4) matches the solver for the {sum(sieve)} primes p < {top}"
 
 
 def check_catalog_reports(n_max: int) -> str:
@@ -684,7 +704,8 @@ def check_saturation(n_max: int) -> str:
     # the motivating example: the diagonal class is twice a lattice vector
     ns = catalog.ns_hilbert_square(10)
     _expect(("saturation of {2*delta}", lattices.saturation(ns, [(0, 2)]), [(0, 1)]))
-    return f"saturation idempotent and complements saturated on {cases} randomized cases"
+    return (f"saturations and complements have unit Hermite pivots, saturations keep"
+            f" the input's Q-span, on {cases} randomized cases")
 
 
 def check_bilinear_properties(n_max: int) -> str:

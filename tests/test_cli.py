@@ -363,12 +363,12 @@ PASS necessary-condition: witness (2n+2, 1) for n <= 1; d=12 rejected; d=10 give
 PASS pell-d5: D=5: minimal (2,1), then (38,17), (682,305); D=34 unsolvable
 PASS pell-oracle: continued-fraction decision matches brute force (x <= 10000) for D <= 60; minimal x compared for 12 of 12 solvable D
 PASS pell-minimality: fundamental = full-period reference minimum (no x bound) for 4 solvable D, monotone enumeration, D <= 15
-PASS prime-criterion: p = 2 or p = 1 (mod 4) matches the solver for primes p < 300
+PASS prime-criterion: p = 2 or p = 1 (mod 4) matches the solver for the 62 primes p < 300
 PASS catalog-reports: LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)
 PASS disc-obstruction: disc R(n) = -n(n+20), no disc -20 sublattice, n <= 30; strict inequality grid n <= 1
 PASS reflection-properties: involutivity/isometry/fixed-space checks on 30 randomized reflections
 PASS index-law: disc(B^T G B) = det(B)^2 disc(G) on 30 randomized pairs
-PASS saturation: saturation idempotent and complements saturated on 30 randomized cases
+PASS saturation: saturations and complements have unit Hermite pivots, saturations keep the input's Q-span, on 30 randomized cases
 PASS bilinear-properties: symmetry, bilinearity, basis invariance on 30 randomized cases
 PASS closed-form-erratum: printed D=5 closed form gives (49,22) with residual -19; enumeration gives (38,17)
 17/17 check groups passed (n-max 3)
@@ -384,12 +384,12 @@ necessary-condition,PASS,"witness (2n+2, 1) for n <= 1; d=12 rejected; d=10 give
 pell-d5,PASS,"D=5: minimal (2,1), then (38,17), (682,305); D=34 unsolvable"
 pell-oracle,PASS,continued-fraction decision matches brute force (x <= 10000) for D <= 60; minimal x compared for 12 of 12 solvable D
 pell-minimality,PASS,"fundamental = full-period reference minimum (no x bound) for 4 solvable D, monotone enumeration, D <= 15"
-prime-criterion,PASS,p = 2 or p = 1 (mod 4) matches the solver for primes p < 300
+prime-criterion,PASS,p = 2 or p = 1 (mod 4) matches the solver for the 62 primes p < 300
 catalog-reports,PASS,"LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)"
 disc-obstruction,PASS,"disc R(n) = -n(n+20), no disc -20 sublattice, n <= 30; strict inequality grid n <= 1"
 reflection-properties,PASS,involutivity/isometry/fixed-space checks on 30 randomized reflections
 index-law,PASS,disc(B^T G B) = det(B)^2 disc(G) on 30 randomized pairs
-saturation,PASS,saturation idempotent and complements saturated on 30 randomized cases
+saturation,PASS,"saturations and complements have unit Hermite pivots, saturations keep the input's Q-span, on 30 randomized cases"
 bilinear-properties,PASS,"symmetry, bilinearity, basis invariance on 30 randomized cases"
 closed-form-erratum,PASS,"printed D=5 closed form gives (49,22) with residual -19; enumeration gives (38,17)"
 """,

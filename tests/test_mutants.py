@@ -1,11 +1,13 @@
 """Drift check for the mutation gate, without running it: every entry of
 ``tools/mutants.py`` must still apply (its old text occurs exactly once in
-its file) and must name a test that exists, and a ``test_check_group`` id
-must name a group of ``verify.CHECKS``. The gate itself starts one pytest
-per mutant and stays out of the suite."""
+its file) and must name a test that pytest collects, and every group of
+``verify.CHECKS`` must have an entry whose test is its ``test_check_group``
+id. The gate itself starts one pytest per mutant and stays out of the suite."""
 
 import importlib.util
-import re
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,18 +20,31 @@ mutants = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(mutants)
 
 
+@pytest.fixture(scope="module")
+def collected() -> list[str]:
+    """Node ids of the entries' test files, from one ``pytest --collect-only``."""
+    files = sorted({m.test.partition("::")[0] for m in mutants.MUTANTS})
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *files],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    return [line for line in proc.stdout.splitlines() if "::" in line]
+
+
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
 def test_old_text_occurs_once(mutant):
     assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
-def test_named_tests_exist(mutant):
-    path, _, name = mutant.test.partition("::")
-    text = (ROOT / path).read_text()
-    if name:  # the first name after the file: a test function or class
-        group = re.fullmatch(r"test_check_group\[(.*)\]", name)
-        if group:  # its id is a group name, else pytest finds no test
-            assert group[1] in dict(verify.CHECKS), mutant.test
-        name = re.split(r"::|\[", name)[0]
-        assert re.search(rf"^\s*(def|class) {name}\b", text, re.M), mutant.test
+def test_named_tests_exist(mutant, collected):
+    # a node id, or a class, function or parametrized family it begins
+    t = mutant.test
+    assert any(node == t or node.startswith((f"{t}[", f"{t}::")) for node in collected), t
+
+
+@pytest.mark.parametrize("group", [name for name, _ in verify.CHECKS])
+def test_every_group_has_a_row(group):
+    test = f"tests/test_acceptance.py::test_check_group[{group}]"
+    assert any(m.test == test for m in mutants.MUTANTS), group

@@ -26,8 +26,8 @@ Exit status 0 when every mutant is killed and the identity survives, 1
 otherwise. The repository itself is never modified. The script is kept out
 of the tier-1 suite (``testpaths = ["tests"]``), as each mutant costs one
 pytest start; ``tests/test_mutants.py`` checks there, without running any
-mutant, that every entry still applies and names a test that exists, and
-that a ``test_check_group`` id names a group.
+mutant, that every entry still applies and names a test that pytest
+collects, and that every group has an entry in the group view.
 """
 
 from __future__ import annotations
@@ -87,6 +87,23 @@ MUTANTS = (
            "src/epwlat/lattices.py",
            "for j, x in support[1:]:", "for j, x in support[1:1]:",
            f"{_PROPS}::test_induced_gram_on_dense_bases"),
+    # the same fault fails these four groups, at n-max 3 too
+    Mutant("induced_gram combines only the first support entry (index-law)",
+           "src/epwlat/lattices.py",
+           "for j, x in support[1:]:", "for j, x in support[1:1]:",
+           "tests/test_acceptance.py::test_check_group[index-law]"),
+    Mutant("induced_gram combines only the first support entry (family-identities)",
+           "src/epwlat/lattices.py",
+           "for j, x in support[1:]:", "for j, x in support[1:1]:",
+           "tests/test_acceptance.py::test_check_group[family-identities]"),
+    Mutant("induced_gram combines only the first support entry (h2-basis)",
+           "src/epwlat/lattices.py",
+           "for j, x in support[1:]:", "for j, x in support[1:1]:",
+           "tests/test_acceptance.py::test_check_group[h2-basis]"),
+    Mutant("induced_gram combines only the first support entry (catalog-reports)",
+           "src/epwlat/lattices.py",
+           "for j, x in support[1:]:", "for j, x in support[1:1]:",
+           "tests/test_acceptance.py::test_check_group[catalog-reports]"),
     Mutant("is_prime one witness too few", "src/epwlat/pell.py",
            "_WITNESSES[:bisect_right(_PSI, n) + 1]",
            "_WITNESSES[:bisect_right(_PSI, n)]",
@@ -122,6 +139,12 @@ MUTANTS = (
     Mutant("saturation skips the division by the pivot", "src/epwlat/intmat.py",
            "s.append(tuple([x // p for x in acc]))", "s.append(tuple(acc))",
            f"{_PROPS}::test_saturation_from_one_echelon"),
+    # each vector divided by its content, not by R's pivot: [(1, 1), (1, -1)]
+    # is kept, and its unit Hermite pivot test fails, as its index in Z^2 is 2
+    Mutant("saturation divides each vector by its content", "src/epwlat/intmat.py",
+           "        p = a[i][i]\n        s.append(tuple([x // p for x in acc]))",
+           "        from math import gcd\n        s.append(tuple([x // gcd(*v) for x in v]))",
+           "tests/test_acceptance.py::test_check_group[saturation]"),
     # the tie rule of the sorting rounds is that the earlier row reduces; this
     # sort is still ascending (a descending one need not terminate) but puts
     # the later row first on ties
