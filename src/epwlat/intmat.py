@@ -18,6 +18,10 @@ That one symmetric pass also gives the determinant of a symmetric matrix:
 each block is |previous pivot| times the rational Schur complement, so the
 rational pivots p_k/|p_(k-1)| multiply to (-1)^negative * |last pivot|.
 A lone determinant, of any square matrix, still comes from ``det``.
+
+``saturation`` divides each vector by its pivot, and a unit pivot divides
+nothing: a kernel or orthogonal complement basis is already saturated, so
+all of its pivots are 1.
 """
 
 from __future__ import annotations
@@ -143,7 +147,12 @@ def saturation(vectors: Matrix) -> list[tuple[int, ...]]:
     S = W^T = R^-T V are integral, and they extend, by the other columns of
     U^-1, to a basis of Z^n: they span a saturated sublattice, and as
     V = R^T S, it has the Q-span of V. S comes from R^T S = V by forward
-    substitution; as S is integral, every division is exact.
+    substitution; as S is integral, every division is exact, and a pivot
+    of 1 divides nothing (x // 1 == x). The pivots multiply to the index
+    of span(V) in S (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4), so they are all 1 exactly when V is already saturated,
+    as a kernel or orthogonal complement basis is: R is then
+    unitriangular and no vector is divided.
 
     The result is unchanged, as a list, when a vector is scaled by a
     positive constant, and when the result is saturated again. In column
@@ -171,7 +180,7 @@ def saturation(vectors: Matrix) -> list[tuple[int, ...]]:
             if c:
                 acc = [x - c * y for x, y in zip(acc, s[j])]
         p = a[i][i]
-        s.append(tuple([x // p for x in acc]))
+        s.append(tuple(acc) if p == 1 else tuple([x // p for x in acc]))
     return s
 
 

@@ -199,9 +199,16 @@ def orthogonal_complement(lattice: Lattice, v: Coords) -> list[tuple[int, ...]]:
     return intmat.kernel([intmat.mat_vec(lattice.gram, cv)], lattice.rank)
 
 
-def _combination(support, rows) -> list[int]:
-    """The sum of x * rows[j] over the pairs (j, x) of ``support``."""
+def _combination(support, rows) -> Sequence[int]:
+    """The sum of x * rows[j] over the pairs (j, x) of ``support``.
+
+    A unit vector's support [(j, 1)] gives rows[j] itself, not a copy: the
+    rows are ``Lattice.gram`` rows or ``zip`` column tuples, and no caller
+    mutates what this returns.
+    """
     j, x = support[0]
+    if x == 1 and len(support) == 1:
+        return rows[j]
     out = [x * g for g in rows[j]]
     for j, x in support[1:]:
         out = [u + x * g for u, g in zip(out, rows[j])]
@@ -217,7 +224,10 @@ def induced_gram(lattice: Lattice, basis: Sequence[Coords]) -> Lattice:
     pairings (b_i, G b_k) for every k, is then the same combination, over
     the support of b_i, of the columns of the images G b_0, ..., G b_(m-1).
     Every row is built in full, with no mirror pass: B^T G B is symmetric
-    because G is, and ``Lattice`` checks that it is.
+    because G is, and ``Lattice`` checks that it is. A unit vector e_j
+    costs no multiply: its image is Gram row j itself, and its row of
+    B^T G B column j of the images, both shared, not copied; ``Lattice``
+    builds its own tuples from the rows.
     """
     vecs = [_coords(lattice, b) for b in basis]
     if intmat.rank(vecs) != len(vecs):

@@ -43,10 +43,11 @@ hypothesis draws. One of them, ``involution_law``, states what an
 ``Isometry`` of root r and sign s does (r -> -s*r, r-perp -> s*w); the
 randomized reflections and the EPW involutions are both checked by it.
 Saturation has one criterion, ``_saturated``: k vectors span a saturated
-sublattice exactly when the Hermite form of V^T has k rows and unit
-pivots. ``saturation_law`` and ``complement_law`` apply it to the one
-output of ``saturation`` or ``orthogonal_complement`` that each draw
-computes.
+sublattice exactly when V^T has k Hermite pivots, all 1, and one echelon
+of [V^T | span^T] also shows whether given vectors lie in their Q-span.
+``saturation_law`` applies it, with the input vectors as ``span``, to
+the one output of ``saturation`` that each draw computes, and
+``complement_law`` to that of ``orthogonal_complement``.
 
 A fixed claim, such as one of the paper's numbers or a catalog lattice,
 is a row (what, computed, expected) checked by ``_expect``, which fails
@@ -377,23 +378,26 @@ def _same_span(a, b) -> bool:
     return a == b or intmat.row_hnf(a) == intmat.row_hnf(b)
 
 
-def _saturated(vecs) -> bool:
-    """Whether k vectors are independent and span a saturated sublattice of
-    Z^n: the Hermite form of V^T has k rows and every pivot is 1. The
-    pivots multiply to the index of span(V) in its saturation (Cohen, A
-    Course in Computational Algebraic Number Theory, 2.4)."""
-    h = intmat.row_hnf(intmat.transpose(vecs))
-    return len(h) == len(vecs) and all(row[i] == 1 for i, row in enumerate(h))
+def _saturated(vecs, *span) -> bool:
+    """Whether k vectors are independent, span a saturated sublattice of
+    Z^n and have the vectors ``span`` in their Q-span: the echelon of
+    [V^T | span^T] has exactly k pivots, all 1 and on the diagonal. The
+    first k pivots are those of V^T, and they multiply to the index of
+    span(V) in its saturation (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4); a further pivot is a vector of ``span`` outside
+    the Q-span of V. Entries above the pivots, which the Hermite form
+    reduces, never change a pivot, so ``echelon`` alone decides."""
+    k = len(vecs)
+    a = intmat.transpose([*vecs, *span])
+    return intmat.echelon(a, k + len(span)) == k and all(a[i][i] == 1 for i in range(k))
 
 
 def saturation_law(lat: Lattice, vecs) -> list[tuple[int, ...]]:
     """The saturation of k independent vectors is k vectors with unit
-    Hermite pivots (``_saturated``) and the vectors' Q-span; returns it."""
+    Hermite pivots and the vectors' Q-span (``_saturated``); returns it."""
     sat = lattices.saturation(lat, vecs)
-    if not _saturated(sat):
-        _fail(f"saturation {sat} of {vecs} is not saturated")
-    if len(sat) != len(vecs) or intmat.rank([*vecs, *sat]) != len(vecs):
-        _fail(f"saturation {sat} of {vecs} does not have their Q-span")
+    if len(sat) != len(vecs) or not _saturated(sat, *vecs):
+        _fail(f"saturation {sat} of {vecs} is not a saturated basis of their Q-span")
     return sat
 
 

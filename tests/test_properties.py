@@ -420,6 +420,46 @@ def test_echelon_matches_sorting_reference(rows, width, data):
     assert a == b
 
 
+def saturation_reference(vectors):
+    """A frozen copy of ``intmat.saturation``'s forward substitution, on
+    ``echelon_reference``, that divides every vector by its pivot, 1 or
+    not. Returns the saturation and the k pivots."""
+    k = len(vectors)
+    a = intmat.transpose(vectors)
+    assert echelon_reference(a, k) == k
+    s = []
+    for i, v in enumerate(vectors):
+        acc = v
+        for j in range(i):
+            c = a[j][i]
+            if c:
+                acc = [x - c * y for x, y in zip(acc, s[j])]
+        p = a[i][i]
+        s.append(tuple([x // p for x in acc]))
+    return s, [a[i][i] for i in range(k)]
+
+
+@settings(max_examples=200)
+@given(independent_rows())
+def test_saturation_matches_reference(case):
+    n, vecs = case
+    assert intmat.saturation(vecs) == saturation_reference(vecs)[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["K3", "I22_2", "LAMBDA0"])
+def test_saturation_of_complement_bases_matches_reference(name, seed):
+    # a complement basis is saturated, so every pivot is 1: the unit path
+    lat = Lattice(_moved_gram(name, seed))
+    rng = random.Random(seed)
+    v = [rng.randint(-3, 3) for _ in range(lat.rank)]
+    v[rng.randrange(lat.rank)] = 1
+    comp = lattices.orthogonal_complement(lat, v)
+    sat, pivots = saturation_reference(comp)
+    assert pivots == [1] * len(comp)
+    assert intmat.saturation(comp) == sat
+
+
 @given(st.integers(1, 5), st.data())
 def test_determinant_against_rational_elimination(n, data):
     rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
@@ -781,6 +821,34 @@ def test_induced_gram_on_dense_bases(name, seed):
     assert intmat.rank(basis) == k
     assert lattices.induced_gram(lat, basis).gram == tuple(
         map(tuple, gram_by_mat_mul(lat.gram, basis)))
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+@pytest.mark.parametrize("name", ["K3", "LAMBDA0"])
+def test_induced_gram_on_unit_and_mixed_supports(name, seed):
+    # vector t has its first support entry at the t-th of k low positions,
+    # and any further entries above all of them, so the basis is independent:
+    # e_a, -e_a, e_a + c e_b + ... (a multi-term support that starts with 1)
+    # and -e_a + e_b, in turn
+    lat = Lattice(_moved_gram(name, seed))
+    before = [list(row) for row in lat.gram]
+    rng = random.Random(seed)
+    k = 8
+    positions = sorted(rng.sample(range(lat.rank), 2 * k))
+    low, high = positions[:k], positions[k:]
+    basis = []
+    for t, a in enumerate(low):
+        b = [0] * lat.rank
+        b[a] = -1 if t % 4 in (1, 3) else 1
+        if t % 4 == 2:
+            for j in rng.sample(high, rng.randint(1, 3)):
+                b[j] = rng.choice([-2, -1, 1, 3])
+        elif t % 4 == 3:
+            b[rng.choice(high)] = 1
+        basis.append(tuple(b))
+    assert lattices.induced_gram(lat, basis).gram == tuple(
+        tuple(product_by_double_sum(lat.gram, x, y) for y in basis) for x in basis)
+    assert [list(row) for row in lat.gram] == before
 
 
 nonsquare_d = st.integers(min_value=2, max_value=400).filter(

@@ -104,6 +104,15 @@ MUTANTS = (
            "src/epwlat/lattices.py",
            "for j, x in support[1:]:", "for j, x in support[1:1]:",
            "tests/test_acceptance.py::test_check_group[catalog-reports]"),
+    # the shortcut returns rows[j] itself, right only for a one-term
+    # support whose coefficient is 1: -e_j then pairs as +e_j, and
+    # e_i + c e_j as e_i
+    Mutant("one-term combination ignores its coefficient", "src/epwlat/lattices.py",
+           "if x == 1 and len(support) == 1:", "if len(support) == 1:",
+           f"{_PROPS}::test_induced_gram_on_unit_and_mixed_supports"),
+    Mutant("combination shortcut takes a multi-term support", "src/epwlat/lattices.py",
+           "if x == 1 and len(support) == 1:", "if x == 1:",
+           f"{_PROPS}::test_induced_gram_on_unit_and_mixed_supports"),
     Mutant("is_prime one witness too few", "src/epwlat/pell.py",
            "_WITNESSES[:bisect_right(_PSI, n) + 1]",
            "_WITNESSES[:bisect_right(_PSI, n)]",
@@ -137,12 +146,17 @@ MUTANTS = (
            "c = a[j][i]", "c = a[i][j]",
            f"{_PROPS}::test_saturation_from_one_echelon"),
     Mutant("saturation skips the division by the pivot", "src/epwlat/intmat.py",
-           "s.append(tuple([x // p for x in acc]))", "s.append(tuple(acc))",
+           "tuple(acc) if p == 1 else tuple([x // p for x in acc])", "tuple(acc)",
+           f"{_PROPS}::test_saturation_from_one_echelon"),
+    # the unit shortcut divides by nothing, so it is right only for p = 1;
+    # the test's rows are scaled by 2, 3 and 6
+    Mutant("saturation shortcut taken for every positive pivot", "src/epwlat/intmat.py",
+           "if p == 1 else", "if p > 0 else",
            f"{_PROPS}::test_saturation_from_one_echelon"),
     # each vector divided by its content, not by R's pivot: [(1, 1), (1, -1)]
     # is kept, and its unit Hermite pivot test fails, as its index in Z^2 is 2
     Mutant("saturation divides each vector by its content", "src/epwlat/intmat.py",
-           "        p = a[i][i]\n        s.append(tuple([x // p for x in acc]))",
+           "        s.append(tuple(acc) if p == 1 else tuple([x // p for x in acc]))",
            "        from math import gcd\n        s.append(tuple([x // gcd(*v) for x in v]))",
            "tests/test_acceptance.py::test_check_group[saturation]"),
     # the tie rule of the sorting rounds is that the earlier row reduces; this
