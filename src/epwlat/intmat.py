@@ -188,8 +188,10 @@ def row_hnf(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Canonical row Hermite normal form of the Z-span of ``vectors``.
 
     ``echelon``, then each pivot reduces the entries above it into
-    [0, pivot). Two sets of vectors span the same sublattice of Z^n iff
-    their forms are equal.
+    [0, pivot). This is the canonical form for comparing spans: two sets
+    of vectors span the same sublattice of Z^n iff their forms are equal.
+    ``epwlat verify`` does not compare spans; it decides saturation from
+    ``echelon``'s pivots instead (``verify._saturated``).
     """
     a = [list(v) for v in vectors]
     if not a:

@@ -370,14 +370,6 @@ def index_law(lat: Lattice, b) -> bool:
     return True
 
 
-def _same_span(a, b) -> bool:
-    """Whether two lists of vectors span the same sublattice of Z^n; equal
-    lists do without the Hermite forms. No law calls it: ``_saturated`` is
-    verify's one saturation test, and this stays for its property test
-    (ROADMAP item 11)."""
-    return a == b or intmat.row_hnf(a) == intmat.row_hnf(b)
-
-
 def _saturated(vecs, *span) -> bool:
     """Whether k vectors are independent, span a saturated sublattice of
     Z^n and have the vectors ``span`` in their Q-span: the echelon of

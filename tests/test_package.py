@@ -2,8 +2,10 @@
 the defining submodule's own object, though only ``__version__`` and
 ``InvariantError`` are bound when the package is imported."""
 
+import ast
 import importlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +63,33 @@ def test_unknown_name():
     with pytest.raises(ImportError):
         exec("from epwlat import nonexistent", {})
 
+
+def _module_private_names(tree):
+    """Module-level functions, classes and assigned names that start with
+    ``_``, dunders excluded."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+
+
+def test_every_private_helper_has_a_caller():
+    # a name read as a variable or an attribute anywhere in the package is
+    # used; a mention in a docstring or comment is not
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(epwlat.__file__).parent.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = [f"{module}.{name}" for module, tree in trees.items()
+            for name in _module_private_names(tree) if name not in used]
+    assert dead == []

@@ -134,6 +134,9 @@ def test_finite_index_discriminant_law(lat, data):
 
 @given(symmetric_lattices(min_rank=2, max_rank=5), st.data())
 def test_saturation_idempotent(lat, data):
+    """Checks ``verify.saturation_law`` (unit Hermite pivots and the input's
+    Q-span) on scaled inputs; idempotence is checked by
+    ``test_saturation_is_idempotent_and_ignores_row_scales``."""
     n = lat.rank
     k = data.draw(st.integers(1, n - 1))
     vecs = [tuple(data.draw(st.integers(-4, 4)) for _ in range(n)) for _ in range(k)]
@@ -150,21 +153,6 @@ def test_orthogonal_complement_saturated(lat, data):
     v = tuple(data.draw(st.integers(-5, 5)) for _ in range(lat.rank))
     for w in verify.complement_law(lat, v):
         assert lattices.product(lat, w, v) == 0
-
-
-def test_same_span(monkeypatch):
-    calls = []
-    real = intmat.row_hnf
-
-    def counting(vectors):
-        calls.append(vectors)
-        return real(vectors)
-
-    monkeypatch.setattr(intmat, "row_hnf", counting)
-    assert verify._same_span([(1, 2), (0, 3)], [(1, 2), (0, 3)])
-    assert calls == []  # equal lists need no Hermite form
-    assert verify._same_span([(1, 0), (0, 1)], [(1, 1), (0, 1)])  # two bases of Z^2
-    assert not verify._same_span([(2, 0)], [(1, 0)])
 
 
 @given(symmetric_lattices(), st.data())
@@ -274,6 +262,23 @@ def test_row_hnf_is_reduced_and_canonical(m):
     assert intmat.row_hnf(h) == h
     # echelon sorts the zero rows of m below its pivots, wherever they stand
     assert intmat.row_hnf([row for row in m if any(row)]) == h
+
+
+@given(integer_matrices(), st.data())
+def test_same_span(m, data):
+    """``row_hnf`` is the canonical form of a span: unimodular row
+    operations keep it, and different spans get different forms."""
+    rows = [list(row) for row in m]
+    for kind, i, j, c in data.draw(unimodular_ops(len(rows))):
+        if kind == "add":
+            rows[j] = [y + c * x for x, y in zip(rows[i], rows[j])]
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    assert intmat.row_hnf(rows) == intmat.row_hnf(m)
+    assert intmat.row_hnf([(1, 0), (0, 1)]) == intmat.row_hnf([(1, 1), (0, 1)])  # two bases of Z^2
+    assert intmat.row_hnf([(2, 0)]) != intmat.row_hnf([(1, 0)])
 
 
 @pytest.mark.parametrize("seed", range(4))
