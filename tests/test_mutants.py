@@ -1,8 +1,9 @@
-"""Drift check for the mutation gate, without running it: every entry of
-``tools/mutants.py`` must still apply (its old text occurs exactly once in
-its file) and must name a test that pytest collects, and every group of
-``verify.CHECKS`` must have an entry whose test is its ``test_check_group``
-id. The gate itself starts one pytest per mutant and stays out of the suite."""
+"""Drift check for the mutation gate, without running it: no fault of
+``tools/mutants.py`` is declared twice, every row must still apply (its old
+text occurs exactly once in its file) and must name a test that pytest
+collects, and every group of ``verify.CHECKS`` must have a row whose test is
+its ``test_check_group`` id. The gate itself starts one pytest per mutant
+and stays out of the suite."""
 
 import importlib.util
 import os
@@ -32,6 +33,12 @@ def collected() -> list[str]:
     return [line for line in proc.stdout.splitlines() if "::" in line]
 
 
+def test_each_fault_declared_once():
+    # a second test of a fault goes into its one declaration, as a further row
+    faults = [(f.path, f.old, f.new) for f in mutants.FAULTS]
+    assert [f for f in faults if faults.count(f) > 1] == []
+
+
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
 def test_old_text_occurs_once(mutant):
     assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
@@ -46,5 +53,4 @@ def test_named_tests_exist(mutant, collected):
 
 @pytest.mark.parametrize("group", [name for name, _ in verify.CHECKS])
 def test_every_group_has_a_row(group):
-    test = f"tests/test_acceptance.py::test_check_group[{group}]"
-    assert any(m.test == test for m in mutants.MUTANTS), group
+    assert mutants.group_rows(group), group
