@@ -46,6 +46,7 @@ import argparse
 import csv
 import functools
 import io
+import re
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
@@ -98,7 +99,12 @@ def _parse_gram(text: str) -> Lattice:
         try:
             rows.append([int(e) for e in chunk.split(",")])
         except ValueError:
-            raise ValueError(f"non-integer Gram entry in {chunk!r}")
+            quoted = repr(chunk[:40]) + "..." * (len(chunk) > 40)
+            # int() refuses a base-10 integer literal only for its length
+            if all(re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", e) for e in chunk.split(",")):
+                raise ValueError(f"Gram entry in {quoted} has over "
+                                 f"{sys.get_int_max_str_digits()} digits, int()'s limit")
+            raise ValueError(f"non-integer Gram entry in {quoted}")
     return Lattice(rows)
 
 

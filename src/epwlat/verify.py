@@ -1,10 +1,12 @@
 """One-shot verifier: every identity this package exists to check.
 
-Each check group recomputes a set of claims two independent ways (closed
-formula vs. lattice arithmetic, continued fractions vs. brute force, the
-half-period solver vs. a full-period walk, Miller-Rabin vs. a sieve,
-symmetric elimination vs. Bareiss, residue criterion vs. solver) and
-reports PASS/FAIL with the first counterexample. ``run_all(n_max)``
+The check groups are the module's ``check_<name>`` functions, which
+``CHECKS`` lists and ``run_all`` runs in file order, as ``<name>`` with
+``-`` for ``_``. Each recomputes a set of claims two independent ways
+(closed formula vs. lattice arithmetic, continued fractions vs. brute
+force, the half-period solver vs. a full-period walk, Miller-Rabin vs. a
+sieve, symmetric elimination vs. Bareiss, residue criterion vs. solver)
+and reports PASS/FAIL with the first counterexample. ``run_all(n_max)``
 scales the n-indexed ranges; the default n_max = 100 reproduces the full
 acceptance scale:
 
@@ -306,19 +308,12 @@ def _apply_ops(gram, ops, *vectors):
 
 # base lattices with a known vector of self-pairing +2 or -2
 def _reflection_seeds() -> list[tuple[Lattice, tuple[int, ...]]]:
-    seeds: list[tuple[Lattice, tuple[int, ...]]] = []
     e8 = catalog.e8()
-    seeds.append((e8, e8.basis_vector(0)))
-    seeds.append((lattices.rescale(e8, -1), e8.basis_vector(3)))
-    for d in (2, 4, 10, 18, 34, 52):
-        ns = catalog.ns_hilbert_square(d)
-        seeds.append((ns, (0, 1)))  # delta, square -2
-    for m in (1, 2, 3, 4):
-        ns = catalog.ns_hilbert_square(2 * m * m + 2)
-        seeds.append((ns, (1, -m)))  # h - m*delta, square +2
-    u_a1 = lattices.direct_sum(catalog.hyperbolic_plane(), catalog.rank_one(-2))
-    seeds.append((u_a1, (0, 0, 1)))
-    return seeds
+    return [(e8, e8.basis_vector(0)), (lattices.rescale(e8, -1), e8.basis_vector(3)),
+            # delta, of square -2, then h - m*delta, of square +2
+            *((catalog.ns_hilbert_square(d), (0, 1)) for d in (2, 4, 10, 18, 34, 52)),
+            *((catalog.ns_hilbert_square(2 * m * m + 2), (1, -m)) for m in (1, 2, 3, 4)),
+            (lattices.direct_sum(catalog.hyperbolic_plane(), catalog.rank_one(-2)), (0, 0, 1))]
 
 
 def _random_symmetric(rng: _Draws, n: int) -> Lattice:
@@ -731,25 +726,10 @@ def check_closed_form_erratum(n_max: int) -> str:
     return "printed D=5 closed form gives (49,22) with residual -19; enumeration gives (38,17)"
 
 
+# the check_<name> functions above, in file order: a new group is one def
 CHECKS: list[tuple[str, Callable[[int], str]]] = [
-    ("involution-images", check_involution_images),
-    ("fujiki-pipeline", check_fujiki_pipeline),
-    ("family-identities", check_family_identities),
-    ("h2-basis", check_h2_basis),
-    ("involution-soundness", check_involution_soundness),
-    ("necessary-condition", check_necessary_condition),
-    ("pell-d5", check_pell_d5),
-    ("pell-oracle", check_pell_oracle),
-    ("pell-minimality", check_pell_minimality),
-    ("prime-criterion", check_prime_criterion),
-    ("catalog-reports", check_catalog_reports),
-    ("disc-obstruction", check_disc_obstruction),
-    ("reflection-properties", check_reflection_properties),
-    ("index-law", check_index_law),
-    ("saturation", check_saturation),
-    ("bilinear-properties", check_bilinear_properties),
-    ("closed-form-erratum", check_closed_form_erratum),
-]
+    (name.removeprefix("check_").replace("_", "-"), fn)
+    for name, fn in list(globals().items()) if name.startswith("check_")]
 
 
 def run_all(n_max: int = 100) -> list[CheckResult]:
@@ -759,8 +739,7 @@ def run_all(n_max: int = 100) -> list[CheckResult]:
     results = []
     for name, fn in CHECKS:
         try:
-            detail = fn(n_max)
-            results.append(CheckResult(name, True, detail))
+            results.append(CheckResult(name, True, fn(n_max)))
         except InvariantError as exc:
             results.append(CheckResult(name, False, str(exc)))
         except Exception as exc:  # a crash is a failure with its message

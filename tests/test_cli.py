@@ -236,6 +236,24 @@ class TestLattice:
         assert run(["lattice", "--gram", "1,x;x,1", "--op", "disc"], capsys) == (
             1, "", "error: non-integer Gram entry in '1,x'\n")
 
+    @pytest.mark.parametrize("source", ["--gram", "--gram-file"])
+    def test_over_long_entry_names_the_limit(self, source, tmp_path, capsys):
+        # an integer entry with more digits than int() parses from a string
+        text = f"{'7' * 5000},1;1,2"
+        if source == "--gram-file":
+            (tmp_path / "gram.txt").write_text(text, encoding="utf-8")
+            text = str(tmp_path / "gram.txt")
+        code, out, err = run(["lattice", source, text, "--op", "disc"], capsys)
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (1, "")
+        assert err == (f"error: Gram entry in '{'7' * 40}'... has over {limit} digits,"
+                       " int()'s limit\n")
+        assert len(err) < 120
+
+    def test_over_long_non_integer_row_is_cut(self, capsys):
+        assert run(["lattice", "--gram", "1," + "x" * 5000], capsys) == (
+            1, "", f"error: non-integer Gram entry in '1,{'x' * 38}'...\n")
+
     def test_unknown_id_rejected(self, capsys):
         assert run(["lattice", "--id", "E9", "--op", "report"], capsys) == (
             1, "", "error: unknown catalog lattice: 'E9'\n")

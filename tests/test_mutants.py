@@ -23,12 +23,14 @@ _spec.loader.exec_module(mutants)
 
 @pytest.fixture(scope="module")
 def collected() -> list[str]:
-    """Node ids of the entries' test files, from one ``pytest --collect-only``."""
+    """Node ids of the entries' test files, from one ``pytest --collect-only``
+    that loads no entry-point plugin, as the gate's rows do."""
     files = sorted({m.test.partition("::")[0] for m in mutants.MUTANTS})
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *files],
-        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1"),
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     return [line for line in proc.stdout.splitlines() if "::" in line]
 

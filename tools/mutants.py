@@ -7,12 +7,15 @@ name, each further one is ``"<name> (<suffix>)"``. So each test's claim is
 checked on its own, and re-texting a fault is one edit. For each row, the
 script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory, with a root ``conftest.py`` that turns hypothesis's shrink phase
-off (the gate needs a failure, not a minimal example), checks that the old
-text occurs exactly once in the file (so drift in the code is reported, not
-skipped), applies the mutant there and runs that test alone with
-``pytest -x``. A mutant whose test passes has survived, and fails the run.
-The identity entry (old text == new text) must survive: it shows that its
-test passes on the unmutated code and that the harness runs it.
+off (the gate needs a failure, not a minimal example), applies the mutant
+there and runs that test alone with ``pytest -x``, without plugin autoload.
+Exit 0 means the mutant survived, and fails the run; exit 1 or a timeout
+means it was killed; any other exit is a ``BAD`` row with pytest's last
+line. Before any row runs, every old text must occur exactly once in its
+file, or the run names each drifting row and exits 1, so drift in the code
+is reported, not skipped. The identity entry (old text == new text) must
+survive: it shows that its test passes on the unmutated code and that the
+harness runs it.
 
 Rows run on one worker thread per CPU that the process may use; lines print
 in ``MUTANTS`` order, each with its row's own time, then the total wall
@@ -345,8 +348,11 @@ def group_rows(group: str) -> list[Mutant]:
     return [m for m in MUTANTS if m.test == _group(group)]
 
 
-def run_mutant(m: Mutant) -> tuple[bool, str, float]:
-    """(survived, detail, seconds) for one mutant, in a fresh copy of the tree."""
+def run_mutant(m: Mutant) -> tuple[int, str, float]:
+    """(pytest's exit code, its last line, seconds) for one mutant, in a fresh
+    copy of the tree; a timeout counts as exit 1, a failed test. pytest loads
+    no entry-point plugin: it would mark every module of each plugin's
+    distribution for assertion rewriting, redone in each row without bytecode."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="epwlat-mutant-") as tmp:
         work = Path(tmp)
@@ -356,40 +362,34 @@ def run_mutant(m: Mutant) -> tuple[bool, str, float]:
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
         (work / "conftest.py").write_text(CONFTEST)
         target = work / m.path
-        text = target.read_text()
-        count = text.count(m.old)
-        if count != 1:
-            raise SystemExit(f"{m.name}: old text occurs {count} times in {m.path}")
-        target.write_text(text.replace(m.old, m.new))
-        env = dict(os.environ, PYTHONPATH=str(work / "src"),
-                   PYTHONDONTWRITEBYTECODE="1")
+        target.write_text(target.read_text().replace(m.old, m.new))
+        env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1",
+                   PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "--no-header",
                "-p", "no:cacheprovider", m.test]
         try:
             proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True,
                                   text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return False, f"timed out after {TIMEOUT_S} s", time.perf_counter() - start
+            return 1, f"timed out after {TIMEOUT_S} s", time.perf_counter() - start
         lines = proc.stdout.strip().splitlines()
         summary = lines[-1] if lines else proc.stderr.strip()[-200:]
-        if proc.returncode not in (0, 1):  # 1: tests failed; else usage/collection
-            raise SystemExit(f"{m.name}: pytest exited {proc.returncode}: {summary}")
-        return proc.returncode == 0, summary, time.perf_counter() - start
+        return proc.returncode, summary, time.perf_counter() - start
 
 
 def main() -> int:
+    drift = [m.name for m in MUTANTS if (ROOT / m.path).read_text().count(m.old) != 1]
+    if drift:  # before any row runs
+        raise SystemExit(f"old text does not occur exactly once: {'; '.join(drift)}")
     start, bad = time.perf_counter(), 0
     workers = len(os.sched_getaffinity(0))
-    pool = ThreadPoolExecutor(workers)
-    try:
-        for m, (survived, summary, seconds) in zip(MUTANTS, pool.map(run_mutant, MUTANTS)):
-            ok = survived == (m.old == m.new)  # only the identity may survive
+    with ThreadPoolExecutor(workers) as pool:
+        for m, (code, summary, seconds) in zip(MUTANTS, pool.map(run_mutant, MUTANTS)):
+            verdict = {0: "survived", 1: "killed"}.get(code, f"exit {code}")  # else no verdict
+            ok = verdict == ("survived" if m.old == m.new else "killed")  # only the identity
             bad += not ok
-            verdict = "survived" if survived else "killed"
             print(f"{'ok ' if ok else 'BAD'} {verdict:8s} {seconds:5.1f} s  {m.name}: {summary}",
                   flush=True)
-    finally:
-        pool.shutdown(cancel_futures=True)  # after a drift error, start no further row
     print(f"{len(MUTANTS) - bad}/{len(MUTANTS)} as expected,"
           f" {time.perf_counter() - start:.1f} s on {workers} workers")
     sys.path.insert(0, str(ROOT / "src"))
