@@ -86,6 +86,32 @@ def _signature_str(sig: Signature) -> str:
     return f"({sig.positive},{sig.negative})"
 
 
+# a base-10 integer literal, which int() refuses only for its length; a
+# pattern string, compiled (and cached by ``re``) on the first refusal, not
+# when ``epwlat.cli`` is imported
+_INT_LITERAL = r"\s*[+-]?\d+(?:_\d+)*\s*"
+
+
+def _quote(text: str) -> str:
+    """repr of at most the first 40 characters of ``text``, with ``...`` when cut."""
+    return repr(text[:40]) + "..." * (len(text) > 40)
+
+
+def _int_option(text: str) -> int:
+    """The argparse type of every integer option: ``int``, whose refusal
+    quotes at most 40 characters and names int()'s digit limit when that
+    is the reason. An ``ArgumentTypeError`` is printed as it is, so the
+    short message keeps argparse's own wording for ``type=int``."""
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(_INT_LITERAL, text):
+            raise argparse.ArgumentTypeError(
+                f"{_quote(text)} is over int()'s {sys.get_int_max_str_digits()}-digit limit"
+            ) from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
+
+
 def _parse_gram(text: str) -> Lattice:
     from .lattices import Lattice
 
@@ -99,12 +125,10 @@ def _parse_gram(text: str) -> Lattice:
         try:
             rows.append([int(e) for e in chunk.split(",")])
         except ValueError:
-            quoted = repr(chunk[:40]) + "..." * (len(chunk) > 40)
-            # int() refuses a base-10 integer literal only for its length
-            if all(re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", e) for e in chunk.split(",")):
-                raise ValueError(f"Gram entry in {quoted} has over "
+            if all(re.fullmatch(_INT_LITERAL, e) for e in chunk.split(",")):
+                raise ValueError(f"Gram entry in {_quote(chunk)} has over "
                                  f"{sys.get_int_max_str_digits()} digits, int()'s limit")
-            raise ValueError(f"non-integer Gram entry in {quoted}")
+            raise ValueError(f"non-integer Gram entry in {_quote(chunk)}")
     return Lattice(rows)
 
 
@@ -232,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pell = sub.add_parser("pell", help="solve y^2 - D x^2 = -1")
-    p_pell.add_argument("--d", type=int, required=True, help="the coefficient D")
-    p_pell.add_argument("--count", type=int, default=1,
+    p_pell.add_argument("--d", type=_int_option, required=True, help="the coefficient D")
+    p_pell.add_argument("--count", type=_int_option, default=1,
                         help="how many solutions to list (default 1)")
     p_pell.set_defaults(handler=cmd_pell)
 
@@ -247,16 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.set_defaults(handler=cmd_lattice)
 
     p_fam = sub.add_parser("family", help="tabulate the degree family")
-    p_fam.add_argument("--n-min", type=int, required=True)
-    p_fam.add_argument("--n-max", type=int, required=True)
+    p_fam.add_argument("--n-min", type=_int_option, required=True)
+    p_fam.add_argument("--n-max", type=_int_option, required=True)
     p_fam.set_defaults(handler=cmd_family)
 
     p_og = sub.add_parser("ogrady", help="classify the genus parameter r")
-    p_og.add_argument("--r", type=int, required=True)
+    p_og.add_argument("--r", type=_int_option, required=True)
     p_og.set_defaults(handler=cmd_ogrady)
 
     p_ver = sub.add_parser("verify", help="run every identity check")
-    p_ver.add_argument("--n-max", type=int, default=100,
+    p_ver.add_argument("--n-max", type=_int_option, default=100,
                        help="scale for the n-indexed ranges (default 100 = "
                             "full acceptance scale)")
     p_ver.set_defaults(handler=cmd_verify)

@@ -7,16 +7,16 @@ The check groups are the module's ``check_<name>`` functions, which
 force, the half-period solver vs. a full-period walk, Miller-Rabin vs. a
 sieve, symmetric elimination vs. Bareiss, residue criterion vs. solver)
 and reports PASS/FAIL with the first counterexample. ``run_all(n_max)``
-scales the n-indexed ranges; the default n_max = 100 reproduces the full
-acceptance scale:
+scales the ranges and draw counts; the default n_max = 100 reproduces the
+full acceptance scale:
 
-    family identities        n <= 5 * n_max       (500)
-    involution soundness     n <= n_max           (100)
-    change of basis to h2    n <= n_max           (100)
-    necessary condition      n <= n_max / 2       (50)
-    disc obstruction         n <= 10 * n_max      (1000), and fixed:
+    family identities        for every n >= 1: degree 3, n = 1..4, 10 * n_max
+    change of basis to h2    for every n >= 1: degree 3, n = 1..4, 10 * n_max
+    involution soundness     for every n >= 1: degree 8, n = 1..9, 10 * n_max
+    necessary condition      for every n >= 1: degree 1, n = 1..2, 10 * n_max
+    disc obstruction         for every n >= 1: degree 2, n = 1..3, 10 * n_max,
+                             each with fh = 1..3 and n + 9; and fixed:
                              -80 passes and -60 fails in disc -20
-    reflection inequality    n <= n_max / 5       (20)
     Pell vs. brute force     D <= 20 * n_max      (2000), x <= 10^4
     Pell minimality          D <= 5 * n_max       (500), no bound on x
     prime criterion          p < 100 * n_max      (10000)
@@ -24,6 +24,25 @@ acceptance scale:
     signature, direct sums   max(1, n_max // 2) cases (50), and fixed:
                              U + <0> has signature (1, 1, 1)
     saturation example       fixed: sat{2 delta} = {delta} in NS_HILB(10)
+
+Five groups, family-identities, h2-basis, involution-soundness,
+necessary-condition and disc-obstruction, prove the paper's "for every
+n >= 1" claims on the degree family with bounded work (``_certificate``).
+Each declares once, in ``_DEGREE``, an a-priori bound on the degree in n
+of every quantity it compares, read off the shape of the computation and
+not off values: the Gram entries of NS3(n), Pi(n) and R(n) are affine in n, d(n)
+is quadratic and gamma = (1, -(2n+2)), so the entries of the involution J
+have degree <= 3, J^2 degree <= 6 and J^T G J degree <= 8. Two
+polynomials of degree <= k that agree at k + 1 points are equal, so the
+group evaluates its claims at n = 1, ..., k + 1, which proves them for
+every n, and at one far point 10 * n_max beyond them. What is not a
+polynomial identity (the Pell witness, a primitivity, an inequality, a
+signature) is argued in one line in the group's docstring and checked at
+the same points. The certificate covers a computation that is polynomial
+in n: a fault that branches on n, say one that switches on past some n,
+lies outside it. The far point proves nothing more; it catches such a
+fault when it has switched on by 10 * n_max, and a fault that raises the
+degree but vanishes at the small points.
 
 In reflection-properties and index-law, a draw that repeats an earlier
 one is checked once and counts as its first occurrence did: at
@@ -54,8 +73,9 @@ the one output of ``saturation`` that each draw computes, and
 A fixed claim, such as one of the paper's numbers or a catalog lattice,
 is a row (what, computed, expected) checked by ``_expect``, which fails
 on the first mismatch with both values; a record is compared with the
-plain tuple of its fields. The laws and the range loops keep their own
-tests, as their messages carry the counterexample input.
+plain tuple of its fields. The laws and the loops over ranges and
+points keep their own tests, as their messages carry the counterexample
+input.
 
 A failed law and a failed ``errors.ensure`` inside the package both raise
 ``InvariantError``; ``run_all`` reports its message as the group's
@@ -499,6 +519,27 @@ def _degree(n: int) -> int:
     return 8 * n * n + 16 * n + 10
 
 
+# A-priori bound on the degree in n of every quantity that a certified group
+# compares, from the shape of its computation (module docstring).
+_DEGREE = {
+    "family-identities": 3,     # (h2, h2) = h2^T G h2, with h2 = (1, 2n+2)
+    "h2-basis": 3,              # the Gram of (h2, delta2) in Pi(n)
+    "involution-soundness": 8,  # J^T G J, with G = diag(d(n), -2)
+    "necessary-condition": 1,   # the witness (2n+2, 1)
+    "disc-obstruction": 2,      # det R(n); 100 - fh^2 in fh
+}
+
+
+def _certificate(group: str, n_max: int) -> tuple[list[int], str]:
+    """The n at which ``group``'s claims are evaluated, and the scope its
+    detail line states: n = 1, ..., k + 1 for k = ``_DEGREE[group]``, which
+    proves a claim of degree <= k for every n, then the far point
+    10 * n_max, beyond them (10 > 9, the most that any group needs)."""
+    k, far = _DEGREE[group], 10 * n_max
+    scope = f"for every n >= 1 (degree <= {k}, checked at n = 1..{k + 1} and {far})"
+    return [*range(1, k + 2), far], scope
+
+
 def check_involution_images(n_max: int) -> str:
     j = epwfamily.epw_involution(10)
     reflected = lattices.reflection(j.lattice, j.root).matrix
@@ -518,19 +559,26 @@ def check_fujiki_pipeline(n_max: int) -> str:
 
 
 def check_family_identities(n_max: int) -> str:
-    top = 5 * n_max
-    for n in range(1, top + 1):
+    """(gamma, delta2) = 4n + 4 has degree 1; ``family`` itself asserts
+    (h2, h2) = d(n), of degree <= 3, and disc Pi = -2 d(n), of degree 2.
+    h2 = (1, 2n+2) for every n, as G delta2 = (4n+4, -2) has content 2.
+    The Pell witness is (2n+2, 1) for every n (``check_necessary_condition``)."""
+    points, scope = _certificate("family-identities", n_max)
+    for n in points:
         rec = epwfamily.family(n)
         pairing = rec.gram_pi[0][1]  # computed from NS3(n) by family(n)
         if pairing != 4 * n + 4:
             _fail(f"n={n}: (gamma, delta2) = {pairing} != {4 * n + 4}")
         if rec.pell != (rec.g - 1, 2 * n + 2, 1):
             _fail(f"n={n}: Pell witness {rec.pell} != ({2 * n + 2}, 1)")
-    return f"(gamma,delta2), disc Pi, (h2,h2), g(n) agree both ways for n <= {top}"
+    return f"(gamma,delta2), disc Pi, (h2,h2), g(n) agree both ways {scope}"
 
 
 def check_h2_basis(n_max: int) -> str:
-    for n in range(1, n_max + 1):
+    """The Gram of (h2, delta2) = ((1, 2n+2), (0, 1)) in Pi(n) has entries
+    of degree <= 3. h2 is primitive for every n: its first coordinate is 1."""
+    points, scope = _certificate("h2-basis", n_max)
+    for n in points:
         pi = catalog.epw_picard_lattice(n)
         h2 = (1, 2 * n + 2)
         in_h2_basis = lattices.induced_gram(pi, [h2, (0, 1)])
@@ -538,21 +586,30 @@ def check_h2_basis(n_max: int) -> str:
             _fail(f"n={n}: Gram in (h2, delta2) basis is {in_h2_basis.gram}")
         if not lattices.is_primitive(pi, h2):
             _fail(f"n={n}: h2 not primitive")
-    return f"Gram of Pi in the (h2, delta2) basis is diag(d(n), -2) for n <= {n_max}"
+    return f"Gram of Pi in the (h2, delta2) basis is diag(d(n), -2) {scope}"
 
 
 def check_involution_soundness(n_max: int) -> str:
-    for n in range(1, n_max + 1):
+    """With the root gamma = (1, -(2n+2)), the witness for every n, the
+    entries of J have degree <= 3: J^2 has degree <= 6, J^T G J <= 8 and
+    J gamma <= 4. gamma-perp is Z(2n+2, -d(n)/2) for every n, as
+    G gamma = (d(n), 4n+4) has content 2 (d(n)/2 = (2n+2)^2 + 1 is prime to
+    2n+2), so J w + w has degree <= 5 on its generator w."""
+    points, scope = _certificate("involution-soundness", n_max)
+    for n in points:
         j = epwfamily.epw_involution(_degree(n))
         if j.root != (1, -(2 * n + 2)):
             _fail(f"n={n}: gamma = {j.root}, not h - (2n+2) delta")
         involution_law(j)
-    return f"J^2 = I, J gamma = gamma, J = -1 on gamma-perp for n <= {n_max}"
+    return f"J^2 = I, J gamma = gamma, J = -1 on gamma-perp {scope}"
 
 
 def check_necessary_condition(n_max: int) -> str:
-    top = max(1, n_max // 2)
-    for n in range(1, top + 1):
+    """The witness for d(n) is (2n+2, 1) for every n: d(n)/2 = m^2 + 1 with
+    m = 2n+2, sqrt(m^2 + 1) = [m; 2m], so ``cf_expansion`` closes the
+    period after one step and the least solution is the convergent m/1."""
+    points, scope = _certificate("necessary-condition", n_max)
+    for n in points:
         d = _degree(n)
         witness = epwfamily.necessary_condition(d)
         if witness is None:
@@ -561,7 +618,7 @@ def check_necessary_condition(n_max: int) -> str:
             _fail(f"n={n}: minimal witness {witness} != ({2 * n + 2}, 1)")
     _expect(("d=12 witness", epwfamily.necessary_condition(12), None),
             ("d=10 witness", epwfamily.necessary_condition(10), (5, 2, 1)))
-    return f"witness (2n+2, 1) for n <= {top}; d=12 rejected; d=10 gives (2,1)"
+    return f"witness (2n+2, 1) {scope}; d=12 rejected; d=10 gives (2,1)"
 
 
 def check_pell_d5(n_max: int) -> str:
@@ -622,16 +679,22 @@ def check_catalog_reports(n_max: int) -> str:
 
 
 def check_disc_obstruction(n_max: int) -> str:
-    top = 10 * n_max
-    for n in range(1, top + 1):
+    """disc R(n) = 100 - (n+10)^2 = -n(n+20) has degree 2, and so has
+    disc R' = 100 - fh^2 in fh, checked at fh = 1..3 and at the edge n + 9.
+    The rest holds for every n >= 1:
+    - the -20 obstruction: n(n+20) >= 21 > 20, so no sublattice of finite
+      index has disc -20;
+    - the K3 criterion: R(n) is even of rank 2, and of signature (1, 1, 0),
+      as its determinant -n(n+20) is negative;
+    - the reflection inequality: fh < n+10 gives 100 - fh^2 > -n(n+20)."""
+    points, scope = _certificate("disc-obstruction", n_max)
+    for n in points:
         res = epwfamily.disc_obstruction(n)
         if not res.contradiction_r0:
             _fail(f"n={n}: -20 wrongly divides as a square multiple")
         if not epwfamily.k3_embedding_sufficient(catalog.two_polarization_lattice(n)):
             _fail(f"n={n}: R(n) fails the K3 embedding criterion")
-    grid_top = max(1, n_max // 5)
-    for n in range(1, grid_top + 1):
-        for fh_bar in range(1, n + 10):
+        for fh_bar in (*points[:-1], n + 9):  # 100 - fh^2 has degree 2 in fh too
             res = epwfamily.reflection_inequality(n, fh_bar)
             reflected = Lattice(((10, fh_bar), (fh_bar, 10)))
             if res.disc_r_prime != lattices.discriminant(reflected):
@@ -642,7 +705,8 @@ def check_disc_obstruction(n_max: int) -> str:
     sub = lattices.sublattice_discriminant_test
     _expect(("disc -80 in disc -20 (index 2)", sub(-80, -20), True),
             ("disc -60 in disc -20", sub(-60, -20), False))
-    return f"disc R(n) = -n(n+20), no disc -20 sublattice, n <= {top}; strict inequality grid n <= {grid_top}"
+    return (f"disc R(n) = -n(n+20), no disc -20 sublattice, strict inequality for"
+            f" 0 < fh < n+10 (fh = 1..{points[-2]}, n+9), {scope}")
 
 
 def check_reflection_properties(n_max: int) -> str:

@@ -3,7 +3,9 @@
 One test per group in ``verify.CHECKS``, with the group's name as its id,
 run at the verifier's default scale (n_max = 100), which is what
 ``epwlat verify`` runs. A group raises ``InvariantError`` with its first
-counterexample; every comparison is exact integer equality. Two tests
+counterexample; every comparison is exact integer equality. The five
+certified groups are also checked to evaluate each claim at n = 1, ...,
+k + 1 for their declared degree k, and at the far point. Two tests
 check ``_expect``, which compares the fixed claims: on its own, and as
 the pell-d5 group reports a false claim. A last test records which public
 functions of the core modules ``run_all`` calls.
@@ -11,6 +13,7 @@ functions of the core modules ``run_all`` calls.
 
 import sys
 import types
+from math import isqrt
 
 import pytest
 
@@ -33,6 +36,49 @@ _NOT_REACHED = {
                          ids=[name for name, _ in verify.CHECKS])
 def test_check_group(check):
     check(FULL_SCALE)
+
+
+def _n_of_degree(d):
+    """n with d(n) = 2((2n+2)^2 + 1) = d, or None off the family."""
+    m = isqrt(d // 2 - 1)
+    return m // 2 - 1 if d == 2 * (m * m + 1) and m % 2 == 0 and m >= 4 else None
+
+
+# each certified claim: its group, and the call that evaluates it at one n
+# with the n read back from that call's arguments
+_CLAIM_CALLS = [
+    ("family-identities", epwfamily, "family", lambda n: n),
+    ("h2-basis", catalog, "epw_picard_lattice", lambda n: n),
+    ("h2-basis", lattices, "is_primitive", lambda lat, v: v[1] // 2 - 1),
+    ("involution-soundness", epwfamily, "epw_involution", _n_of_degree),
+    ("involution-soundness", verify, "involution_law", lambda j: -j.root[1] // 2 - 1),
+    ("necessary-condition", epwfamily, "necessary_condition", _n_of_degree),
+    ("disc-obstruction", epwfamily, "disc_obstruction", lambda n: n),
+    ("disc-obstruction", epwfamily, "k3_embedding_sufficient", lambda lat: lat.gram[0][1] - 10),
+    ("disc-obstruction", epwfamily, "reflection_inequality", lambda n, fh_bar: n),
+]
+
+
+@pytest.mark.parametrize("group,module,name,n_of", _CLAIM_CALLS,
+                         ids=[f"{g}-{name}" for g, _, name, _ in _CLAIM_CALLS])
+def test_certified_claim_covers_its_points(group, module, name, n_of, monkeypatch):
+    # degree k needs k + 1 points; the far point 10 * n_max lies beyond them
+    seen = set()
+    real = getattr(module, name)
+
+    def spy(*args):
+        seen.add(n_of(*args))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    dict(verify.CHECKS)[group](1)
+    degree = verify._DEGREE[group]
+    assert seen - {None} == {*range(1, degree + 2), 10}
+    assert degree + 1 < 10
+
+
+def test_every_certified_group_has_its_claims():
+    assert sorted(verify._DEGREE) == sorted({g for g, *_ in _CLAIM_CALLS})
 
 
 def test_expect_fails_on_the_first_false_claim():

@@ -374,16 +374,16 @@ VERIFY_N3 = {
     "human": """\
 PASS involution-images: j(h) = 9h - 20delta and j(delta) = 4h - 9delta on NS_HILB(10)
 PASS fujiki-pipeline: gamma^4 = 2*6 = 12 and 12 = 3*(gamma,gamma)^2 gives (gamma,gamma) = 2
-PASS family-identities: (gamma,delta2), disc Pi, (h2,h2), g(n) agree both ways for n <= 15
-PASS h2-basis: Gram of Pi in the (h2, delta2) basis is diag(d(n), -2) for n <= 3
-PASS involution-soundness: J^2 = I, J gamma = gamma, J = -1 on gamma-perp for n <= 3
-PASS necessary-condition: witness (2n+2, 1) for n <= 1; d=12 rejected; d=10 gives (2,1)
+PASS family-identities: (gamma,delta2), disc Pi, (h2,h2), g(n) agree both ways for every n >= 1 (degree <= 3, checked at n = 1..4 and 30)
+PASS h2-basis: Gram of Pi in the (h2, delta2) basis is diag(d(n), -2) for every n >= 1 (degree <= 3, checked at n = 1..4 and 30)
+PASS involution-soundness: J^2 = I, J gamma = gamma, J = -1 on gamma-perp for every n >= 1 (degree <= 8, checked at n = 1..9 and 30)
+PASS necessary-condition: witness (2n+2, 1) for every n >= 1 (degree <= 1, checked at n = 1..2 and 30); d=12 rejected; d=10 gives (2,1)
 PASS pell-d5: D=5: minimal (2,1), then (38,17), (682,305); D=34 unsolvable
 PASS pell-oracle: continued-fraction decision matches brute force (x <= 10000) for D <= 60; minimal x compared for 12 of 12 solvable D
 PASS pell-minimality: fundamental = full-period reference minimum (no x bound) for 4 solvable D, monotone enumeration, D <= 15
 PASS prime-criterion: p = 2 or p = 1 (mod 4) matches the solver for the 62 primes p < 300
 PASS catalog-reports: LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)
-PASS disc-obstruction: disc R(n) = -n(n+20), no disc -20 sublattice, n <= 30; strict inequality grid n <= 1
+PASS disc-obstruction: disc R(n) = -n(n+20), no disc -20 sublattice, strict inequality for 0 < fh < n+10 (fh = 1..3, n+9), for every n >= 1 (degree <= 2, checked at n = 1..3 and 30)
 PASS reflection-properties: involutivity/isometry/fixed-space checks on 30 randomized reflections
 PASS index-law: disc(B^T G B) = det(B)^2 disc(G) on 30 randomized pairs
 PASS saturation: saturations and complements have unit Hermite pivots, saturations keep the input's Q-span, on 30 randomized cases
@@ -395,16 +395,16 @@ PASS closed-form-erratum: printed D=5 closed form gives (49,22) with residual -1
 check,status,detail
 involution-images,PASS,j(h) = 9h - 20delta and j(delta) = 4h - 9delta on NS_HILB(10)
 fujiki-pipeline,PASS,"gamma^4 = 2*6 = 12 and 12 = 3*(gamma,gamma)^2 gives (gamma,gamma) = 2"
-family-identities,PASS,"(gamma,delta2), disc Pi, (h2,h2), g(n) agree both ways for n <= 15"
-h2-basis,PASS,"Gram of Pi in the (h2, delta2) basis is diag(d(n), -2) for n <= 3"
-involution-soundness,PASS,"J^2 = I, J gamma = gamma, J = -1 on gamma-perp for n <= 3"
-necessary-condition,PASS,"witness (2n+2, 1) for n <= 1; d=12 rejected; d=10 gives (2,1)"
+family-identities,PASS,"(gamma,delta2), disc Pi, (h2,h2), g(n) agree both ways for every n >= 1 (degree <= 3, checked at n = 1..4 and 30)"
+h2-basis,PASS,"Gram of Pi in the (h2, delta2) basis is diag(d(n), -2) for every n >= 1 (degree <= 3, checked at n = 1..4 and 30)"
+involution-soundness,PASS,"J^2 = I, J gamma = gamma, J = -1 on gamma-perp for every n >= 1 (degree <= 8, checked at n = 1..9 and 30)"
+necessary-condition,PASS,"witness (2n+2, 1) for every n >= 1 (degree <= 1, checked at n = 1..2 and 30); d=12 rejected; d=10 gives (2,1)"
 pell-d5,PASS,"D=5: minimal (2,1), then (38,17), (682,305); D=34 unsolvable"
 pell-oracle,PASS,continued-fraction decision matches brute force (x <= 10000) for D <= 60; minimal x compared for 12 of 12 solvable D
 pell-minimality,PASS,"fundamental = full-period reference minimum (no x bound) for 4 solvable D, monotone enumeration, D <= 15"
 prime-criterion,PASS,p = 2 or p = 1 (mod 4) matches the solver for the 62 primes p < 300
 catalog-reports,PASS,"LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)"
-disc-obstruction,PASS,"disc R(n) = -n(n+20), no disc -20 sublattice, n <= 30; strict inequality grid n <= 1"
+disc-obstruction,PASS,"disc R(n) = -n(n+20), no disc -20 sublattice, strict inequality for 0 < fh < n+10 (fh = 1..3, n+9), for every n >= 1 (degree <= 2, checked at n = 1..3 and 30)"
 reflection-properties,PASS,involutivity/isometry/fixed-space checks on 30 randomized reflections
 index-law,PASS,disc(B^T G B) = det(B)^2 disc(G) on 30 randomized pairs
 saturation,PASS,"saturations and complements have unit Hermite pivots, saturations keep the input's Q-span, on 30 randomized cases"
@@ -516,6 +516,21 @@ class TestParsing:
     def test_argparse_error_pinned(self, argv, stderr, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
         assert run(argv, capsys) == (1, "", stderr)
+
+    @pytest.mark.parametrize("argv,usage", [
+        (["pell", "--d"], _PELL_USAGE),
+        (["verify", "--n-max"], "usage: epwlat verify [-h] [--n-max N_MAX]\n")],
+        ids=["pell-d", "verify-n-max"])
+    def test_over_long_integer_names_the_limit(self, argv, usage, monkeypatch, capsys):
+        # an integer with more digits than int() parses from a string: the
+        # usage line, then one short error line
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run([*argv, "7" * 5000], capsys)
+        limit = sys.get_int_max_str_digits()
+        line = (f"epwlat {argv[0]}: error: argument {argv[1]}: '{'7' * 40}'... is over"
+                f" int()'s {limit}-digit limit\n")
+        assert (code, out, err) == (1, "", usage + line)
+        assert len(line) < 120
 
     @pytest.mark.parametrize("argv", [["--help"], ["pell", "--help"]])
     def test_help_exits_0(self, argv, capsys):

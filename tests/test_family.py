@@ -85,8 +85,9 @@ class TestInvolution:
         assert j.apply((1, -2)) == (1, -2)
         assert j.is_involution()
 
+    # n = 10^3, 10^6, 10^9 lie far past the points of verify's certificate
     @pytest.mark.parametrize("d,m", [(10, 2)] + [
-        (8 * n * n + 16 * n + 10, 2 * n + 2) for n in range(1, 11)])
+        (8 * n * n + 16 * n + 10, 2 * n + 2) for n in [*range(1, 11), 10**3, 10**6, 10**9]])
     def test_is_the_negated_reflection(self, d, m):
         expected = lattices.negated_reflection(catalog.ns_hilbert_square(d), (1, -m))
         assert epwfamily.epw_involution(d) == expected
@@ -145,7 +146,7 @@ class TestFamilyRecords:
         assert (rec.pell.y, rec.pell.x) == (6, 1)
         assert rec.pell.d == 37
 
-    @pytest.mark.parametrize("n", list(range(1, 30)))
+    @pytest.mark.parametrize("n", [*range(1, 30), 10**3, 10**6, 10**9])
     def test_h2_orthogonal_primitive_positive(self, n):
         rec = epwfamily.family(n)
         pi = lattices.Lattice(rec.gram_pi)
@@ -198,8 +199,8 @@ class TestFamilyRecords:
         assert str(err.value) == "family(1): degree 36 differs from 8n^2 + 16n + 10"
 
     def test_verify_builds_each_record_once(self, monkeypatch):
-        # family-identities covers n <= 5 * n_max; no other group rebuilds
-        # a record, so n_max = 3 makes exactly 15 calls
+        # family-identities certifies degree <= 3 at n = 1..4 and the far
+        # point 10 * n_max; no other group rebuilds a record
         calls = []
         build = epwfamily.family
 
@@ -209,11 +210,12 @@ class TestFamilyRecords:
 
         monkeypatch.setattr(epwfamily, "family", counted)
         assert all(r.passed for r in verify.run_all(3))
-        assert calls == list(range(1, 16))
+        assert calls == [1, 2, 3, 4, 30]
 
 
 class TestDiscObstruction:
-    @pytest.mark.parametrize("n,disc", [(1, -21), (10, -300)])
+    @pytest.mark.parametrize("n,disc", [(1, -21), (10, -300), *(
+        (n, -n * (n + 20)) for n in (10**3, 10**6, 10**9))])
     def test_values(self, n, disc):
         res = epwfamily.disc_obstruction(n)
         assert res.disc_r == disc

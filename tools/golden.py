@@ -28,7 +28,7 @@ named), 2 on any other argument. A change that alters output on purpose
 rewrites the file with ``--write`` and says which sections changed and
 why. ``tests/test_golden.py`` imports ``corpus`` and ``section_digest``
 and checks every section but ``verify`` in the tier-1 suite; ``verify``
-is checked only here, as its two ``--n-max 100`` calls take about 1.1 s.
+is checked only here, as its two ``--n-max 100`` calls take about 0.6 s.
 """
 
 from __future__ import annotations

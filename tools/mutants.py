@@ -148,11 +148,12 @@ FAULTS = (
     Fault("Q update reads Q_k for Q_{k-1}", "src/epwlat/pell.py",
           "q_next = q_prev + a * (p - p_next)", "q_next = q + a * (p - p_next)",
           "tests/test_pell.py::TestHalfPeriodWalk::test_every_nonsquare_to_20000"),
-    # the loop covers n <= n_max while the detail still says n <= 5 * n_max
+    # the loop skips the far point while the detail still names it
     Fault("family-identities loop shrinks, label kept", "src/epwlat/verify.py",
-          "for n in range(1, top + 1):\n        rec",
-          "for n in range(1, n_max + 1):\n        rec",
-          "tests/test_family.py::TestFamilyRecords::test_verify_builds_each_record_once"),
+          "for n in points:\n        rec", "for n in points[:-1]:\n        rec",
+          "tests/test_family.py::TestFamilyRecords::test_verify_builds_each_record_once",
+          (("certificate", "tests/test_acceptance.py::"
+            "test_certified_claim_covers_its_points[family-identities-family]"),)),
     # forward substitution with R, whose entries below the diagonal are 0,
     # so each row is divided as if R were diagonal
     Fault("saturation solves with R, not R^T", "src/epwlat/intmat.py",
@@ -337,6 +338,19 @@ FAULTS = (
     # only the divisibility test is left; (-60, -20) has quotient 3
     Fault("sublattice test skips the square check", "src/epwlat/lattices.py",
           "return q >= 1 and isqrt(q) ** 2 == q", "return q >= 1", _group("disc-obstruction")),
+    # a certified closed form with one coefficient changed: d(1) = 36 is
+    # wrong at the certificate's first point, in each group that reads it
+    Fault("d(n) closed form with 18n", "src/epwlat/verify.py",
+          "return 8 * n * n + 16 * n + 10", "return 8 * n * n + 18 * n + 10",
+          _group("h2-basis"), _groups("involution-soundness", "necessary-condition")),
+    # a fault that is not polynomial in n and is zero below n = 400, so at
+    # the certificate's points: only the far point 10 * n_max (n = 1000 at
+    # n-max 100) and the far spot checks see it
+    Fault("R(n) off-diagonal gains n // 400", "src/epwlat/catalog.py",
+          "return Lattice(((10, n + 10), (n + 10, 10)))",
+          "return Lattice(((10, n + 10 + n // 400), (n + 10 + n // 400, 10)))",
+          _group("disc-obstruction"),
+          (("spot check", "tests/test_family.py::TestDiscObstruction::test_values"),)),
 )
 
 MUTANTS = tuple(Mutant(f"{f.name} ({suffix})" if suffix else f.name, f.path, f.old, f.new, test)
