@@ -22,6 +22,14 @@ A lone determinant, of any square matrix, still comes from ``det``.
 ``saturation`` divides each vector by its pivot, and a unit pivot divides
 nothing: a kernel or orthogonal complement basis is already saturated, so
 all of its pivots are 1.
+
+Matrix products have one algorithm: each row of the left factor is taken
+by its support, its nonzero entries, and the product row is the
+combination of the right factor's rows there (``_combination``). The
+Grams and bases here are mostly zeros, so a unit row costs no multiply.
+``mat_mul`` is A B; ``congruence`` is B G B^T, and finds each row's
+support once for both of its products. Vector products, ``dot`` and
+``mat_vec``, stay dot products.
 """
 
 from __future__ import annotations
@@ -44,9 +52,54 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
+def _supports(m: Matrix) -> list[list[tuple[int, int]]]:
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def _combination(support, rows: Matrix, width: int) -> Sequence[int]:
+    """The sum of x * rows[j] over the pairs (j, x) of ``support``.
+
+    An empty support gives ``width`` zeros. A unit support [(j, 1)] gives
+    rows[j] itself, not a copy: no caller mutates what this returns, and
+    no row is edited in place, so a shared row is never changed.
+    """
+    if not support:
+        return [0] * width
+    j, x = support[0]
+    if x == 1 and len(support) == 1:
+        return rows[j]
+    out = [x * g for g in rows[j]]
+    for j, x in support[1:]:
+        out = [u + x * g for u, g in zip(out, rows[j])]
+    return out
+
+
 def mat_mul(a: Matrix, b: Matrix) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    """The product A B, as a list of lists like ``identity``.
+
+    Row i of A B is the combination of the rows of B over the support of
+    row i of A: a row of A that is the unit vector e_j gives row j of B
+    (copied into the result's own list), and an all-zero row gives zeros.
+    """
+    return [list(_combination(s, b, len(b[0]) if b else 0)) for s in _supports(a)]
+
+
+def congruence(b: Matrix, g: Matrix) -> tuple[tuple[int, ...], ...]:
+    """B G B^T for the rows b_0, ..., b_(m-1) of B, as a tuple of row tuples
+    like ``Lattice.gram``: entry (i, k) is the pairing b_i^T G b_k.
+
+    Each row's support is found once and serves both products, as bases
+    of complements are mostly zeros. G b_k is the combination of the rows
+    of G over the support of b_k (G is symmetric, so row j is column j);
+    row i is then the same combination, over the support of b_i, of the
+    columns of the images G b_0, ..., G b_(m-1). Every row is built in
+    full, with no mirror pass. A unit vector e_j costs no multiply: its
+    image is row j of G itself, and its row of the result column j of the
+    images, both shared, not copied.
+    """
+    supports = _supports(b)
+    columns = list(zip(*[_combination(s, g, len(g)) for s in supports]))  # of the G b_k
+    return tuple([tuple(_combination(s, columns, len(b))) for s in supports])
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:

@@ -147,8 +147,7 @@ class Isometry(_IsometryFields):
         return tuple(intmat.mat_vec(self.matrix, _coords(self.lattice, v)))
 
     def is_involution(self) -> bool:
-        n = self.lattice.rank
-        return intmat.mat_mul(self.matrix, self.matrix) == intmat.identity(n)
+        return intmat.mat_mul(self.matrix, self.matrix) == intmat.identity(self.lattice.rank)
 
 
 def product(lattice: Lattice, x: Coords, y: Coords) -> int:
@@ -199,43 +198,18 @@ def orthogonal_complement(lattice: Lattice, v: Coords) -> list[tuple[int, ...]]:
     return intmat.kernel([intmat.mat_vec(lattice.gram, cv)], lattice.rank)
 
 
-def _combination(support, rows) -> Sequence[int]:
-    """The sum of x * rows[j] over the pairs (j, x) of ``support``.
-
-    A unit vector's support [(j, 1)] gives rows[j] itself, not a copy: the
-    rows are ``Lattice.gram`` rows or ``zip`` column tuples, and no caller
-    mutates what this returns.
-    """
-    j, x = support[0]
-    if x == 1 and len(support) == 1:
-        return rows[j]
-    out = [x * g for g in rows[j]]
-    for j, x in support[1:]:
-        out = [u + x * g for u, g in zip(out, rows[j])]
-    return out
-
-
 def induced_gram(lattice: Lattice, basis: Sequence[Coords]) -> Lattice:
     """The sublattice spanned by ``basis`` as an abstract lattice, B^T G B.
 
-    Built from each basis vector's support, as complement bases are mostly
-    zeros: G b is the combination of the Gram rows at the nonzero
-    coordinates of b (G is symmetric, so row j is column j). Row i, the
-    pairings (b_i, G b_k) for every k, is then the same combination, over
-    the support of b_i, of the columns of the images G b_0, ..., G b_(m-1).
-    Every row is built in full, with no mirror pass: B^T G B is symmetric
-    because G is, and ``Lattice`` checks that it is. A unit vector e_j
-    costs no multiply: its image is Gram row j itself, and its row of
-    B^T G B column j of the images, both shared, not copied; ``Lattice``
-    builds its own tuples from the rows.
+    ``intmat.congruence`` of the basis vectors, after the check that they
+    are independent: built from each vector's support, as complement bases
+    are mostly zeros, and with no mirror pass. B^T G B is symmetric
+    because G is, and ``Lattice`` checks that it is.
     """
     vecs = [_coords(lattice, b) for b in basis]
     if intmat.rank(vecs) != len(vecs):
         raise ValueError("basis vectors are linearly dependent")
-    supports = [[(j, x) for j, x in enumerate(b) if x] for b in vecs]
-    images = [_combination(support, lattice.gram) for support in supports]
-    columns = list(zip(*images))
-    return Lattice([_combination(support, columns) for support in supports])
+    return Lattice(intmat.congruence(vecs, lattice.gram))
 
 
 def saturation(lattice: Lattice, basis: Sequence[Coords]) -> list[tuple[int, ...]]:
@@ -293,11 +267,13 @@ def rescale(lattice: Lattice, a: int) -> Lattice:
 
 
 def is_isometry(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> bool:
-    """True iff M^T G M = G exactly; M must have integer entries."""
-    n = lattice.rank
+    """True iff M^T G M = G exactly; M must have integer entries.
+
+    Entry (i, k) of M^T G M pairs the images of b_i and b_k, the columns
+    of M, so this is ``intmat.congruence`` of the columns, the product
+    that ``induced_gram`` takes. A singular M gives False, not an error.
+    """
     rows = [list(map(operator.index, row)) for row in matrix]
-    if len(rows) != n or any(len(row) != n for row in rows):
+    if list(map(len, rows)) != [lattice.rank] * lattice.rank:
         raise ValueError("matrix dimensions do not match the lattice rank")
-    g = [list(row) for row in lattice.gram]
-    mt = intmat.transpose(rows)
-    return intmat.mat_mul(intmat.mat_mul(mt, g), rows) == g
+    return intmat.congruence(intmat.transpose(rows), lattice.gram) == lattice.gram

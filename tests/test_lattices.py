@@ -414,6 +414,10 @@ class TestIsIsometry:
         # (2h, 2h) = 40 != 10
         assert not lattices.is_isometry(NS10, ((2, 0), (0, 1)))
 
+    def test_zero_matrix_rejected(self):
+        # singular: False, not an error
+        assert not lattices.is_isometry(NS10, ((0, 0), (0, 0)))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             lattices.is_isometry(NS10, ((1,),))

@@ -109,23 +109,32 @@ FAULTS = (
           _group("bilinear-properties")),
     Fault("isometry diagonal +1 instead of +sign", "src/epwlat/lattices.py",
           "row[i] += sign", "row[i] += 1", "tests/test_lattices.py::TestReflections"),
-    # G b and the rows of B^T G B then see only the first nonzero
-    # coordinate of each basis vector; the fault fails these four groups,
-    # at n-max 3 too
+    # every matrix product (so G b, the rows of B^T G B, M^T G M and M^2)
+    # then sees only the first nonzero coordinate of each row; the fault
+    # fails these five groups and involution-soundness, at n-max 3 too
     Fault("induced_gram combines only the first support entry",
-          "src/epwlat/lattices.py",
+          "src/epwlat/intmat.py",
           "for j, x in support[1:]:", "for j, x in support[1:1]:",
           f"{_PROPS}::test_induced_gram_on_dense_bases",
-          _groups("index-law", "family-identities", "h2-basis", "catalog-reports")),
+          _groups("index-law", "family-identities", "h2-basis", "catalog-reports",
+                  "reflection-properties")),
     # the shortcut returns rows[j] itself, right only for a one-term
     # support whose coefficient is 1: -e_j then pairs as +e_j, and
     # e_i + c e_j as e_i
-    Fault("one-term combination ignores its coefficient", "src/epwlat/lattices.py",
+    Fault("one-term combination ignores its coefficient", "src/epwlat/intmat.py",
           "if x == 1 and len(support) == 1:", "if len(support) == 1:",
           f"{_PROPS}::test_induced_gram_on_unit_and_mixed_supports"),
-    Fault("combination shortcut takes a multi-term support", "src/epwlat/lattices.py",
+    Fault("combination shortcut takes a multi-term support", "src/epwlat/intmat.py",
           "if x == 1 and len(support) == 1:", "if x == 1:",
           f"{_PROPS}::test_induced_gram_on_unit_and_mixed_supports"),
+    # M G M^T pairs the rows of M, not the images of the basis: the
+    # involution of NS_HILB(10) then gives (9h - 20delta)^2 = 10 but
+    # (9h + 4delta)^2 = 778 on its first row; at n-max 3 it also fails
+    # involution-soundness
+    Fault("is_isometry pairs M's rows instead of its columns", "src/epwlat/lattices.py",
+          "intmat.congruence(intmat.transpose(rows), lattice.gram)",
+          "intmat.congruence(rows, lattice.gram)",
+          "tests/test_lattices.py::TestIsIsometry", _groups("reflection-properties")),
     Fault("is_prime one witness too few", "src/epwlat/pell.py",
           "_WITNESSES[:bisect_right(_PSI, n) + 1]",
           "_WITNESSES[:bisect_right(_PSI, n)]",
