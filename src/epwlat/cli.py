@@ -48,6 +48,7 @@ import functools
 import io
 import re
 import sys
+from math import isqrt
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from . import __version__, pell
@@ -136,8 +137,10 @@ def cmd_pell(args) -> int:
     d = args.d
     if d < 1:
         raise ValueError("D must be a positive integer")
-    # before the --count check, so a perfect square D > 1 is reported first
-    cf = pell.cf_expansion(d) if d > 1 else None
+    if d > 1 and isqrt(d) ** 2 == d:
+        # raises before its first step: a square is reported before a bad
+        # --count, and sqrt(D) is expanded only once all three checks pass
+        pell.cf_expansion(d)
     if args.count < 1:
         raise ValueError("--count must be >= 1")
     if d == 1:
@@ -145,6 +148,7 @@ def cmd_pell(args) -> int:
         _emit(args.format, ["d", "solvable", "y", "x"], [[1, "true", 0, 1]],
               lambda: ["D=1: solvable (degenerate); only solution (y, x) = (0, 1)"])
         return EXIT_OK
+    cf = pell.cf_expansion(d)
     if not cf.solvable:
         _emit(args.format, ["d", "solvable", "period_length"], [[d, "false", cf.period_length]],
               lambda: [f"D={d}: unsolvable (continued-fraction period length "

@@ -10,22 +10,25 @@ from pathlib import Path
 
 import pytest
 
-from epwlat import cli, lattices, verify
+from epwlat import cli, lattices, pell, verify
 
 
 def run(argv, capsys):
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    """(exit code, stdout, stderr) of one ``cli.main`` call; ``--help`` and
+    ``--version`` exit through ``SystemExit`` and give ("exit", status)."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    return (code, *capsys.readouterr())
 
 
 def fresh_python(*args):
     """Run a new interpreter that imports this checkout's package."""
     src = str(Path(verify.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
 
 
 def test_cli_import_stays_stdlib_light():
@@ -171,6 +174,14 @@ class TestPell:
     ])
     def test_bad_d_reported_before_bad_count(self, d, message, capsys):
         assert run(["pell", "--d", d, "--count", "0"], capsys) == (1, "", message)
+
+    def test_bad_count_refused_before_any_expansion(self, monkeypatch, capsys):
+        # a non-square D with --count 0 is refused without walking sqrt(D)
+        expanded = []
+        monkeypatch.setattr(pell, "cf_expansion", expanded.append)
+        assert run(["pell", "--d", "1000000007", "--count", "0"], capsys) == (
+            1, "", "error: --count must be >= 1\n")
+        assert expanded == []
 
     def test_same_output_under_optimize_flag(self):
         # the fundamental solution's one check must not be an assert
@@ -534,10 +545,9 @@ class TestParsing:
 
     @pytest.mark.parametrize("argv", [["--help"], ["pell", "--help"]])
     def test_help_exits_0(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: epwlat")
+        code, out, _ = run(argv, capsys)
+        assert code == ("exit", 0)
+        assert out.startswith("usage: epwlat")
 
     def test_unknown_flag_exit_1(self, capsys):
         code, _, err = run(["pell", "--d", "5", "--bogus"], capsys)
@@ -549,19 +559,9 @@ class TestParsing:
         assert code == 1
 
     def test_version(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--version"])
-        assert exc.value.code == 0
-        assert "epwlat" in capsys.readouterr().out
-
-
-def call(argv, capsys):
-    """Like ``run``, but ``--help`` and ``--version`` give ("exit", status)."""
-    try:
-        return run(argv, capsys)
-    except SystemExit as exc:
-        captured = capsys.readouterr()
-        return ("exit", exc.code), captured.out, captured.err
+        code, out, _ = run(["--version"], capsys)
+        assert code == ("exit", 0)
+        assert "epwlat" in out
 
 
 @pytest.fixture
@@ -608,11 +608,11 @@ class TestParserReuse:
     def test_warm_parser_matches_fresh_parser_per_call(self, cold_parser,
                                                         monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")
-        call(["pell", "--d", "5"], capsys)
-        warm = [call(argv, capsys) for argv in REUSE_SEQUENCE]
+        run(["pell", "--d", "5"], capsys)
+        warm = [run(argv, capsys) for argv in REUSE_SEQUENCE]
         assert cli._parser.cache_info().misses == 1  # every call reused one parser
         monkeypatch.setattr(cli, "_parser", cli.build_parser)
-        fresh = [call(argv, capsys) for argv in REUSE_SEQUENCE]
+        fresh = [run(argv, capsys) for argv in REUSE_SEQUENCE]
         assert warm == fresh
         assert {code for code, _, _ in warm} == {0, 1, 2, ("exit", 0)}
 
@@ -637,7 +637,7 @@ class TestParserReuse:
         helps = {}
         for width in ("40", "200"):
             monkeypatch.setenv("COLUMNS", width)
-            warm = call(["pell", "--help"], capsys)
+            warm = run(["pell", "--help"], capsys)
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args(["pell", "--help"])
             assert warm == (("exit", 0), capsys.readouterr().out, "")

@@ -1,9 +1,9 @@
 """Drift check for the mutation gate, without running it: no fault of
-``tools/mutants.py`` is declared twice, every row must still apply (its old
-text occurs exactly once in its file) and must name a test that pytest
-collects, and every group of ``verify.CHECKS`` must have a row whose test is
-its ``test_check_group`` id. The gate itself starts one pytest per mutant
-and stays out of the suite."""
+``tools/mutants.py`` is declared twice, no two rows share a name, every row
+must still apply (its old text occurs exactly once in its file) and must
+name a test that pytest collects, and every group of ``verify.CHECKS`` must
+have a row whose test is its ``test_check_group`` id. The gate itself
+starts one pytest per mutant and stays out of the suite."""
 
 import importlib.util
 import os
@@ -39,6 +39,12 @@ def test_each_fault_declared_once():
     # a second test of a fault goes into its one declaration, as a further row
     faults = [(f.path, f.old, f.new) for f in mutants.FAULTS]
     assert [f for f in faults if faults.count(f) > 1] == []
+
+
+def test_row_names_unique():
+    # a row's name is its only identity: the test ids below and CHANGES.md quote it
+    names = [m.name for m in mutants.MUTANTS]
+    assert [n for n in names if names.count(n) > 1] == []
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)

@@ -26,7 +26,10 @@ imported from this checkout's ``src/``::
 Exit status 0 when every section matches, 1 when any differs (each one is
 named), 2 on any other argument. A change that alters output on purpose
 rewrites the file with ``--write`` and says which sections changed and
-why. ``tests/test_golden.py`` imports ``corpus`` and ``section_digest``
+why. ``section_digest(argvs)`` takes one section's argument vectors and
+runs them through ``epwlat.cli.main`` itself; it imports the package when
+called, after ``main`` has put ``src/`` on the path.
+``tests/test_golden.py`` imports ``corpus`` and ``section_digest``
 and checks every section but ``verify`` in the tier-1 suite; ``verify``
 is checked only here, as its two ``--n-max 100`` calls take about 0.6 s.
 """
@@ -91,8 +94,11 @@ def corpus() -> dict[str, list[list[str]]]:
     }
 
 
-def section_digest(main, argvs: list[list[str]]) -> str:
-    """sha256 over argv, exit code, stdout and stderr of every call, both formats."""
+def section_digest(argvs: list[list[str]]) -> str:
+    """sha256 over argv, exit code, stdout and stderr of every ``cli.main``
+    call, both formats."""
+    from epwlat import cli
+
     digest = hashlib.sha256()
     for prefix in ([], ["--format", "csv"]):
         for argv in argvs:
@@ -100,7 +106,7 @@ def section_digest(main, argvs: list[list[str]]) -> str:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
-                    code = main(full)
+                    code = cli.main(full)
                 except SystemExit as exc:  # --help and --version
                     code = exc.code
             record = [full, code, out.getvalue(), err.getvalue()]
@@ -114,14 +120,12 @@ def main(args: list[str]) -> int:
         return 2
     os.environ["COLUMNS"] = "80"
     sys.path.insert(0, str(ROOT / "src"))
-    from epwlat import cli
-
     start = time.perf_counter()
     sections = corpus()
     digests = {}
     for name, argvs in sections.items():
         t0 = time.perf_counter()
-        digests[name] = section_digest(cli.main, argvs)
+        digests[name] = section_digest(argvs)
         print(f"{name:13s} {2 * len(argvs):5d} calls {time.perf_counter() - t0:6.2f} s",
               flush=True)
     calls = 2 * sum(map(len, sections.values()))

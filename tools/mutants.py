@@ -2,13 +2,16 @@
 
 Each entry of ``FAULTS`` declares a fault once: a file under ``src/``, an
 exact old text, a new text and the pytest ids that must catch it. The rows
-of ``MUTANTS`` are derived, one per test: the first test's row has the bare
-name, each further one is ``"<name> (<suffix>)"``. So each test's claim is
-checked on its own, and re-texting a fault is one edit. For each row, the
-script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory, with a root ``conftest.py`` that turns hypothesis's shrink phase
-off (the gate needs a failure, not a minimal example), applies the mutant
-there and runs that test alone with ``pytest -x``, without plugin autoload.
+of ``MUTANTS`` are derived, one per test, and are ``Fault`` records too: a
+fault narrowed to one test, with ``also`` empty. The first test's row has
+the bare name, each further one is ``"<name> (<suffix>)"``. A row's name is
+its only identity (and its test id in ``tests/test_mutants.py``), so no two
+rows share one. Each test's claim is checked on its own, and re-texting a
+fault is one edit. For each row, the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, with a root ``conftest.py``
+that turns hypothesis's shrink phase off (the gate needs a failure, not a
+minimal example), applies the mutant there and runs that test alone with
+``pytest -x``, without plugin autoload.
 Exit 0 means the mutant survived, and fails the run; exit 1 or a timeout
 means it was killed; any other exit is a ``BAD`` row with pytest's last
 line. Before any row runs, every old text must occur exactly once in its
@@ -29,8 +32,8 @@ extra): ``python tools/mutants.py``. Exit status 0 when every mutant is
 killed and the identity survives, 1 otherwise. The repository is never
 modified. The script is kept out of the tier-1 suite, as each mutant costs
 one pytest start; ``tests/test_mutants.py`` checks there, without running
-any, that no fault is declared twice, that every row applies and names a
-collected test, and that every group has a row.
+any, that no fault is declared twice, that no two rows share a name, that
+every row applies and names a collected test, and that every group has a row.
 """
 
 from __future__ import annotations
@@ -54,16 +57,9 @@ settings.load_profile("mutants")
 """
 
 
-class Mutant(NamedTuple):
-    name: str
-    path: str  # relative to the repository root
-    old: str
-    new: str
-    test: str  # one pytest id
-
-
 class Fault(NamedTuple):
-    """One fault, declared once, with every test that must catch it."""
+    """One fault, declared once, with every test that must catch it; a row of
+    ``MUTANTS`` is one narrowed to a single test."""
     name: str
     path: str  # relative to the repository root
     old: str
@@ -266,6 +262,11 @@ FAULTS = (
           'text = "".join(f"{line}\\n" for line in human())',
           'text = "".join(f"{line}\\n" for line in human() if print(line))',
           "tests/test_cli.py::TestPell::test_same_exit_and_clean_stdout_in_both_formats"),
+    # every D > 1 is then expanded before --count is checked, so a bad
+    # --count is refused only after a walk of half the period of sqrt(D)
+    Fault("pell expands sqrt(D) before the --count check", "src/epwlat/cli.py",
+          "if d > 1 and isqrt(d) ** 2 == d:", "if d > 1:",
+          "tests/test_cli.py::TestPell::test_bad_count_refused_before_any_expansion"),
     # every `epwlat pell` then loads the lattice code at import and never uses it
     Fault("cli imports the lattice stack eagerly", "src/epwlat/cli.py",
           "from . import __version__, pell\n",
@@ -362,16 +363,16 @@ FAULTS = (
           (("spot check", "tests/test_family.py::TestDiscObstruction::test_values"),)),
 )
 
-MUTANTS = tuple(Mutant(f"{f.name} ({suffix})" if suffix else f.name, f.path, f.old, f.new, test)
+MUTANTS = tuple(Fault(f"{f.name} ({suffix})" if suffix else f.name, f.path, f.old, f.new, test)
                 for f in FAULTS for suffix, test in (("", f.test), *f.also))
 
 
-def group_rows(group: str) -> list[Mutant]:
+def group_rows(group: str) -> list[Fault]:
     """The rows whose test is ``group``'s: the faults it is shown to fail on."""
     return [m for m in MUTANTS if m.test == _group(group)]
 
 
-def run_mutant(m: Mutant) -> tuple[int, str, float]:
+def run_mutant(m: Fault) -> tuple[int, str, float]:
     """(pytest's exit code, its last line, seconds) for one mutant, in a fresh
     copy of the tree; a timeout counts as exit 1, a failed test. pytest loads
     no entry-point plugin: it would mark every module of each plugin's
