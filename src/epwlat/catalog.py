@@ -29,6 +29,7 @@ and the twist keeps them consistent here.
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple
 
 from . import intmat, lattices
@@ -155,7 +156,9 @@ _ID_RE = re.compile(r"^\s*([A-Za-z0-9_]+)\s*(?:\(\s*(-?\d+)\s*\))?\s*$")
 
 
 def build(catalog_id: str) -> Lattice:
-    """Build a catalog lattice from its identifier, e.g. "NS_HILB(10)"."""
+    """Build a catalog lattice from its identifier, e.g. "NS_HILB(10)". A
+    parameter with more digits than int() parses is refused with a message
+    that names the limit and repeats none of the digits."""
     m = _ID_RE.match(catalog_id)
     if not m:
         raise ValueError(f"malformed catalog identifier: {catalog_id!r}")
@@ -167,7 +170,12 @@ def build(catalog_id: str) -> Lattice:
     if name in _PARAMETRIZED:
         if arg is None:
             raise ValueError(f"catalog lattice {name} needs a parameter")
-        return _PARAMETRIZED[name](int(arg))
+        try:
+            n = int(arg)
+        except ValueError:  # the pattern admits only digits: int() refuses their count
+            raise ValueError(f"parameter of {name} has over "
+                             f"{sys.get_int_max_str_digits()} digits, int()'s limit") from None
+        return _PARAMETRIZED[name](n)
     raise ValueError(f"unknown catalog lattice: {name!r}")
 
 

@@ -15,12 +15,13 @@ Output is deterministic; CSV uses a header row, comma separators and
 newline-terminated records, with plain decimal integers.
 
 Output has one path: each handler builds its rows once and hands them to
-``_emit``, which writes them. CSV writes the rows; human format writes an
-aligned table of them or the handler's own lines, made only in human
-format. Only ``_emit`` and ``cmd_lattice`` branch on the format (the
-signature is one column in human format, three in CSV). The text is
-complete before any of it is written, so an error while it is made (an
-int too large to convert to decimal) leaves stdout empty in both formats.
+``_emit``, the one place where row values become decimal text: it turns
+every cell into a string once and writes the strings as CSV, as an
+aligned table, or as the handler's human-format lines made from them.
+Only ``_emit`` and ``cmd_lattice`` branch on the format (the signature
+is one column in human format, three in CSV). The text is complete
+before any of it is written, so an error while it is made (an int too
+large to convert to decimal) leaves stdout empty in both formats.
 
 ``main`` parses with one parser per process, built on its first call (not
 at import), so a caller that runs ``main`` many times builds it once;
@@ -63,21 +64,22 @@ EXIT_VERIFY_FAILED = 3
 
 
 def _emit(fmt: str, header: list[str], rows: list[list],
-          human: Optional[Callable[[], Iterable[str]]] = None) -> None:
-    """Write ``rows`` under ``header`` to stdout: as CSV, or in human format
-    as ``human()``'s lines when given, else as a table with aligned columns.
-    The whole text is built before it is written."""
+          human: Optional[Callable[[list[list[str]]], Iterable[str]]] = None) -> None:
+    """Write ``rows`` under ``header`` to stdout, each cell turned into text
+    once, first (``cells``): as CSV, or in human format as the lines of
+    ``human(cells)`` when given, else as an aligned table. The whole text
+    is built before it is written."""
+    cells = [list(map(str, r)) for r in rows]
     if fmt == "csv":
         out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([header, *rows])
+        csv.writer(out, lineterminator="\n").writerows([header, *cells])
         text = out.getvalue()
     elif human is None:
-        cells = [list(map(str, r)) for r in (header, *rows)]
-        widths = [max(map(len, col)) for col in zip(*cells)]
+        widths = [max(map(len, col)) for col in zip(header, *cells)]
         text = "".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n"
-                       for r in cells)
+                       for r in (header, *cells))
     else:
-        text = "".join(f"{line}\n" for line in human())
+        text = "".join(f"{line}\n" for line in human(cells))
     sys.stdout.write(text)
 
 
@@ -146,23 +148,20 @@ def cmd_pell(args) -> int:
     if d == 1:
         # degenerate: y^2 - x^2 = -1 has only (y, x) = (0, 1)
         _emit(args.format, ["d", "solvable", "y", "x"], [[1, "true", 0, 1]],
-              lambda: ["D=1: solvable (degenerate); only solution (y, x) = (0, 1)"])
+              lambda _: ["D=1: solvable (degenerate); only solution (y, x) = (0, 1)"])
         return EXIT_OK
     cf = pell.cf_expansion(d)
     if not cf.solvable:
         _emit(args.format, ["d", "solvable", "period_length"], [[d, "false", cf.period_length]],
-              lambda: [f"D={d}: unsolvable (continued-fraction period length "
-                       f"{cf.period_length} is even)"])
+              lambda cells: [f"D={d}: unsolvable (continued-fraction period length "
+                             f"{period} is even)" for d, _, period in cells])
         return EXIT_UNSOLVABLE
-    sols = pell.negative_solutions(cf, args.count)
-    rows = [[d, i, s.y, s.x] for i, s in enumerate(sols)]
+    rows = [[d, i, s.y, s.x] for i, s in enumerate(pell.negative_solutions(cf, args.count))]
 
-    def human():
-        # the minimal solution goes to decimal once, for its two lines
-        y0, x0 = str(sols[0].y), str(sols[0].x)
+    def human(cells):
+        d, _, y0, x0 = cells[0]
         yield f"D={d}: solvable; minimal solution (y, x) = ({y0}, {x0})"
-        yield f"  n=0: y={y0} x={x0}"
-        yield from (f"  n={i}: y={y} x={x}" for _, i, y, x in rows[1:])
+        yield from (f"  n={i}: y={y} x={x}" for _, i, y, x in cells)
 
     _emit(args.format, ["d", "index", "y", "x"], rows, human)
     return EXIT_OK
@@ -189,7 +188,7 @@ def cmd_lattice(args) -> int:
     else:
         signature = {"signature": _signature_str(rep.signature)}
     columns = {"rank": rep.rank, "discriminant": rep.discriminant, **signature,
-               "even": str(rep.even).lower()}
+               "even": "true" if rep.even else "false"}
     names = {"report": columns, "disc": ["discriminant"], "signature": signature,
              "even": ["even"]}[args.op]
     _emit(args.format, ["lattice", *names], [[label, *(columns[c] for c in names)]])
@@ -211,13 +210,13 @@ def cmd_family(args) -> int:
 def cmd_ogrady(args) -> int:
     from . import epwfamily
 
-    r = args.r
-    status = epwfamily.ogrady_status(r)
+    status = epwfamily.ogrady_status(args.r)
     case, rec = status.case, status.record
 
-    def human():
+    def human(cells):
+        [[r, _, n, d]] = cells
         if case is epwfamily.OgradyCase.EVEN_FAMILY:
-            yield f"r={r}: even family, n={rec.n}, d={rec.d}"
+            yield f"r={r}: even family, n={n}, d={d}"
         elif case is epwfamily.OgradyCase.OGRADY_R2:
             yield f"r={r}: O'Grady's case, {status.note}"
         elif case is epwfamily.OgradyCase.CLASSICAL_R0:
@@ -227,7 +226,7 @@ def cmd_ogrady(args) -> int:
             yield f"r={r}: odd, open{note}"
 
     _emit(args.format, ["r", "status", "n", "d"],
-          [[r, case.name, rec.n if rec else "", rec.d if rec else ""]], human)
+          [[args.r, case.name, rec.n if rec else "", rec.d if rec else ""]], human)
     return EXIT_OK
 
 
@@ -236,9 +235,9 @@ def cmd_verify(args) -> int:
 
     results = verify.run_all(args.n_max)
     rows = [[r.name, "PASS" if r.passed else "FAIL", r.detail] for r in results]
-    _emit(args.format, ["check", "status", "detail"], rows, lambda: [
-        *(f"{mark} {name}: {detail}" for name, mark, detail in rows),
-        f"{sum(r.passed for r in results)}/{len(rows)} check groups passed "
+    _emit(args.format, ["check", "status", "detail"], rows, lambda cells: [
+        *(f"{mark} {name}: {detail}" for name, mark, detail in cells),
+        f"{sum(r.passed for r in results)}/{len(cells)} check groups passed "
         f"(n-max {args.n_max})"])
     first_failure = next((r for r in results if not r.passed), None)
     if first_failure is not None:

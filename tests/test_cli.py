@@ -92,7 +92,8 @@ def test_verify_import_loads_no_dataclasses():
 
 # Every usage or input error: exactly one ``error: ...`` line on stderr,
 # nothing on stdout, exit 1. Paths are relative to a temporary directory
-# that holds ``empty.txt`` (zero bytes) and no ``missing.txt``.
+# that holds ``empty.txt`` (zero bytes) and no ``missing.txt``; ``{limit}``
+# stands for int()'s digit limit, read when the test runs.
 USAGE_ERRORS = [
     pytest.param(["pell", "--d", "0"], "D must be a positive integer", id="pell-d0"),
     pytest.param(["pell", "--d", "4"], "D = 4 is a perfect square", id="pell-d4"),
@@ -106,6 +107,9 @@ USAGE_ERRORS = [
     pytest.param(["verify", "--n-max", "0"], "n-max must be >= 1", id="verify-nmax0"),
     pytest.param(["lattice", "--id", "FOO"], "unknown catalog lattice: 'FOO'",
                  id="lattice-unknown-id"),
+    pytest.param(["lattice", "--id", f"NS_HILB({'7' * 5000})"],
+                 "parameter of NS_HILB has over {limit} digits, int()'s limit",
+                 id="lattice-id-over-long"),
     pytest.param(["lattice", "--gram", "1,2;3"],
                  "Gram matrix must be square", id="gram-ragged"),
     pytest.param(["lattice", "--gram", "1,2;3,4"], "Gram matrix must be symmetric",
@@ -132,7 +136,20 @@ USAGE_ERRORS = [
 def test_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "empty.txt").write_bytes(b"")
     monkeypatch.chdir(tmp_path)
+    message = message.replace("{limit}", str(sys.get_int_max_str_digits()))
     assert run(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+def test_emit_writes_nothing_when_a_human_line_fails(capsys):
+    # the text is complete before any of it is written, so a callback that
+    # fails after its first line leaves stdout empty
+    def human(cells):
+        yield f"n={cells[0][0]}"
+        raise ValueError("the second line fails")
+
+    with pytest.raises(ValueError, match="the second line fails"):
+        cli._emit("human", ["n"], [[1]], human)
+    assert capsys.readouterr().out == ""
 
 
 class TestPell:
@@ -395,8 +412,8 @@ PASS pell-minimality: fundamental = full-period reference minimum (no x bound) f
 PASS prime-criterion: p = 2 or p = 1 (mod 4) matches the solver for the 62 primes p < 300
 PASS catalog-reports: LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)
 PASS disc-obstruction: disc R(n) = -n(n+20), no disc -20 sublattice, strict inequality for 0 < fh < n+10 (fh = 1..3, n+9), for every n >= 1 (degree <= 2, checked at n = 1..3 and 30)
-PASS reflection-properties: involutivity/isometry/fixed-space checks on 30 randomized reflections
-PASS index-law: disc(B^T G B) = det(B)^2 disc(G) on 30 randomized pairs
+PASS reflection-properties: involutivity/isometry/fixed-space checks on 28 distinct of 30 randomized reflections
+PASS index-law: disc(B^T G B) = det(B)^2 disc(G) on 30 distinct of 30 randomized pairs
 PASS saturation: saturations and complements have unit Hermite pivots, saturations keep the input's Q-span, on 30 randomized cases
 PASS bilinear-properties: symmetry, bilinearity, basis invariance on 30 randomized cases
 PASS closed-form-erratum: printed D=5 closed form gives (49,22) with residual -19; enumeration gives (38,17)
@@ -416,8 +433,8 @@ pell-minimality,PASS,"fundamental = full-period reference minimum (no x bound) f
 prime-criterion,PASS,p = 2 or p = 1 (mod 4) matches the solver for the 62 primes p < 300
 catalog-reports,PASS,"LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)"
 disc-obstruction,PASS,"disc R(n) = -n(n+20), no disc -20 sublattice, strict inequality for 0 < fh < n+10 (fh = 1..3, n+9), for every n >= 1 (degree <= 2, checked at n = 1..3 and 30)"
-reflection-properties,PASS,involutivity/isometry/fixed-space checks on 30 randomized reflections
-index-law,PASS,disc(B^T G B) = det(B)^2 disc(G) on 30 randomized pairs
+reflection-properties,PASS,involutivity/isometry/fixed-space checks on 28 distinct of 30 randomized reflections
+index-law,PASS,disc(B^T G B) = det(B)^2 disc(G) on 30 distinct of 30 randomized pairs
 saturation,PASS,"saturations and complements have unit Hermite pivots, saturations keep the input's Q-span, on 30 randomized cases"
 bilinear-properties,PASS,"symmetry, bilinearity, basis invariance on 30 randomized cases"
 closed-form-erratum,PASS,"printed D=5 closed form gives (49,22) with residual -19; enumeration gives (38,17)"

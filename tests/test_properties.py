@@ -1027,13 +1027,26 @@ def test_randomized_groups_check_each_case_once(monkeypatch):
     # the four randomized groups only: involution-soundness's certificate
     # points are pinned by the per-claim spies of test_acceptance.py
     seen = _spy_laws(monkeypatch)
-    for check in (verify.check_reflection_properties, verify.check_index_law,
-                  verify.check_saturation, verify.check_bilinear_properties):
-        check(10)
+    accepted = set()  # the index_law inputs it accepted (det(B) != 0)
+
+    def index_spy(lat, b, _law=verify.index_law):
+        ok = _law(lat, b)
+        if ok:
+            accepted.add(_law_input("index_law", (lat, b)))
+        return ok
+
+    monkeypatch.setattr(verify, "index_law", index_spy)
+    details = [check(10) for check in (
+        verify.check_reflection_properties, verify.check_index_law,
+        verify.check_saturation, verify.check_bilinear_properties)]
     assert [k for k, c in seen.items() if c > 1] == []
     # skipping repeats leaves the set of distinct inputs as it was
     digest = hashlib.sha256("\n".join(sorted(map(repr, seen))).encode()).hexdigest()
     assert digest == "a7e852fc44d9a3e27f7dacd69ff985f0153e9d78230959aeab465130ee10d7b1"
+    # the labels count what was checked, not what was drawn
+    reflections = sum(key[0] == "involution_law" for key in seen)
+    assert details[0].endswith(f" on {reflections} distinct of 100 randomized reflections")
+    assert details[1].endswith(f" on {len(accepted)} distinct of 100 randomized pairs")
 
 
 def test_no_memo_across_runs(monkeypatch):

@@ -24,11 +24,13 @@ imported from this checkout's ``src/``::
     python tools/golden.py --write   # rewrite tools/golden.json
 
 Exit status 0 when every section matches, 1 when any differs (each one is
-named), 2 on any other argument. A change that alters output on purpose
-rewrites the file with ``--write`` and says which sections changed and
-why. ``section_digest(argvs)`` takes one section's argument vectors and
-runs them through ``epwlat.cli.main`` itself; it imports the package when
-called, after ``main`` has put ``src/`` on the path.
+named on a ``DIFFERS <section>`` line), 2 on any other argument. A change
+that alters output on purpose rewrites the file with ``--write``, which
+prints a ``CHANGED <section>`` line for each digest it replaces, and says
+which sections changed and why. ``section_digest(argvs)`` takes one
+section's argument vectors and runs them through ``epwlat.cli.main``
+itself; it imports the package when called, after ``main`` has put
+``src/`` on the path.
 ``tests/test_golden.py`` imports ``corpus`` and ``section_digest``
 and checks every section but ``verify`` in the tier-1 suite; ``verify``
 is checked only here, as its two ``--n-max 100`` calls take about 0.6 s.
@@ -130,16 +132,17 @@ def main(args: list[str]) -> int:
               flush=True)
     calls = 2 * sum(map(len, sections.values()))
     wall = time.perf_counter() - start
-    if args == ["--write"]:
-        GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
-        print(f"wrote {GOLDEN.relative_to(ROOT)}: {len(digests)} sections, "
-              f"{calls} calls, {wall:.2f} s")
-        return 0
     expected = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     names = sorted(digests.keys() | expected.keys())
     differ = [name for name in names if digests.get(name) != expected.get(name)]
+    write = args == ["--write"]
     for name in differ:
-        print(f"DIFFERS {name}")
+        print(f"{'CHANGED' if write else 'DIFFERS'} {name}")
+    if write:
+        GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
+        print(f"wrote {os.path.relpath(GOLDEN, ROOT)}: {len(digests)} sections, "
+              f"{calls} calls, {wall:.2f} s")
+        return 0
     print(f"{len(names) - len(differ)}/{len(names)} sections match "
           f"({calls} calls, {wall:.2f} s)")
     return 1 if differ else 0
