@@ -29,10 +29,10 @@ and the twist keeps them consistent here.
 from __future__ import annotations
 
 import re
-import sys
 from typing import NamedTuple
 
 from . import intmat, lattices
+from .errors import quote, read_int
 from .lattices import Lattice, Signature
 
 # Cartan matrix of E8 (simply laced, so equal to the Gram matrix of the
@@ -156,12 +156,13 @@ _ID_RE = re.compile(r"^\s*([A-Za-z0-9_]+)\s*(?:\(\s*(-?\d+)\s*\))?\s*$")
 
 
 def build(catalog_id: str) -> Lattice:
-    """Build a catalog lattice from its identifier, e.g. "NS_HILB(10)". A
-    parameter with more digits than int() parses is refused with a message
-    that names the limit and repeats none of the digits."""
+    """Build a catalog lattice from its identifier, e.g. "NS_HILB(10)". The
+    parameter is read by ``errors.read_int``; a malformed identifier, an
+    unknown name and a refused parameter are quoted by ``errors.quote``,
+    at most 40 characters each."""
     m = _ID_RE.match(catalog_id)
     if not m:
-        raise ValueError(f"malformed catalog identifier: {catalog_id!r}")
+        raise ValueError(f"malformed catalog identifier: {quote(catalog_id)}")
     name, arg = m.group(1), m.group(2)
     if name in _PLAIN:
         if arg is not None:
@@ -170,13 +171,8 @@ def build(catalog_id: str) -> Lattice:
     if name in _PARAMETRIZED:
         if arg is None:
             raise ValueError(f"catalog lattice {name} needs a parameter")
-        try:
-            n = int(arg)
-        except ValueError:  # the pattern admits only digits: int() refuses their count
-            raise ValueError(f"parameter of {name} has over "
-                             f"{sys.get_int_max_str_digits()} digits, int()'s limit") from None
-        return _PARAMETRIZED[name](n)
-    raise ValueError(f"unknown catalog lattice: {name!r}")
+        return _PARAMETRIZED[name](read_int(arg))
+    raise ValueError(f"unknown catalog lattice: {quote(name)}")
 
 
 def names() -> list[str]:

@@ -10,7 +10,8 @@ argparse reports a usage error itself (its usage line, then one
 ``epwlat: error: ...`` line on stderr) and exits with status 2, which
 ``main`` maps to exit 1. Every input error is one ``error: ...`` line on
 stderr and exit 1; the handlers raise ``ValueError`` or ``OSError`` and
-``main`` alone reports them.
+``main`` alone reports them. Every integer of the input (an option, a Gram
+entry, a catalog parameter) is read by ``errors.read_int`` and nowhere else.
 Output is deterministic; CSV uses a header row, comma separators and
 newline-terminated records, with plain decimal integers.
 
@@ -47,12 +48,11 @@ import argparse
 import csv
 import functools
 import io
-import re
 import sys
 from math import isqrt
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from . import __version__, pell
+from . import __version__, errors, pell
 
 if TYPE_CHECKING:
     from .lattices import Lattice, Signature
@@ -89,30 +89,13 @@ def _signature_str(sig: Signature) -> str:
     return f"({sig.positive},{sig.negative})"
 
 
-# a base-10 integer literal, which int() refuses only for its length; a
-# pattern string, compiled (and cached by ``re``) on the first refusal, not
-# when ``epwlat.cli`` is imported
-_INT_LITERAL = r"\s*[+-]?\d+(?:_\d+)*\s*"
-
-
-def _quote(text: str) -> str:
-    """repr of at most the first 40 characters of ``text``, with ``...`` when cut."""
-    return repr(text[:40]) + "..." * (len(text) > 40)
-
-
 def _int_option(text: str) -> int:
-    """The argparse type of every integer option: ``int``, whose refusal
-    quotes at most 40 characters and names int()'s digit limit when that
-    is the reason. An ``ArgumentTypeError`` is printed as it is, so the
-    short message keeps argparse's own wording for ``type=int``."""
+    """The argparse type of every integer option, ``errors.read_int``; as an
+    ``ArgumentTypeError`` its refusal is printed as it is, in ``type=int``'s words."""
     try:
-        return int(text)
-    except ValueError:
-        if re.fullmatch(_INT_LITERAL, text):
-            raise argparse.ArgumentTypeError(
-                f"{_quote(text)} is over int()'s {sys.get_int_max_str_digits()}-digit limit"
-            ) from None
-        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
+        return errors.read_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_gram(text: str) -> Lattice:
@@ -125,13 +108,7 @@ def _parse_gram(text: str) -> Lattice:
     for chunk in text.split(";"):
         if not chunk.strip():
             raise ValueError("empty row in Gram matrix")
-        try:
-            rows.append([int(e) for e in chunk.split(",")])
-        except ValueError:
-            if all(re.fullmatch(_INT_LITERAL, e) for e in chunk.split(",")):
-                raise ValueError(f"Gram entry in {_quote(chunk)} has over "
-                                 f"{sys.get_int_max_str_digits()} digits, int()'s limit")
-            raise ValueError(f"non-integer Gram entry in {_quote(chunk)}")
+        rows.append(list(map(errors.read_int, chunk.split(","))))
     return Lattice(rows)
 
 

@@ -1,7 +1,16 @@
-"""The error raised when an internal invariant of an exact computation fails.
-
-Unlike ``assert``, these checks stay in force under ``python -O``.
+"""The error raised when an internal invariant of an exact computation
+fails (``ensure``, unlike ``assert``, stays in force under ``python -O``),
+and the one reader of integers that come from outside as text
+(``read_int``: CLI options, Gram entries, catalog parameters). A message
+that echoes outside text quotes at most 40 characters of it (``quote``).
 """
+
+import re
+import sys
+
+# a base-10 literal, which int() refuses only for its length; compiled (and
+# cached by ``re``) on the first refusal, not when ``epwlat`` is imported
+_INT_LITERAL = r"\s*[+-]?\d+(?:_\d+)*\s*"
 
 
 class InvariantError(RuntimeError):
@@ -11,3 +20,20 @@ class InvariantError(RuntimeError):
 def ensure(condition: bool, message: str) -> None:
     if not condition:
         raise InvariantError(message)
+
+
+def quote(text: str) -> str:
+    """repr of at most the first 40 characters of ``text``, with ``...`` when cut."""
+    return repr(text[:40]) + "..." * (len(text) > 40)
+
+
+def read_int(text: str) -> int:
+    """``int(text)``; a refusal is a ``ValueError`` that quotes ``text`` and
+    says either that it is no integer or that it is over int()'s digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(_INT_LITERAL, text):
+            raise ValueError(f"{quote(text)} is over int()'s "
+                             f"{sys.get_int_max_str_digits()}-digit limit") from None
+        raise ValueError(f"invalid int value: {quote(text)}") from None

@@ -379,8 +379,7 @@ def index_law(lat: Lattice, b) -> bool:
     det_b = intmat.det(b)
     if det_b == 0:
         return False
-    cols = [tuple(row[j] for row in b) for j in range(len(b))]
-    sub = lattices.induced_gram(lat, cols)
+    sub = lattices.induced_gram(lat, intmat.transpose(b))
     if intmat.inertia(sub.gram)[3] != det_b**2 * lattices.discriminant(lat):
         _fail(f"index law fails: gram={lat.gram}, B={b}")
     return True

@@ -108,14 +108,22 @@ USAGE_ERRORS = [
     pytest.param(["lattice", "--id", "FOO"], "unknown catalog lattice: 'FOO'",
                  id="lattice-unknown-id"),
     pytest.param(["lattice", "--id", f"NS_HILB({'7' * 5000})"],
-                 "parameter of NS_HILB has over {limit} digits, int()'s limit",
+                 f"'{'7' * 40}'... is over int()'s {{limit}}-digit limit",
                  id="lattice-id-over-long"),
+    pytest.param(["lattice", "--id", f"NS_HILB({'7' * 5000}"],
+                 f"malformed catalog identifier: 'NS_HILB({'7' * 32}'...",
+                 id="lattice-id-malformed-over-long"),
+    pytest.param(["lattice", "--id", "X" * 5000],
+                 f"unknown catalog lattice: '{'X' * 40}'...",
+                 id="lattice-id-unknown-over-long"),
     pytest.param(["lattice", "--gram", "1,2;3"],
                  "Gram matrix must be square", id="gram-ragged"),
     pytest.param(["lattice", "--gram", "1,2;3,4"], "Gram matrix must be symmetric",
                  id="gram-asymmetric"),
-    pytest.param(["lattice", "--gram", "x"], "non-integer Gram entry in 'x'",
+    pytest.param(["lattice", "--gram", "x"], "invalid int value: 'x'",
                  id="gram-non-integer"),
+    pytest.param(["lattice", "--gram", "1," * 30 + "x"], "invalid int value: 'x'",
+                 id="gram-bad-entry-past-40"),
     pytest.param(["lattice", "--gram-file", "missing.txt"],
                  "[Errno 2] No such file or directory: 'missing.txt'",
                  id="gram-file-missing"),
@@ -262,7 +270,7 @@ class TestLattice:
 
     def test_non_integer_rejected(self, capsys):
         assert run(["lattice", "--gram", "1,x;x,1", "--op", "disc"], capsys) == (
-            1, "", "error: non-integer Gram entry in '1,x'\n")
+            1, "", "error: invalid int value: 'x'\n")
 
     @pytest.mark.parametrize("source", ["--gram", "--gram-file"])
     def test_over_long_entry_names_the_limit(self, source, tmp_path, capsys):
@@ -274,13 +282,12 @@ class TestLattice:
         code, out, err = run(["lattice", source, text, "--op", "disc"], capsys)
         limit = sys.get_int_max_str_digits()
         assert (code, out) == (1, "")
-        assert err == (f"error: Gram entry in '{'7' * 40}'... has over {limit} digits,"
-                       " int()'s limit\n")
+        assert err == f"error: '{'7' * 40}'... is over int()'s {limit}-digit limit\n"
         assert len(err) < 120
 
     def test_over_long_non_integer_row_is_cut(self, capsys):
         assert run(["lattice", "--gram", "1," + "x" * 5000], capsys) == (
-            1, "", f"error: non-integer Gram entry in '1,{'x' * 38}'...\n")
+            1, "", f"error: invalid int value: '{'x' * 40}'...\n")
 
     def test_unknown_id_rejected(self, capsys):
         assert run(["lattice", "--id", "E9", "--op", "report"], capsys) == (

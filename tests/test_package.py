@@ -93,3 +93,25 @@ def test_every_private_helper_has_a_caller():
     dead = [f"{module}.{name}" for module, tree in trees.items()
             for name in _module_private_names(tree) if name not in used]
     assert dead == []
+
+
+def _text_to_int_calls(tree):
+    """Line numbers of the calls ``int(x)``: one argument, no base."""
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "int" and len(node.args) == 1 and not node.keywords}
+
+
+def test_text_becomes_an_int_only_in_read_int():
+    # errors.read_int is the one reader of outside integers, so every
+    # refusal is worded once; int(s, 2) names a base and reads the
+    # package's own bit strings
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(epwlat.__file__).parent.glob("*.py"))}
+    allowed = {("errors", line) for f in trees["errors"].body
+               if isinstance(f, ast.FunctionDef) and f.name == "read_int"
+               for line in _text_to_int_calls(f)}
+    found = {(module, line) for module, tree in trees.items()
+             for line in _text_to_int_calls(tree)}
+    assert sorted(found - allowed) == []
+    assert allowed

@@ -8,9 +8,10 @@ stderr go into the sha256 of its corpus section:
 
     lattice-id     ``lattice --id X --op report|disc|signature|even`` for every
                    plain catalog id, small ranges of the parametrised ids, and
-                   malformed or unknown ids
+                   malformed or unknown ids, two of them 5000 characters long
     lattice-gram   ``lattice --gram`` on fixed hollow and degenerate Grams,
-                   and on malformed ones, with every ``--op``
+                   and on malformed ones (one with its bad entry past the
+                   40th character), with every ``--op``
     family         ``family --n-min 1 --n-max 40``
     ogrady         ``ogrady --r 0..10``
     pell           ``pell --d 1..299``, each D also with ``--count 3``
@@ -67,7 +68,7 @@ def _grams() -> list[str]:
     degenerate += [[[0] * k for _ in range(k)] for k in range(1, 5)]
     degenerate += [[[2, 1, 0], [1, 2, 0], [0, 0, 0]], [[2, 1, 3], [1, 2, 3], [3, 3, 6]],
                    [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, 0]]]
-    malformed = ["1,2;3", "1,2;3,4", "x", "", " ", ";", "1,2;2,1;", "1,2;;2,1"]
+    malformed = ["1,2;3", "1,2;3,4", "x", "", " ", ";", "1,2;2,1;", "1,2;;2,1", "1," * 30 + "x"]
     return [_gram_text(g) for g in hollow + degenerate] + malformed
 
 
@@ -77,7 +78,8 @@ def corpus() -> dict[str, list[list[str]]]:
     ids += [f"A1({a})" for a in range(-4, 5)]
     ids += [f"NS_HILB({d})" for d in range(-2, 25)]
     ids += [f"{name}({n})" for name in ("R", "NS3", "PI") for n in range(-1, 11)]
-    ids += ["U(1)", "A1", "A1()", "e8", "FOO", "", " K3 ", "NS_HILB( 10 )"]
+    ids += ["U(1)", "A1", "A1()", "e8", "FOO", "", " K3 ", "NS_HILB( 10 )",
+            f"NS_HILB({'7' * 5000}", "X" * 5000]
     return {
         "lattice-id": [["lattice", "--id", i, "--op", op] for i in ids for op in OPS],
         "lattice-gram": [["lattice", "--gram", g, "--op", op] for g in _grams() for op in OPS],

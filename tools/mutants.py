@@ -277,9 +277,23 @@ FAULTS = (
           "tests/test_cli.py::TestPell::test_bad_count_refused_before_any_expansion"),
     # every `epwlat pell` then loads the lattice code at import and never uses it
     Fault("cli imports the lattice stack eagerly", "src/epwlat/cli.py",
-          "from . import __version__, pell\n",
-          "from . import __version__, pell\nfrom . import catalog, epwfamily, lattices\n",
+          "from . import __version__, errors, pell\n",
+          "from . import __version__, errors, pell\nfrom . import catalog, epwfamily, lattices\n",
           "tests/test_cli.py::test_cli_import_loads_only_the_pell_path"),
+    # every refusal of outside text then echoes all of it: 5048 bytes on
+    # stderr for a 5000-digit catalog parameter without its ")"
+    Fault("quote keeps every character", "src/epwlat/errors.py",
+          "repr(text[:40])", "repr(text)",
+          "tests/test_cli.py::test_usage_error[lattice-id-malformed-over-long]",
+          (("unknown", "tests/test_cli.py::test_usage_error[lattice-id-unknown-over-long]"),
+           ("option", "tests/test_cli.py::TestParsing::"
+                      "test_over_long_integer_names_the_limit[pell-d]"))),
+    # "x" and "1.5" are then over the digit limit too
+    Fault("every refusal names the digit limit", "src/epwlat/errors.py",
+          "if re.fullmatch(_INT_LITERAL, text):", "if True:",
+          "tests/test_cli.py::test_usage_error[gram-non-integer]",
+          (("option", "tests/test_cli.py::TestParsing::"
+                      "test_argparse_error_pinned[pell-d-not-int]"),)),
     # the Pell records as dataclasses again: `epwlat pell` then loads
     # dataclasses and inspect at import
     Fault("pell imports dataclasses", "src/epwlat/pell.py",
