@@ -11,7 +11,9 @@ argparse reports a usage error itself (its usage line, then one
 ``main`` maps to exit 1. Every input error is one ``error: ...`` line on
 stderr and exit 1; the handlers raise ``ValueError`` or ``OSError`` and
 ``main`` alone reports them. Every integer of the input (an option, a Gram
-entry, a catalog parameter) is read by ``errors.read_int`` and nowhere else.
+entry, a catalog parameter) is read by ``errors.read_int`` and nowhere else,
+and an error quotes at most 40 characters of any echoed input, a
+``--gram-file`` path too (``errors.quote``).
 Output is deterministic; CSV uses a header row, comma separators and
 newline-terminated records, with plain decimal integers.
 
@@ -153,8 +155,12 @@ def cmd_lattice(args) -> int:
     else:
         text = args.gram
         if args.gram_file is not None:
-            with open(args.gram_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(args.gram_file, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:  # its own text repeats the whole path
+                raise OSError(f"[Errno {exc.errno}] {exc.strerror}: "
+                              f"{errors.quote(args.gram_file)}") from None
         lat = _parse_gram(text)
         label = "inline"
 

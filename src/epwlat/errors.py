@@ -5,12 +5,7 @@ and the one reader of integers that come from outside as text
 that echoes outside text quotes at most 40 characters of it (``quote``).
 """
 
-import re
 import sys
-
-# a base-10 literal, which int() refuses only for its length; compiled (and
-# cached by ``re``) on the first refusal, not when ``epwlat`` is imported
-_INT_LITERAL = r"\s*[+-]?\d+(?:_\d+)*\s*"
 
 
 class InvariantError(RuntimeError):
@@ -28,12 +23,18 @@ def quote(text: str) -> str:
 
 
 def read_int(text: str) -> int:
-    """``int(text)``; a refusal is a ``ValueError`` that quotes ``text`` and
-    says either that it is no integer or that it is over int()'s digit limit."""
+    """The integer that ``text`` writes in ASCII: an optional sign and the
+    digits 0-9, with optional spaces, tabs or line breaks around them; no
+    underscore and no other digit. A refusal is a ``ValueError`` that quotes
+    ``text`` and says either that it is no integer or that it is over
+    int()'s digit limit, the one reason ``int`` can have left."""
+    digits = text.strip(" \t\n\r\v\f")
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid int value: {quote(text)}")
     try:
         return int(text)
     except ValueError:
-        if re.fullmatch(_INT_LITERAL, text):
-            raise ValueError(f"{quote(text)} is over int()'s "
-                             f"{sys.get_int_max_str_digits()}-digit limit") from None
-        raise ValueError(f"invalid int value: {quote(text)}") from None
+        raise ValueError(f"{quote(text)} is over int()'s "
+                         f"{sys.get_int_max_str_digits()}-digit limit") from None

@@ -71,12 +71,15 @@ of [V^T | span^T] also shows whether given vectors lie in their Q-span.
 the one output of ``saturation`` that each draw computes, and
 ``complement_law`` to that of ``orthogonal_complement``.
 
-A fixed claim, such as one of the paper's numbers or a catalog lattice,
-is a row (what, computed, expected) checked by ``_expect``, which fails
-on the first mismatch with both values; a record is compared with the
-plain tuple of its fields. The laws and the loops over ranges and
-points keep their own tests, as their messages carry the counterexample
-input.
+A group's own claims are rows (what, computed, expected) checked by
+``_expect``, which fails on the first mismatch with both values: one of
+the paper's numbers, a catalog lattice, a claim at a certificate point
+(``what`` then names the point, ``n=<k>: ...``) or the first
+counterexample of a range, expected None. ``_expect`` evaluates all of
+its rows before it compares any, so a row compares a whole record (with
+the plain tuple of its fields), never a field of a value that may be
+None. Laws raise their own counterexample: the property tests call them
+thousands of times, and a row would build its message on every call.
 
 A failed law and a failed ``errors.ensure`` inside the package both raise
 ``InvariantError``; ``run_all`` reports its message as the group's
@@ -112,8 +115,8 @@ def _fail(msg: str):
 
 
 def _expect(*claims) -> None:
-    """Check fixed claims, each a tuple (what, computed, expected); the first
-    mismatch fails with both values."""
+    """Check a group's claims, each a tuple (what, computed, expected); the
+    first mismatch fails with both values."""
     for what, got, want in claims:
         if got != want:
             _fail(f"{what} = {got}, expected {want}")
@@ -483,20 +486,14 @@ def enumeration_law(
 def oracle_law(d: int, brute_x: int | None) -> bool:
     """The solver agrees with the brute-force least x <= BRUTE_X_MAX for a
     non-square D (``brute_x`` is None when the search found none); returns
-    whether D is solvable.
-
-    sqrt(D) is expanded once: the parity of its period decides solvability,
-    and for an odd period ``pell.negative_solutions`` builds the fundamental
-    solution from the same expansion and checks it exactly."""
-    cf = pell.cf_expansion(d)
-    solver = cf.solvable
-    if brute_x is not None and not solver:
+    whether D is solvable. ``pell.fundamental_negative`` expands sqrt(D)
+    once, to decide and to build the solution, which it checks exactly."""
+    fund = pell.fundamental_negative(d)
+    if brute_x is not None and fund is None:
         _fail(f"D={d}: brute force found x={brute_x}, solver says unsolvable")
-    if solver:
-        fund = pell.negative_solutions(cf, 1)[0]
-        if fund.x <= BRUTE_X_MAX and brute_x != fund.x:
-            _fail(f"D={d}: solver minimal x={fund.x}, brute force x={brute_x}")
-    return solver
+    if fund is not None and fund.x <= BRUTE_X_MAX and brute_x != fund.x:
+        _fail(f"D={d}: solver minimal x={fund.x}, brute force x={brute_x}")
+    return fund is not None
 
 
 def minimality_law(d: int) -> bool:
@@ -565,12 +562,9 @@ def check_family_identities(n_max: int) -> str:
     The Pell witness is (2n+2, 1) for every n (``check_necessary_condition``)."""
     points, scope = _certificate("family-identities", n_max)
     for n in points:
-        rec = epwfamily.family(n)
-        pairing = rec.gram_pi[0][1]  # computed from NS3(n) by family(n)
-        if pairing != 4 * n + 4:
-            _fail(f"n={n}: (gamma, delta2) = {pairing} != {4 * n + 4}")
-        if rec.pell != (rec.g - 1, 2 * n + 2, 1):
-            _fail(f"n={n}: Pell witness {rec.pell} != ({2 * n + 2}, 1)")
+        rec = epwfamily.family(n)  # the pairing is computed from NS3(n)
+        _expect((f"n={n}: (gamma, delta2)", rec.gram_pi[0][1], 4 * n + 4),
+                (f"n={n}: Pell witness", rec.pell, (rec.g - 1, 2 * n + 2, 1)))
     return f"(gamma,delta2), disc Pi, (h2,h2), g(n) agree both ways {scope}"
 
 
@@ -581,11 +575,9 @@ def check_h2_basis(n_max: int) -> str:
     for n in points:
         pi = catalog.epw_picard_lattice(n)
         h2 = (1, 2 * n + 2)
-        in_h2_basis = lattices.induced_gram(pi, [h2, (0, 1)])
-        if in_h2_basis.gram != ((_degree(n), 0), (0, -2)):
-            _fail(f"n={n}: Gram in (h2, delta2) basis is {in_h2_basis.gram}")
-        if not lattices.is_primitive(pi, h2):
-            _fail(f"n={n}: h2 not primitive")
+        _expect((f"n={n}: Gram in the (h2, delta2) basis",
+                 lattices.induced_gram(pi, [h2, (0, 1)]).gram, ((_degree(n), 0), (0, -2))),
+                (f"n={n}: h2 primitive", lattices.is_primitive(pi, h2), True))
     return f"Gram of Pi in the (h2, delta2) basis is diag(d(n), -2) {scope}"
 
 
@@ -598,8 +590,7 @@ def check_involution_soundness(n_max: int) -> str:
     points, scope = _certificate("involution-soundness", n_max)
     for n in points:
         j = epwfamily.epw_involution(_degree(n))
-        if j.root != (1, -(2 * n + 2)):
-            _fail(f"n={n}: gamma = {j.root}, not h - (2n+2) delta")
+        _expect((f"n={n}: gamma", j.root, (1, -(2 * n + 2))))
         involution_law(j)
     return f"J^2 = I, J gamma = gamma, J = -1 on gamma-perp {scope}"
 
@@ -611,11 +602,7 @@ def check_necessary_condition(n_max: int) -> str:
     points, scope = _certificate("necessary-condition", n_max)
     for n in points:
         d = _degree(n)
-        witness = epwfamily.necessary_condition(d)
-        if witness is None:
-            _fail(f"n={n}: necessary condition unexpectedly fails at d={d}")
-        if (witness.y, witness.x) != (2 * n + 2, 1):
-            _fail(f"n={n}: minimal witness {witness} != ({2 * n + 2}, 1)")
+        _expect((f"n={n}: witness", epwfamily.necessary_condition(d), (d // 2, 2 * n + 2, 1)))
     _expect(("d=12 witness", epwfamily.necessary_condition(12), None),
             ("d=10 witness", epwfamily.necessary_condition(10), (5, 2, 1)))
     return f"witness (2n+2, 1) {scope}; d=12 rejected; d=10 gives (2,1)"
@@ -658,11 +645,13 @@ def check_prime_criterion(n_max: int) -> str:
     for q in range(2, isqrt(top - 1) + 1):
         if sieve[q]:
             sieve[q * q::q] = bytes(len(range(q * q, top, q)))
-    for p in range(2, top):
-        if pell.is_prime(p) != sieve[p]:
-            _fail(f"p={p}: is_prime says {not sieve[p]}, the sieve {bool(sieve[p])}")
-        if sieve[p] and pell.prime_criterion(p) != pell.is_solvable_negative(p):
-            _fail(f"p={p}: residue criterion disagrees with solver")
+    # two calls: prime_criterion refuses a p that is_prime rejects, so the
+    # first row is compared before the second is evaluated
+    _expect(("first p where is_prime and the sieve differ",
+             next((p for p in range(2, top) if pell.is_prime(p) != sieve[p]), None), None))
+    _expect(("first prime p where the residue criterion and the solver differ",
+             next((p for p in range(2, top) if sieve[p]
+                   and pell.prime_criterion(p) != pell.is_solvable_negative(p)), None), None))
     return f"p = 2 or p = 1 (mod 4) matches the solver for the {sum(sieve)} primes p < {top}"
 
 
@@ -689,18 +678,14 @@ def check_disc_obstruction(n_max: int) -> str:
     - the reflection inequality: fh < n+10 gives 100 - fh^2 > -n(n+20)."""
     points, scope = _certificate("disc-obstruction", n_max)
     for n in points:
-        res = epwfamily.disc_obstruction(n)
-        if not res.contradiction_r0:
-            _fail(f"n={n}: -20 wrongly divides as a square multiple")
-        if not epwfamily.k3_embedding_sufficient(catalog.two_polarization_lattice(n)):
-            _fail(f"n={n}: R(n) fails the K3 embedding criterion")
-        for fh_bar in (*points[:-1], n + 9):  # 100 - fh^2 has degree 2 in fh too
-            res = epwfamily.reflection_inequality(n, fh_bar)
-            reflected = Lattice(((10, fh_bar), (fh_bar, 10)))
-            if res.disc_r_prime != lattices.discriminant(reflected):
-                _fail(f"n={n}, fh_bar={fh_bar}: disc R' = {res.disc_r_prime}")
-            if not res.strict:
-                _fail(f"n={n}, fh_bar={fh_bar}: inequality not strict")
+        _expect((f"n={n}: -20 ruled out", epwfamily.disc_obstruction(n).contradiction_r0, True),
+                (f"n={n}: K3 criterion on R(n)",
+                 epwfamily.k3_embedding_sufficient(catalog.two_polarization_lattice(n)), True),
+                # 100 - fh^2 has degree 2 in fh too
+                *((f"n={n}, fh_bar={fh}: (disc R', strict)",
+                   epwfamily.reflection_inequality(n, fh),
+                   (lattices.discriminant(Lattice(((10, fh), (fh, 10)))), True))
+                  for fh in (*points[:-1], n + 9)))
     # |disc R(n)| = n(n+20) > 20, so the family never reaches the square test
     sub = lattices.sublattice_discriminant_test
     _expect(("disc -80 in disc -20 (index 2)", sub(-80, -20), True),

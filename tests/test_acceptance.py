@@ -5,15 +5,19 @@ run at the verifier's default scale (n_max = 100), which is what
 ``epwlat verify`` runs. A group raises ``InvariantError`` with its first
 counterexample; every comparison is exact integer equality. The five
 certified groups are also checked to evaluate each claim at n = 1, ...,
-k + 1 for their declared degree k, and at the far point. Two tests
-check ``_expect``, which compares the fixed claims: on its own, and as
-the pell-d5 group reports a false claim. A last test records which public
-functions of the core modules ``run_all`` calls.
+k + 1 for their declared degree k, and at the far point. Every claim a
+group states itself is a row of ``_expect``: no ``check_*`` function calls
+``_fail``, ``_expect`` is checked on its own, as the pell-d5 group reports
+a false claim, and as each group that states claims at points or over a
+range reports one producer made wrong at one point. A last test records
+which public functions of the core modules ``run_all`` calls.
 """
 
+import ast
 import sys
 import types
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,49 @@ def test_pell_d5_reports_its_third_claim(monkeypatch):
     monkeypatch.setattr(pell, "is_solvable_negative", lambda d: True)
     row = {r.name: r for r in verify.run_all(1)}["pell-d5"]
     assert row == ("pell-d5", False, "D=34 solvable = True, expected False")
+
+
+def test_no_check_group_calls_fail():
+    # a group's own claims are _expect rows; the laws raise their own
+    tree = ast.parse(Path(verify.__file__).read_text())
+    groups = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+              and f.name.startswith("check_")]
+    assert [f.name for f in groups] == [fn.__name__ for _, fn in verify.CHECKS]
+    callers = [f.name for f in groups for node in ast.walk(f)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fail"]
+    assert callers == []
+
+
+# one producer of each group made wrong at one point: the group, the
+# producer, which arguments are the point, the wrong value (from the real
+# producer and those arguments) and the group's detail line
+_WRONG_AT_ONE_POINT = [
+    ("family-identities", epwfamily, "family", lambda n: n == 2,
+     lambda real, n: real(n)._replace(gram_pi=((2, 13), (13, -2))),
+     "n=2: (gamma, delta2) = 13, expected 12"),
+    ("h2-basis", lattices, "is_primitive", lambda lat, v: v == (1, 8),
+     lambda real, lat, v: False, "n=3: h2 primitive = False, expected True"),
+    ("involution-soundness", epwfamily, "epw_involution", lambda d: d == 74,
+     lambda real, d: real(130), "n=2: gamma = (1, -8), expected (1, -6)"),
+    ("necessary-condition", epwfamily, "necessary_condition", lambda d: d == 74,
+     lambda real, d: None, "n=2: witness = None, expected (37, 6, 1)"),
+    ("disc-obstruction", epwfamily, "k3_embedding_sufficient", lambda lat: lat.gram[0][1] == 13,
+     lambda real, lat: False, "n=3: K3 criterion on R(n) = False, expected True"),
+    ("prime-criterion", pell, "is_solvable_negative", lambda d: d == 13,
+     lambda real, d: False,
+     "first prime p where the residue criterion and the solver differ = 13, expected None"),
+]
+
+
+@pytest.mark.parametrize("group,module,name,at,wrong,detail", _WRONG_AT_ONE_POINT,
+                         ids=[case[0] for case in _WRONG_AT_ONE_POINT])
+def test_group_names_the_point_of_a_false_claim(group, module, name, at, wrong, detail,
+                                                monkeypatch):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: wrong(real, *args) if at(*args) else real(*args))
+    row = {r.name: r for r in verify.run_all(1)}[group]
+    assert row == (group, False, detail)
 
 
 def _public_code(module):

@@ -2,6 +2,7 @@
 (0 success, 1 usage/input error, 2 unsolvable, 3 verification failure)."""
 
 import csv
+import errno
 import io
 import os
 import subprocess
@@ -31,11 +32,16 @@ def fresh_python(*args):
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
 
 
-def test_cli_import_stays_stdlib_light():
-    proc = fresh_python("-c", "import sys, epwlat.cli; "
-                        "print(sorted({'numpy', 'fractions'} & set(sys.modules)))")
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """The names in ``sys.modules`` of one new interpreter after ``import epwlat.cli``."""
+    proc = fresh_python("-c", "import sys, epwlat.cli; print(*sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return set(proc.stdout.split())
+
+
+def test_cli_import_stays_stdlib_light(cli_import_modules):
+    assert {"numpy", "fractions"} & cli_import_modules == set()
 
 
 def test_package_import_is_lazy_and_resolves():
@@ -72,13 +78,10 @@ def test_cli_import_loads_only_the_pell_path():
     assert proc.stdout == "[]\n[0, 0, 0, 0]\n"
 
 
-def test_cli_import_loads_no_dataclasses():
+def test_cli_import_loads_no_dataclasses(cli_import_modules):
     # dataclasses and the inspect it imports were half of `epwlat pell`'s
     # cold start; the Pell records are NamedTuples so that it loads neither
-    proc = fresh_python("-c", "import sys, epwlat.cli; "
-                        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert {"dataclasses", "inspect"} & cli_import_modules == set()
 
 
 def test_verify_import_loads_no_dataclasses():
@@ -93,7 +96,8 @@ def test_verify_import_loads_no_dataclasses():
 # Every usage or input error: exactly one ``error: ...`` line on stderr,
 # nothing on stdout, exit 1. Paths are relative to a temporary directory
 # that holds ``empty.txt`` (zero bytes) and no ``missing.txt``; ``{limit}``
-# stands for int()'s digit limit, read when the test runs.
+# stands for int()'s digit limit, read when the test runs. A path too long
+# for the system is refused in the platform's words for ENAMETOOLONG.
 USAGE_ERRORS = [
     pytest.param(["pell", "--d", "0"], "D must be a positive integer", id="pell-d0"),
     pytest.param(["pell", "--d", "4"], "D = 4 is a perfect square", id="pell-d4"),
@@ -124,9 +128,14 @@ USAGE_ERRORS = [
                  id="gram-non-integer"),
     pytest.param(["lattice", "--gram", "1," * 30 + "x"], "invalid int value: 'x'",
                  id="gram-bad-entry-past-40"),
+    pytest.param(["lattice", "--gram", "1_0,0;0,1"], "invalid int value: '1_0'",
+                 id="gram-underscore"),
     pytest.param(["lattice", "--gram-file", "missing.txt"],
                  "[Errno 2] No such file or directory: 'missing.txt'",
                  id="gram-file-missing"),
+    pytest.param(["lattice", "--gram-file", "x" * 5000],
+                 f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}:"
+                 f" '{'x' * 40}'...", id="gram-file-path-over-long"),
     pytest.param(["lattice", "--gram", ""], "empty Gram matrix", id="gram-empty"),
     pytest.param(["lattice", "--gram", " "], "empty Gram matrix", id="gram-blank"),
     pytest.param(["lattice", "--gram-file", "empty.txt"], "empty Gram matrix",
@@ -535,6 +544,8 @@ ARGPARSE_ERRORS = [
                  "arguments are required: --d\n", id="pell-no-d"),
     pytest.param(["pell", "--d", "x"], _PELL_USAGE + "epwlat pell: error: "
                  "argument --d: invalid int value: 'x'\n", id="pell-d-not-int"),
+    pytest.param(["pell", "--d", "\u0665"], _PELL_USAGE + "epwlat pell: error: "
+                 "argument --d: invalid int value: '\u0665'\n", id="pell-d-not-ascii"),
     pytest.param(["pell", "--d", "5", "--bogus"], _TOP_USAGE + "epwlat: error: "
                  "unrecognized arguments: --bogus\n", id="pell-bogus-flag"),
     pytest.param(["bogus"], _TOP_USAGE + "epwlat: error: argument command: "

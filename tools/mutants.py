@@ -290,7 +290,7 @@ FAULTS = (
                       "test_over_long_integer_names_the_limit[pell-d]"))),
     # "x" and "1.5" are then over the digit limit too
     Fault("every refusal names the digit limit", "src/epwlat/errors.py",
-          "if re.fullmatch(_INT_LITERAL, text):", "if True:",
+          "if not (digits.isascii() and digits.isdigit()):", "if False:",
           "tests/test_cli.py::test_usage_error[gram-non-integer]",
           (("option", "tests/test_cli.py::TestParsing::"
                       "test_argparse_error_pinned[pell-d-not-int]"),)),
@@ -370,6 +370,16 @@ FAULTS = (
     # only the divisibility test is left; (-60, -20) has quotient 3
     Fault("sublattice test skips the square check", "src/epwlat/lattices.py",
           "return q >= 1 and isqrt(q) ** 2 == q", "return q >= 1", _group("disc-obstruction")),
+    # R(n), of rank 2, is then inconclusive for the criterion
+    Fault("K3 criterion caps the rank at 1", "src/epwlat/epwfamily.py",
+          "lattice.rank > 10", "lattice.rank > 1", _group("disc-obstruction")),
+    Fault("reflection inequality compares with <", "src/epwlat/epwfamily.py",
+          "disc_r_prime > -n * (n + 20)", "disc_r_prime < -n * (n + 20)",
+          _group("disc-obstruction")),
+    # p = 3 (mod 4) is then called solvable and p = 1 (mod 4) not
+    Fault("prime criterion reads p = 3 (mod 4)", "src/epwlat/pell.py",
+          "return p == 2 or p % 4 == 1", "return p == 2 or p % 4 == 3",
+          _group("prime-criterion")),
     # a certified closed form with one coefficient changed: d(1) = 36 is
     # wrong at the certificate's first point, in each group that reads it
     Fault("d(n) closed form with 18n", "src/epwlat/verify.py",
