@@ -152,14 +152,14 @@ _PARAMETRIZED = {
     "PI": epw_picard_lattice,
 }
 
-_ID_RE = re.compile(r"^\s*([A-Za-z0-9_]+)\s*(?:\(\s*(-?\d+)\s*\))?\s*$")
+_ID_RE = re.compile(r"^\s*([A-Za-z0-9_]+)\s*(?:\(([^()]*)\))?\s*$", re.ASCII)
 
 
 def build(catalog_id: str) -> Lattice:
-    """Build a catalog lattice from its identifier, e.g. "NS_HILB(10)". The
-    parameter is read by ``errors.read_int``; a malformed identifier, an
-    unknown name and a refused parameter are quoted by ``errors.quote``,
-    at most 40 characters each."""
+    """Build a catalog lattice from its identifier, e.g. "NS_HILB(10)", with
+    ``errors.SPACE`` around its parts; ``errors.read_int`` alone reads the text
+    in the parentheses. A malformed id, an unknown name and a refused
+    parameter are quoted by ``errors.quote``, at most 40 characters each."""
     m = _ID_RE.match(catalog_id)
     if not m:
         raise ValueError(f"malformed catalog identifier: {quote(catalog_id)}")

@@ -11,9 +11,9 @@ argparse reports a usage error itself (its usage line, then one
 ``main`` maps to exit 1. Every input error is one ``error: ...`` line on
 stderr and exit 1; the handlers raise ``ValueError`` or ``OSError`` and
 ``main`` alone reports them. Every integer of the input (an option, a Gram
-entry, a catalog parameter) is read by ``errors.read_int`` and nowhere else,
-and an error quotes at most 40 characters of any echoed input, a
-``--gram-file`` path too (``errors.quote``).
+entry, a catalog parameter) is read by ``errors.read_int`` alone, with only
+``errors.SPACE`` around it, a Gram row or the Gram text; an error quotes at
+most 40 characters of any echoed input, a ``--gram-file`` path too (``errors.quote``).
 Output is deterministic; CSV uses a header row, comma separators and
 newline-terminated records, with plain decimal integers.
 
@@ -103,12 +103,12 @@ def _int_option(text: str) -> int:
 def _parse_gram(text: str) -> Lattice:
     from .lattices import Lattice
 
-    text = text.strip()
+    text = text.strip(errors.SPACE)
     if not text:
         raise ValueError("empty Gram matrix")
     rows = []
     for chunk in text.split(";"):
-        if not chunk.strip():
+        if not chunk.strip(errors.SPACE):
             raise ValueError("empty row in Gram matrix")
         rows.append(list(map(errors.read_int, chunk.split(","))))
     return Lattice(rows)

@@ -1,11 +1,14 @@
 """The error raised when an internal invariant of an exact computation
 fails (``ensure``, unlike ``assert``, stays in force under ``python -O``),
 and the one reader of integers that come from outside as text
-(``read_int``: CLI options, Gram entries, catalog parameters). A message
-that echoes outside text quotes at most 40 characters of it (``quote``).
+(``read_int``: CLI options, Gram entries, catalog parameters), with
+``SPACE``, the only whitespace that such text may have around an item
+(ASCII). A message that echoes it quotes at most 40 characters (``quote``).
 """
 
 import sys
+
+SPACE = " \t\n\r\v\f"
 
 
 class InvariantError(RuntimeError):
@@ -28,7 +31,7 @@ def read_int(text: str) -> int:
     underscore and no other digit. A refusal is a ``ValueError`` that quotes
     ``text`` and says either that it is no integer or that it is over
     int()'s digit limit, the one reason ``int`` can have left."""
-    digits = text.strip(" \t\n\r\v\f")
+    digits = text.strip(SPACE)
     if digits[:1] in ("+", "-"):
         digits = digits[1:]
     if not (digits.isascii() and digits.isdigit()):

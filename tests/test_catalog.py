@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from epwlat import catalog, lattices
+from epwlat import catalog, errors, lattices
 
 
 def test_lambda2_gram():
@@ -131,6 +131,33 @@ def test_build_is_deterministic():
 def test_invalid_identifiers_rejected(bad):
     with pytest.raises(ValueError):
         catalog.build(bad)
+
+
+# the text between the parentheses is read as errors.read_int reads an
+# option: an optional sign, ASCII digits, ASCII whitespace around them
+@pytest.mark.parametrize("catalog_id", ["NS_HILB(+10)", "NS_HILB( +10 )", "NS_HILB(\t10\n)"],
+                         ids=["plus", "plus-spaced", "tab-newline"])
+def test_parameter_read_as_an_option_is(catalog_id):
+    assert catalog.build(catalog_id) == catalog.build("NS_HILB(10)")
+
+
+@pytest.mark.parametrize("catalog_id", ["NS_HILB(\xa010)", "NS_HILB(1 0)", "NS_HILB(1_0)",
+                                        "NS_HILB(\u0665)", "A1()"],
+                         ids=["nbsp", "inner-space", "underscore", "arabic-indic-5", "empty"])
+def test_parameter_refused_in_read_ints_words(catalog_id):
+    text = catalog_id[catalog_id.index("(") + 1:-1]
+    with pytest.raises(ValueError) as refused:
+        errors.read_int(text)
+    with pytest.raises(ValueError) as built:
+        catalog.build(catalog_id)
+    assert str(built.value) == str(refused.value) == f"invalid int value: {text!r}"
+
+
+def test_only_ascii_whitespace_around_the_name():
+    with pytest.raises(ValueError) as built:
+        catalog.build("\u2003K3")
+    assert str(built.value) == "malformed catalog identifier: '\\u2003K3'"
+    assert catalog.build(" K3 ") == catalog.build("K3")
 
 
 def test_names_lists_everything():

@@ -120,6 +120,7 @@ USAGE_ERRORS = [
     pytest.param(["lattice", "--id", "X" * 5000],
                  f"unknown catalog lattice: '{'X' * 40}'...",
                  id="lattice-id-unknown-over-long"),
+    pytest.param(["lattice", "--id", "A1()"], "invalid int value: ''", id="lattice-id-empty-param"),
     pytest.param(["lattice", "--gram", "1,2;3"],
                  "Gram matrix must be square", id="gram-ragged"),
     pytest.param(["lattice", "--gram", "1,2;3,4"], "Gram matrix must be symmetric",
@@ -130,6 +131,9 @@ USAGE_ERRORS = [
                  id="gram-bad-entry-past-40"),
     pytest.param(["lattice", "--gram", "1_0,0;0,1"], "invalid int value: '1_0'",
                  id="gram-underscore"),
+    # only ASCII whitespace is stripped from the text, as from each entry
+    pytest.param(["lattice", "--gram", "\xa010"], "invalid int value: '\\xa010'",
+                 id="gram-nbsp"),
     pytest.param(["lattice", "--gram-file", "missing.txt"],
                  "[Errno 2] No such file or directory: 'missing.txt'",
                  id="gram-file-missing"),

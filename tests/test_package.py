@@ -4,12 +4,14 @@ the defining submodule's own object, though only ``__version__`` and
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 import epwlat
+from epwlat import errors
 
 # the names the package re-exported before its exports were made lazy
 REEXPORTS = {
@@ -64,6 +66,12 @@ def test_unknown_name():
         exec("from epwlat import nonexistent", {})
 
 
+def _package_trees():
+    """Module name -> AST of every module of the package."""
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(Path(epwlat.__file__).parent.glob("*.py"))}
+
+
 def _module_private_names(tree):
     """Module-level functions, classes and assigned names that start with
     ``_``, dunders excluded."""
@@ -81,8 +89,7 @@ def _module_private_names(tree):
 def test_every_private_helper_has_a_caller():
     # a name read as a variable or an attribute anywhere in the package is
     # used; a mention in a docstring or comment is not
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(Path(epwlat.__file__).parent.glob("*.py"))}
+    trees = _package_trees()
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -106,8 +113,7 @@ def test_text_becomes_an_int_only_in_read_int():
     # errors.read_int is the one reader of outside integers, so every
     # refusal is worded once; int(s, 2) names a base and reads the
     # package's own bit strings
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(Path(epwlat.__file__).parent.glob("*.py"))}
+    trees = _package_trees()
     allowed = {("errors", line) for f in trees["errors"].body
                if isinstance(f, ast.FunctionDef) and f.name == "read_int"
                for line in _text_to_int_calls(f)}
@@ -115,3 +121,28 @@ def test_text_becomes_an_int_only_in_read_int():
              for line in _text_to_int_calls(tree)}
     assert sorted(found - allowed) == []
     assert allowed
+
+
+def _non_ascii_compiles(tree):
+    """Line numbers of the calls ``re.compile`` that do not pass ``re.ASCII``
+    (or ``re.A``) among their flags."""
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "compile" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "re"
+            and not any(isinstance(n, ast.Attribute) and n.attr in ("ASCII", "A")
+                        for flags in (*node.args[1:], *(k.value for k in node.keywords))
+                        for n in ast.walk(flags))}
+
+
+def test_every_pattern_is_ascii():
+    # outside text has one grammar: under re.ASCII, \s is errors.SPACE and
+    # \d the digits 0-9, the whitespace and digits that read_int accepts
+    found = {(module, line) for module, tree in _package_trees().items()
+             for line in _non_ascii_compiles(tree)}
+    assert sorted(found) == []
+
+
+def test_ascii_whitespace_is_errors_space():
+    ascii_text = "".join(map(chr, range(128)))
+    assert "".join(re.findall(r"\s", ascii_text, re.ASCII)) == "".join(sorted(errors.SPACE))

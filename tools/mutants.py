@@ -294,6 +294,15 @@ FAULTS = (
           "tests/test_cli.py::test_usage_error[gram-non-integer]",
           (("option", "tests/test_cli.py::TestParsing::"
                       "test_argparse_error_pinned[pell-d-not-int]"),)),
+    # the catalog's own integer grammar again: "+10" is then malformed
+    # though --d +10 reads 10
+    Fault("catalog parameter narrowed to -?digits", "src/epwlat/catalog.py",
+          "(?:\\(([^()]*)\\))", "(?:\\((-?\\d+)\\))",
+          "tests/test_catalog.py::test_parameter_read_as_an_option_is[plus]"),
+    # str.strip() also strips Unicode spaces: "\xa010" is then the Gram <10>
+    Fault("Gram text stripped of any whitespace", "src/epwlat/cli.py",
+          "text = text.strip(errors.SPACE)", "text = text.strip()",
+          "tests/test_cli.py::test_usage_error[gram-nbsp]"),
     # the Pell records as dataclasses again: `epwlat pell` then loads
     # dataclasses and inspect at import
     Fault("pell imports dataclasses", "src/epwlat/pell.py",
