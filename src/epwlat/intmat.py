@@ -19,9 +19,13 @@ each block is |previous pivot| times the rational Schur complement, so the
 rational pivots p_k/|p_(k-1)| multiply to (-1)^negative * |last pivot|.
 A lone determinant, of any square matrix, still comes from ``det``.
 
-``saturation`` divides each vector by its pivot, and a unit pivot divides
-nothing: a kernel or orthogonal complement basis is already saturated, so
-all of its pivots are 1.
+A basis that is already saturated, as a kernel or orthogonal complement
+basis is, has only unit pivots, and ``saturation`` returns it as it is.
+Otherwise one reduction, ``_hermite_reduce``, brings the pivot block to
+its Hermite form before the substitution; ``row_hnf`` is ``echelon`` and
+the same reduction. ``echelon`` itself leaves the entries above its pivots
+unreduced: ``rank`` reads only the pivot count, and ``kernel`` the rows
+below the pivots.
 
 Matrix products have one algorithm: each row of the left factor is taken
 by its support, its nonzero entries, and the product row is the
@@ -189,67 +193,13 @@ def kernel(m: Matrix, width: int) -> list[tuple[int, ...]]:
     return [tuple(row[rows:]) for row in a[r:]]
 
 
-def saturation(vectors: Matrix) -> list[tuple[int, ...]]:
-    """Basis of (Q-span of ``vectors``) intersected with Z^n.
-
-    With V the k x n matrix of the vectors, ``echelon`` on the rows of V^T
-    gives U V^T = [R; 0] for a unimodular U (the transform that ``kernel``
-    records in its identity columns; it is not needed here), with R upper
-    triangular with a positive diagonal when the vectors are independent.
-    Then V^T = W R with W the first k columns of U^-1. So the rows of
-    S = W^T = R^-T V are integral, and they extend, by the other columns of
-    U^-1, to a basis of Z^n: they span a saturated sublattice, and as
-    V = R^T S, it has the Q-span of V. S comes from R^T S = V by forward
-    substitution; as S is integral, every division is exact, and a pivot
-    of 1 divides nothing (x // 1 == x). The pivots multiply to the index
-    of span(V) in S (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.4), so they are all 1 exactly when V is already saturated,
-    as a kernel or orthogonal complement basis is: R is then
-    unitriangular and no vector is divided.
-
-    The result is unchanged, as a list, when a vector is scaled by a
-    positive constant, and when the result is saturated again. In column
-    c, ``echelon``'s sort order, its zero tests, its quotients
-    row[c] // p and its sign rule read only that column, and none of them
-    changes when the column is multiplied by a positive constant. Scaling
-    vector i by l_i > 0 scales column i of V^T, so U is the same, R
-    becomes R diag(l), and the substitution gives the same S. V^T = S^T R
-    with R upper triangular and positive on its diagonal, so on the rows
-    still live at column c, column c of V^T is R[c][c] times that of S^T:
-    S^T takes the same U too, its R is I, and S comes back unchanged.
-
-    Raises ``ValueError`` when the vectors are linearly dependent (fewer
-    than k pivots).
-    """
-    k = len(vectors)
-    a = transpose(vectors)
-    if echelon(a, k) < k:
-        raise ValueError("basis vectors are linearly dependent")
-    s: list[tuple[int, ...]] = []
-    for i, v in enumerate(vectors):
-        acc = v
-        for j in range(i):
-            c = a[j][i]  # (R^T)[i][j]
-            if c:
-                acc = [x - c * y for x, y in zip(acc, s[j])]
-        p = a[i][i]
-        s.append(tuple(acc) if p == 1 else tuple([x // p for x in acc]))
-    return s
-
-
-def row_hnf(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Canonical row Hermite normal form of the Z-span of ``vectors``.
-
-    ``echelon``, then each pivot reduces the entries above it into
-    [0, pivot). This is the canonical form for comparing spans: two sets
-    of vectors span the same sublattice of Z^n iff their forms are equal.
-    ``epwlat verify`` does not compare spans; it decides saturation from
-    ``echelon``'s pivots instead (``verify._saturated``).
-    """
-    a = [list(v) for v in vectors]
-    if not a:
-        return ()
-    r = echelon(a, len(a[0]))
+def _hermite_reduce(a: list[list[int]], r: int) -> None:
+    """Reduce, in place, the entries above each of the first r pivots of
+    the echelon rows ``a`` into [0, pivot), the pass of the Hermite normal
+    form (Cohen, 2.4). Each row i above pivot row k loses q times row k,
+    with q = a[i][c] // pivot read in the pivot's column c. Every step is a
+    unit upper-triangular row operation, so the span and the pivots stay;
+    rows r and below are not touched."""
     c = 0
     for k in range(r):
         while not a[k][c]:
@@ -259,6 +209,75 @@ def row_hnf(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
             q = a[i][c] // p
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+
+
+def saturation(vectors: Matrix) -> list[tuple[int, ...]]:
+    """Basis of (Q-span of ``vectors``) intersected with Z^n.
+
+    With V the k x n matrix of the vectors, ``echelon`` on the rows of V^T
+    gives U V^T = [R; 0] for a unimodular U (the transform that ``kernel``
+    records in its identity columns; it is not needed here), with R upper
+    triangular with a positive diagonal when the vectors are independent.
+    The pivots multiply to the index of span(V) in its saturation (Cohen,
+    A Course in Computational Algebraic Number Theory, 2.4), so they are
+    all 1 exactly when V is already saturated, as a kernel or orthogonal
+    complement basis is; V is then returned as it is, as a list of tuples.
+    Otherwise ``_hermite_reduce`` brings R to its Hermite form R_H, each
+    entry above a pivot in [0, pivot), by unimodular row operations that
+    keep U V^T = [R_H; 0] for another U. Then V^T = W R_H with W the first
+    k columns of U^-1. So the rows of S = W^T = R_H^-T V are integral, and
+    they extend, by the other columns of U^-1, to a basis of Z^n: they span
+    a saturated sublattice, and as V = R_H^T S, it has the Q-span of V. S
+    comes from R_H^T S = V by forward substitution; as S is integral,
+    every division is exact. With unit pivots R_H is I and S = V, which is
+    what the early return gives.
+
+    The result is unchanged, as a list, when a vector is scaled by a
+    positive constant, and when the result is saturated again. In column
+    c, ``echelon``'s sort order, its zero tests, its quotients
+    row[c] // p and its sign rule read only that column, and none of them
+    changes when the column is multiplied by a positive constant; nor does
+    the reduction's quotient a[i][c] // p, read in the pivot's column c.
+    Scaling vector i by l_i > 0 scales column i of V^T, so U is the same,
+    R_H becomes R_H diag(l), and the substitution gives the same S. S is
+    saturated, so its pivots are all 1 and saturating it returns it.
+
+    Raises ``ValueError`` when the vectors are linearly dependent (fewer
+    than k pivots).
+    """
+    k = len(vectors)
+    a = transpose(vectors)
+    if echelon(a, k) < k:
+        raise ValueError("basis vectors are linearly dependent")
+    if all(a[i][i] == 1 for i in range(k)):
+        return [tuple(v) for v in vectors]
+    _hermite_reduce(a, k)
+    s: list[tuple[int, ...]] = []
+    for i, v in enumerate(vectors):
+        acc = v
+        for j in range(i):
+            c = a[j][i]  # (R^T)[i][j]
+            if c:
+                acc = [x - c * y for x, y in zip(acc, s[j])]
+        s.append(tuple([x // a[i][i] for x in acc]))
+    return s
+
+
+def row_hnf(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Canonical row Hermite normal form of the Z-span of ``vectors``.
+
+    ``echelon``, then ``_hermite_reduce``: each pivot reduces the entries
+    above it into [0, pivot), the reduction that ``saturation`` runs on a
+    basis that is not saturated. This is the canonical form for comparing
+    spans: two sets of vectors span the same sublattice of Z^n iff their
+    forms are equal. ``epwlat verify`` does not compare spans; it decides
+    saturation from ``echelon``'s pivots instead (``verify._saturated``).
+    """
+    a = [list(v) for v in vectors]
+    if not a:
+        return ()
+    r = echelon(a, len(a[0]))
+    _hermite_reduce(a, r)
     return tuple(tuple(row) for row in a[:r])
 
 

@@ -215,12 +215,13 @@ def induced_gram(lattice: Lattice, basis: Sequence[Coords]) -> Lattice:
 def saturation(lattice: Lattice, basis: Sequence[Coords]) -> list[tuple[int, ...]]:
     """Basis of (Q-span of basis) intersected with the lattice.
 
-    ``intmat.saturation`` on the coordinates: one Hermite echelon of V^T
-    gives V^T = W R with R upper triangular and W part of a unimodular
-    matrix, and the rows of R^-T V = W^T are integral, extend to a basis of
-    the lattice, and span the input's Q-span. The input spans a
-    finite-index sublattice of the output. Raises ``ValueError`` when the
-    basis vectors are linearly dependent.
+    ``intmat.saturation`` on the coordinates: one Hermite echelon of V^T,
+    its pivot block R brought to Hermite form R_H, gives V^T = W R_H with
+    W part of a unimodular matrix, and the rows of R_H^-T V = W^T are
+    integral, extend to a basis of the lattice, and span the input's
+    Q-span. The input spans a finite-index sublattice of the output, and
+    a basis that is already saturated (all pivots 1) is returned as it is.
+    Raises ``ValueError`` when the basis vectors are linearly dependent.
     """
     return intmat.saturation([_coords(lattice, b) for b in basis])
 

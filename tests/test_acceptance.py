@@ -29,8 +29,8 @@ FULL_SCALE = 100  # verify.run_all default: the acceptance scale
 _NOT_REACHED = {
     "catalog.names": "a listing that tests use and verify does not",
     "epwfamily.ogrady_status": "used only by the `ogrady` subcommand",
-    "intmat.row_hnf": "verify reads saturation from `echelon`'s pivots; the Hermite "
-                      "form is left to the property tests",
+    "intmat.row_hnf": "verify reads saturation from `echelon`'s pivots; `saturation` "
+                      "shares row_hnf's Hermite reduction, not row_hnf itself",
     "pell.ContinuedFraction.period_length":
         "printed only by the `pell` subcommand for an unsolvable D",
 }

@@ -434,7 +434,7 @@ PASS catalog-reports: LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)
 PASS disc-obstruction: disc R(n) = -n(n+20), no disc -20 sublattice, strict inequality for 0 < fh < n+10 (fh = 1..3, n+9), for every n >= 1 (degree <= 2, checked at n = 1..3 and 30)
 PASS reflection-properties: involutivity/isometry/fixed-space checks on 28 distinct of 30 randomized reflections
 PASS index-law: disc(B^T G B) = det(B)^2 disc(G) on 30 distinct of 30 randomized pairs
-PASS saturation: saturations and complements have unit Hermite pivots, saturations keep the input's Q-span, on 30 randomized cases
+PASS saturation: saturations have unit Hermite pivots and keep the input's Q-span on 30 distinct of 30 randomized vector lists; complements have unit Hermite pivots on 30 randomized vectors
 PASS bilinear-properties: symmetry, bilinearity, basis invariance on 30 randomized cases
 PASS closed-form-erratum: printed D=5 closed form gives (49,22) with residual -19; enumeration gives (38,17)
 17/17 check groups passed (n-max 3)
@@ -455,7 +455,7 @@ catalog-reports,PASS,"LAMBDA0 (20,2) even; K3 (3,19) disc -1; I22_2 odd (22,2)"
 disc-obstruction,PASS,"disc R(n) = -n(n+20), no disc -20 sublattice, strict inequality for 0 < fh < n+10 (fh = 1..3, n+9), for every n >= 1 (degree <= 2, checked at n = 1..3 and 30)"
 reflection-properties,PASS,involutivity/isometry/fixed-space checks on 28 distinct of 30 randomized reflections
 index-law,PASS,disc(B^T G B) = det(B)^2 disc(G) on 30 distinct of 30 randomized pairs
-saturation,PASS,"saturations and complements have unit Hermite pivots, saturations keep the input's Q-span, on 30 randomized cases"
+saturation,PASS,saturations have unit Hermite pivots and keep the input's Q-span on 30 distinct of 30 randomized vector lists; complements have unit Hermite pivots on 30 randomized vectors
 bilinear-properties,PASS,"symmetry, bilinearity, basis invariance on 30 randomized cases"
 closed-form-erratum,PASS,"printed D=5 closed form gives (49,22) with residual -19; enumeration gives (38,17)"
 """,

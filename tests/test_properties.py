@@ -258,7 +258,9 @@ def test_rank_matches_fraction_reference(m):
 @given(integer_matrices())
 def test_kernel_is_a_saturated_basis(m):
     width = len(m[0])
-    assert_saturated_kernel(m, width, intmat.kernel(m, width))
+    basis = intmat.kernel(m, width)
+    assert_saturated_kernel(m, width, basis)
+    assert intmat.saturation(basis) == basis  # a saturated basis comes back as it is
 
 
 @given(integer_matrices())
@@ -436,13 +438,31 @@ def test_echelon_matches_sorting_reference(rows, width, data):
     assert a == b
 
 
+def hermite_reduce_reference(a, r):
+    """A frozen copy of the Hermite reduction pass: in forward order, each
+    of the first r pivots reduces the entries above it into [0, pivot).
+    The [0, pivot) condition fixes the unit upper-triangular transform, so
+    any order of the pass gives the same rows."""
+    c = 0
+    for k in range(r):
+        while not a[k][c]:
+            c += 1
+        p = a[k][c]
+        for i in range(k):
+            q = a[i][c] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+
+
 def saturation_reference(vectors):
     """A frozen copy of ``intmat.saturation``'s forward substitution, on
-    ``echelon_reference``, that divides every vector by its pivot, 1 or
-    not. Returns the saturation and the k pivots."""
+    ``echelon_reference`` and ``hermite_reduce_reference``, that divides
+    every vector by its pivot, 1 or not, with no early return for a
+    saturated input. Returns the saturation and the k pivots."""
     k = len(vectors)
     a = intmat.transpose(vectors)
     assert echelon_reference(a, k) == k
+    hermite_reduce_reference(a, k)
     s = []
     for i, v in enumerate(vectors):
         acc = v
@@ -465,7 +485,8 @@ def test_saturation_matches_reference(case):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("name", ["K3", "I22_2", "LAMBDA0"])
 def test_saturation_of_complement_bases_matches_reference(name, seed):
-    # a complement basis is saturated, so every pivot is 1: the unit path
+    # a complement basis is saturated, so every pivot is 1: the unit path,
+    # which returns the basis as it is
     lat = Lattice(_moved_gram(name, seed))
     rng = random.Random(seed)
     v = [rng.randint(-3, 3) for _ in range(lat.rank)]
@@ -474,6 +495,29 @@ def test_saturation_of_complement_bases_matches_reference(name, seed):
     sat, pivots = saturation_reference(comp)
     assert pivots == [1] * len(comp)
     assert intmat.saturation(comp) == sat
+    assert intmat.saturation(comp) == comp
+
+
+def test_saturation_of_a_scaled_big_saturated_basis_is_the_basis():
+    # 12 vectors in Z^24 with 333-bit entries: e_i plus big entries in the
+    # last 12 columns, so their first 12 x 12 minor is 1, mixed by row
+    # additions. Scaled by 1, 2, 3 and 6 they are not saturated, and the
+    # saturation is the unscaled basis itself, entry for entry
+    rng = random.Random(333)
+    k = 12
+    rows = [[int(i == j) for j in range(k)] + [rng.randrange(-2**333, 2**333) for _ in range(k)]
+            for i in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.sample(range(k), 2)
+        t = rng.choice([-2, -1, 1, 2])
+        rows[i] = [x + t * y for x, y in zip(rows[i], rows[j])]
+    basis = [tuple(row) for row in rows]
+    assert max(abs(x) for row in basis for x in row).bit_length() > 333
+    assert verify._saturated(basis)
+    scaled = [tuple(f * x for x in v) for f, v in zip([1, 2, 3, 6] * 3, basis)]
+    assert not verify._saturated(scaled)
+    assert intmat.saturation(scaled) == basis
+    assert intmat.saturation(basis) == basis
 
 
 @given(st.integers(1, 5), st.data())
@@ -1009,6 +1053,8 @@ def _law_input(name, args):
     if name == "involution_law":
         (iso,) = args
         args = (iso.lattice, iso.root, iso.sign)
+    elif name == "saturation_law":  # reads the lattice only for the vectors' length
+        args = args[1:]
     return (name, *map(_hashable, args))
 
 
@@ -1042,11 +1088,14 @@ def test_randomized_groups_check_each_case_once(monkeypatch):
     assert [k for k, c in seen.items() if c > 1] == []
     # skipping repeats leaves the set of distinct inputs as it was
     digest = hashlib.sha256("\n".join(sorted(map(repr, seen))).encode()).hexdigest()
-    assert digest == "a7e852fc44d9a3e27f7dacd69ff985f0153e9d78230959aeab465130ee10d7b1"
+    assert digest == "397f5a9ec400ee34782798df973f21dc1ddfc632e9d78ce74b5ec7bc36ac473f"
     # the labels count what was checked, not what was drawn
     reflections = sum(key[0] == "involution_law" for key in seen)
     assert details[0].endswith(f" on {reflections} distinct of 100 randomized reflections")
     assert details[1].endswith(f" on {len(accepted)} distinct of 100 randomized pairs")
+    saturations = sum(key[0] == "saturation_law" for key in seen)
+    assert f" on {saturations} distinct of 100 randomized vector lists;" in details[2]
+    assert details[2].endswith(" on 100 randomized vectors")
 
 
 def test_no_memo_across_runs(monkeypatch):

@@ -164,18 +164,30 @@ FAULTS = (
     Fault("saturation solves with R, not R^T", "src/epwlat/intmat.py",
           "c = a[j][i]", "c = a[i][j]", f"{_PROPS}::test_saturation_from_one_echelon"),
     Fault("saturation skips the division by the pivot", "src/epwlat/intmat.py",
-          "tuple(acc) if p == 1 else tuple([x // p for x in acc])", "tuple(acc)",
+          "s.append(tuple([x // a[i][i] for x in acc]))", "s.append(tuple(acc))",
           f"{_PROPS}::test_saturation_from_one_echelon"),
-    # the unit shortcut divides by nothing, so it is right only for p = 1;
-    # the test's rows are scaled by 2, 3 and 6
+    # the whole-basis return is right only when every pivot is 1, when R's
+    # Hermite form is I; the test's rows are scaled by 2, 3 and 6
     Fault("saturation shortcut taken for every positive pivot", "src/epwlat/intmat.py",
-          "if p == 1 else", "if p > 0 else", f"{_PROPS}::test_saturation_from_one_echelon"),
+          "a[i][i] == 1 for i in range(k)", "a[i][i] > 0 for i in range(k)",
+          f"{_PROPS}::test_saturation_from_one_echelon"),
     # each vector divided by its content, not by R's pivot: [(1, 1), (1, -1)]
     # is kept, and its unit Hermite pivot test fails, as its index in Z^2 is 2
     Fault("saturation divides each vector by its content", "src/epwlat/intmat.py",
-          "        s.append(tuple(acc) if p == 1 else tuple([x // p for x in acc]))",
+          "        s.append(tuple([x // a[i][i] for x in acc]))",
           "        from math import gcd\n        s.append(tuple([x // gcd(*v) for x in v]))",
           _group("saturation")),
+    # the substitution then solves against the unreduced R: still a basis of
+    # the saturation, but not the input's basis when that was saturated
+    # before scaling, nor the reference's list
+    Fault("saturation skips the Hermite reduction", "src/epwlat/intmat.py",
+          "    _hermite_reduce(a, k)\n", "",
+          f"{_PROPS}::test_saturation_of_a_scaled_big_saturated_basis_is_the_basis",
+          (("reference", f"{_PROPS}::test_saturation_matches_reference"),)),
+    # a ceiling quotient leaves every entry above a pivot in (-p, 0]
+    Fault("Hermite reduction into (-p, 0]", "src/epwlat/intmat.py",
+          "q = a[i][c] // p\n", "q = -(-a[i][c] // p)\n",
+          f"{_PROPS}::test_row_hnf_is_reduced_and_canonical"),
     # the tie rule of the sorting rounds is that the earlier row reduces; this
     # sort is still ascending (a descending one need not terminate) but puts
     # the later row first on ties
@@ -241,12 +253,16 @@ FAULTS = (
           "key = (gram, root)", "key = gram",
           f"{_PROPS}::test_randomized_groups_check_each_case_once"),
     # the labels then count draws, not the distinct inputs they checked:
-    # a repeated reflection, or a rejected index-law pair, counts again
+    # a repeated reflection or vector list, or a rejected index-law pair,
+    # counts again
     Fault("reflection label counts every draw", "src/epwlat/verify.py",
           "{len(checked)} distinct of", "{cases} distinct of",
           f"{_PROPS}::test_randomized_groups_check_each_case_once"),
     Fault("index-law label counts rejected pairs", "src/epwlat/verify.py",
           "{sum(accepted.values())} distinct of", "{len(accepted)} distinct of",
+          f"{_PROPS}::test_randomized_groups_check_each_case_once"),
+    Fault("saturation label counts every draw", "src/epwlat/verify.py",
+          "{len(saturated)} distinct of", "{cases} distinct of",
           f"{_PROPS}::test_randomized_groups_check_each_case_once"),
     # the vectors then move by E, not by E^-1, so a transported root of
     # square +-2 loses its square
