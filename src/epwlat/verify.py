@@ -27,18 +27,19 @@ full acceptance scale:
 
 Five groups, family-identities, h2-basis, involution-soundness,
 necessary-condition and disc-obstruction, prove the paper's "for every
-n >= 1" claims on the degree family with bounded work (``_certificate``).
+n >= 1" claims on the degree family with bounded work (``_certify``).
 Each declares once, in ``_DEGREE``, an a-priori bound on the degree in n
 of every quantity it compares, read off the shape of the computation and
 not off values: the Gram entries of NS3(n), Pi(n) and R(n) are affine in n, d(n)
 is quadratic and gamma = (1, -(2n+2)), so the entries of the involution J
 have degree <= 3, J^2 degree <= 6 and J^T G J degree <= 8. Two
-polynomials of degree <= k that agree at k + 1 points are equal, so the
-group evaluates its claims at n = 1, ..., k + 1, which proves them for
-every n, and at one far point 10 * n_max beyond them. What is not a
-polynomial identity (the Pell witness, a primitivity, an inequality, a
-signature) is argued in one line in the group's docstring and checked at
-the same points. The certificate covers a computation that is polynomial
+polynomials of degree <= k that agree at k + 1 points are equal. A group
+states its claims for one n; ``_certify``, the one loop over the points,
+evaluates them at n = 1, ..., k + 1, which proves them for every n, and
+at one far point 10 * n_max beyond them, and names the point in each
+claim (``n=<k>: ...``). What is not a polynomial identity (the Pell
+witness, a primitivity, an inequality, a signature) is argued in one
+line in the group's docstring and checked at the same points. The certificate covers a computation that is polynomial
 in n: a fault that branches on n, say one that switches on past some n,
 lies outside it. The far point proves nothing more; it catches such a
 fault when it has switched on by 10 * n_max, and a fault that raises the
@@ -49,9 +50,12 @@ an earlier one is checked once and counts as its first occurrence did,
 and the detail line says how many distinct inputs were checked: at
 n_max = 100, "539 distinct of 1000" reflections, "891 distinct of 1000"
 accepted index-law pairs and "887 distinct of 1000" vector lists to
-saturate (a saturation reads the lattice only for the vectors' length;
-the 1000 complements are counted apart). The record of checked draws is
-local to one call, so every run checks all of them again.
+saturate (a saturation reads the lattice only for the vectors' length).
+The complements are counted apart, and only the nonzero ones, as the zero
+vector has none: "997 nonzero of 1000". bilinear-properties names each
+suite with its own count, 1000 for bilinearity and 50 for basis
+invariance and direct sums. The record of checked draws is local to one
+call, so every run checks all of them again.
 
 Randomized suites draw from a fixed-seed generator, so output is
 deterministic across runs and platforms. Their sampler ``_Draws`` reads
@@ -76,11 +80,10 @@ the one output of ``saturation`` that each draw computes, and
 A group's own claims are rows (what, computed, expected) checked by
 ``_expect``, which fails on the first mismatch with both values: one of
 the paper's numbers, a catalog lattice, a claim at a certificate point
-(``what`` then names the point, ``n=<k>: ...``) or the first
-counterexample of a range, expected None. ``_expect`` evaluates all of
-its rows before it compares any, so a row compares a whole record (with
-the plain tuple of its fields), never a field of a value that may be
-None. Laws raise their own counterexample: the property tests call them
+or the first counterexample of a range, expected None. ``_expect``
+evaluates all of its rows before it compares any, so a row compares a
+whole record (with the plain tuple of its fields), never a field of a
+value that may be None. Laws raise their own counterexample: the property tests call them
 thousands of times, and a row would build its message on every call.
 
 A failed law and a failed ``errors.ensure`` inside the package both raise
@@ -529,14 +532,14 @@ _DEGREE = {
 }
 
 
-def _certificate(group: str, n_max: int) -> tuple[list[int], str]:
-    """The n at which ``group``'s claims are evaluated, and the scope its
-    detail line states: n = 1, ..., k + 1 for k = ``_DEGREE[group]``, which
-    proves a claim of degree <= k for every n, then the far point
-    10 * n_max, beyond them (10 > 9, the most that any group needs)."""
+def _certify(group: str, n_max: int, claims: Callable[[int], tuple]) -> str:
+    """Check the rows ``claims(n)`` at n = 1..k + 1, k = ``_DEGREE[group]``, which
+    proves claims of degree <= k for every n, and at the far point 10 * n_max (10 > 9,
+    the most any group needs), each ``what`` named ``n=<k>: ...``; returns the scope."""
     k, far = _DEGREE[group], 10 * n_max
-    scope = f"for every n >= 1 (degree <= {k}, checked at n = 1..{k + 1} and {far})"
-    return [*range(1, k + 2), far], scope
+    for n in (*range(1, k + 2), far):
+        _expect(*((f"n={n}: {what}", got, want) for what, got, want in claims(n)))
+    return f"for every n >= 1 (degree <= {k}, checked at n = 1..{k + 1} and {far})"
 
 
 def check_involution_images(n_max: int) -> str:
@@ -562,24 +565,24 @@ def check_family_identities(n_max: int) -> str:
     (h2, h2) = d(n), of degree <= 3, and disc Pi = -2 d(n), of degree 2.
     h2 = (1, 2n+2) for every n, as G delta2 = (4n+4, -2) has content 2.
     The Pell witness is (2n+2, 1) for every n (``check_necessary_condition``)."""
-    points, scope = _certificate("family-identities", n_max)
-    for n in points:
+    def claims(n):
         rec = epwfamily.family(n)  # the pairing is computed from NS3(n)
-        _expect((f"n={n}: (gamma, delta2)", rec.gram_pi[0][1], 4 * n + 4),
-                (f"n={n}: Pell witness", rec.pell, (rec.g - 1, 2 * n + 2, 1)))
+        return (("(gamma, delta2)", rec.gram_pi[0][1], 4 * n + 4),
+                ("Pell witness", rec.pell, (rec.g - 1, 2 * n + 2, 1)))
+    scope = _certify("family-identities", n_max, claims)
     return f"(gamma,delta2), disc Pi, (h2,h2), g(n) agree both ways {scope}"
 
 
 def check_h2_basis(n_max: int) -> str:
     """The Gram of (h2, delta2) = ((1, 2n+2), (0, 1)) in Pi(n) has entries
     of degree <= 3. h2 is primitive for every n: its first coordinate is 1."""
-    points, scope = _certificate("h2-basis", n_max)
-    for n in points:
+    def claims(n):
         pi = catalog.epw_picard_lattice(n)
         h2 = (1, 2 * n + 2)
-        _expect((f"n={n}: Gram in the (h2, delta2) basis",
+        return (("Gram in the (h2, delta2) basis",
                  lattices.induced_gram(pi, [h2, (0, 1)]).gram, ((_degree(n), 0), (0, -2))),
-                (f"n={n}: h2 primitive", lattices.is_primitive(pi, h2), True))
+                ("h2 primitive", lattices.is_primitive(pi, h2), True))
+    scope = _certify("h2-basis", n_max, claims)
     return f"Gram of Pi in the (h2, delta2) basis is diag(d(n), -2) {scope}"
 
 
@@ -589,11 +592,11 @@ def check_involution_soundness(n_max: int) -> str:
     J gamma <= 4. gamma-perp is Z(2n+2, -d(n)/2) for every n, as
     G gamma = (d(n), 4n+4) has content 2 (d(n)/2 = (2n+2)^2 + 1 is prime to
     2n+2), so J w + w has degree <= 5 on its generator w."""
-    points, scope = _certificate("involution-soundness", n_max)
-    for n in points:
+    def claims(n):
         j = epwfamily.epw_involution(_degree(n))
-        _expect((f"n={n}: gamma", j.root, (1, -(2 * n + 2))))
         involution_law(j)
+        return (("gamma", j.root, (1, -(2 * n + 2))), ("sign", j.sign, -1))
+    scope = _certify("involution-soundness", n_max, claims)
     return f"J^2 = I, J gamma = gamma, J = -1 on gamma-perp {scope}"
 
 
@@ -601,10 +604,10 @@ def check_necessary_condition(n_max: int) -> str:
     """The witness for d(n) is (2n+2, 1) for every n: d(n)/2 = m^2 + 1 with
     m = 2n+2, sqrt(m^2 + 1) = [m; 2m], so ``cf_expansion`` closes the
     period after one step and the least solution is the convergent m/1."""
-    points, scope = _certificate("necessary-condition", n_max)
-    for n in points:
+    def claims(n):
         d = _degree(n)
-        _expect((f"n={n}: witness", epwfamily.necessary_condition(d), (d // 2, 2 * n + 2, 1)))
+        return (("witness", epwfamily.necessary_condition(d), (d // 2, 2 * n + 2, 1)),)
+    scope = _certify("necessary-condition", n_max, claims)
     _expect(("d=12 witness", epwfamily.necessary_condition(12), None),
             ("d=10 witness", epwfamily.necessary_condition(10), (5, 2, 1)))
     return f"witness (2n+2, 1) {scope}; d=12 rejected; d=10 gives (2,1)"
@@ -678,22 +681,21 @@ def check_disc_obstruction(n_max: int) -> str:
     - the K3 criterion: R(n) is even of rank 2, and of signature (1, 1, 0),
       as its determinant -n(n+20) is negative;
     - the reflection inequality: fh < n+10 gives 100 - fh^2 > -n(n+20)."""
-    points, scope = _certificate("disc-obstruction", n_max)
-    for n in points:
-        _expect((f"n={n}: -20 ruled out", epwfamily.disc_obstruction(n).contradiction_r0, True),
-                (f"n={n}: K3 criterion on R(n)",
+    fh_top = _DEGREE["disc-obstruction"] + 1  # 100 - fh^2 has degree 2 in fh too
+    def claims(n):
+        return (("-20 ruled out", epwfamily.disc_obstruction(n).contradiction_r0, True),
+                ("K3 criterion on R(n)",
                  epwfamily.k3_embedding_sufficient(catalog.two_polarization_lattice(n)), True),
-                # 100 - fh^2 has degree 2 in fh too
-                *((f"n={n}, fh_bar={fh}: (disc R', strict)",
-                   epwfamily.reflection_inequality(n, fh),
+                *((f"fh_bar={fh}: (disc R', strict)", epwfamily.reflection_inequality(n, fh),
                    (lattices.discriminant(Lattice(((10, fh), (fh, 10)))), True))
-                  for fh in (*points[:-1], n + 9)))
+                  for fh in (*range(1, fh_top + 1), n + 9)))
+    scope = _certify("disc-obstruction", n_max, claims)
     # |disc R(n)| = n(n+20) > 20, so the family never reaches the square test
     sub = lattices.sublattice_discriminant_test
     _expect(("disc -80 in disc -20 (index 2)", sub(-80, -20), True),
             ("disc -60 in disc -20", sub(-60, -20), False))
     return (f"disc R(n) = -n(n+20), no disc -20 sublattice, strict inequality for"
-            f" 0 < fh < n+10 (fh = 1..{points[-2]}, n+9), {scope}")
+            f" 0 < fh < n+10 (fh = 1..{fh_top}, n+9), {scope}")
 
 
 def check_reflection_properties(n_max: int) -> str:
@@ -736,7 +738,7 @@ def check_saturation(n_max: int) -> str:
     # a saturation reads the lattice only for the vectors' length, so a
     # repeated vector list is checked once
     saturated = set()
-    done = 0
+    done = nonzero = 0
     while done < cases:
         n = rng.randint(2, 5)
         lat = _random_symmetric(rng, n)
@@ -749,14 +751,14 @@ def check_saturation(n_max: int) -> str:
         if scaled not in saturated:
             saturated.add(scaled)
             saturation_law(lat, scaled)
-        complement_law(lat, _random_vec(rng, n, 4))
+        nonzero += bool(complement_law(lat, _random_vec(rng, n, 4)))  # [] for the zero vector
         done += 1
     # the motivating example: the diagonal class is twice a lattice vector
     ns = catalog.ns_hilbert_square(10)
     _expect(("saturation of {2*delta}", lattices.saturation(ns, [(0, 2)]), [(0, 1)]))
     return (f"saturations have unit Hermite pivots and keep the input's Q-span on"
             f" {len(saturated)} distinct of {cases} randomized vector lists; complements"
-            f" have unit Hermite pivots on {cases} randomized vectors")
+            f" have unit Hermite pivots on {nonzero} nonzero of {cases} randomized vectors")
 
 
 def check_bilinear_properties(n_max: int) -> str:
@@ -767,7 +769,8 @@ def check_bilinear_properties(n_max: int) -> str:
         lat = _random_symmetric(rng, n)
         x, y, z = (_random_vec(rng, n) for _ in range(3))
         bilinear_law(lat, x, y, z, *rng.ints(-5, 5, 2))
-    for _ in range(max(1, n_max // 2)):
+    pairs = max(1, n_max // 2)
+    for _ in range(pairs):
         n = rng.randint(1, 4)
         lat = _random_symmetric(rng, n)
         congruence_law(lat, _random_unimodular_ops(rng, n, rng.randint(1, 6)))
@@ -775,7 +778,8 @@ def check_bilinear_properties(n_max: int) -> str:
     # a fixed degenerate form, U + <0>, as few random Grams are degenerate
     u0 = Lattice(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
     _expect(("signature of U + <0>", lattices.signature(u0), (1, 1, 1)))
-    return f"symmetry, bilinearity, basis invariance on {cases} randomized cases"
+    return (f"symmetry and bilinearity on {cases}, basis invariance and direct sums on {pairs}"
+            f" randomized cases; U + <0> has signature (1, 1, 1)")
 
 
 def check_closed_form_erratum(n_max: int) -> str:

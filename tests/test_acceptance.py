@@ -110,6 +110,20 @@ def test_no_check_group_calls_fail():
     assert callers == []
 
 
+def test_no_check_group_names_its_own_point():
+    # _certify prefixes each certified row with its point; a group's own
+    # f"n={n}: ..." would walk the points a second way
+    tree = ast.parse(Path(verify.__file__).read_text())
+
+    def names_a_point(node):
+        return (isinstance(node, ast.JoinedStr) and isinstance(node.values[0], ast.Constant)
+                and node.values[0].value.startswith("n="))
+
+    named = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+             and f.name.startswith("check_") and any(map(names_a_point, ast.walk(f)))]
+    assert named == []
+
+
 # one producer of each group made wrong at one point: the group, the
 # producer, which arguments are the point, the wrong value (from the real
 # producer and those arguments) and the group's detail line

@@ -1095,7 +1095,28 @@ def test_randomized_groups_check_each_case_once(monkeypatch):
     assert details[1].endswith(f" on {len(accepted)} distinct of 100 randomized pairs")
     saturations = sum(key[0] == "saturation_law" for key in seen)
     assert f" on {saturations} distinct of 100 randomized vector lists;" in details[2]
-    assert details[2].endswith(" on 100 randomized vectors")
+    assert details[2].endswith(" on 100 nonzero of 100 randomized vectors")
+    # each suite of bilinear-properties with its own count
+    counts = Counter(key[0] for key in seen)
+    suites = counts["bilinear_law"], counts["congruence_law"], counts["direct_sum_law"]
+    assert suites == (100, 5, 5)
+    assert details[3].startswith(f"symmetry and bilinearity on {suites[0]}, basis invariance"
+                                 f" and direct sums on {suites[1]} randomized cases;")
+
+
+def test_saturation_label_counts_nonzero_complements(monkeypatch):
+    # complement_law checks nothing for the zero vector; 3 of the 1000
+    # vectors drawn at n-max 100 are zero, and none at n-max 3 or 10
+    nonzero = []
+
+    def spy(lat, v, _law=verify.complement_law):
+        nonzero.append(any(v))
+        return _law(lat, v)
+
+    monkeypatch.setattr(verify, "complement_law", spy)
+    detail = verify.check_saturation(100)
+    assert (len(nonzero), sum(nonzero)) == (1000, 997)
+    assert detail.endswith(f" on {sum(nonzero)} nonzero of 1000 randomized vectors")
 
 
 def test_no_memo_across_runs(monkeypatch):

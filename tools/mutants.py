@@ -81,6 +81,12 @@ def _groups(*groups: str) -> tuple[tuple[str, str], ...]:
     return tuple((g, _group(g)) for g in groups)
 
 
+def _claims(*claims: str) -> tuple[tuple[str, str], ...]:
+    """Further tests of a fault: each certified claim's point spy, under its id."""
+    return tuple((c, f"tests/test_acceptance.py::test_certified_claim_covers_its_points[{c}]")
+                 for c in claims)
+
+
 FAULTS = (
     Fault("identity", "src/epwlat/intmat.py",
           "sh = s * head[i]", "sh = s * head[i]", f"{_PROPS}::test_congruence_pivots_branches"),
@@ -153,12 +159,19 @@ FAULTS = (
     Fault("Q update reads Q_k for Q_{k-1}", "src/epwlat/pell.py",
           "q_next = q_prev + a * (p - p_next)", "q_next = q + a * (p - p_next)",
           "tests/test_pell.py::TestHalfPeriodWalk::test_every_nonsquare_to_20000"),
-    # the loop skips the far point while the detail still names it
+    # the one certificate loop of the five certified groups skips the far
+    # point while every detail still names it
     Fault("family-identities loop shrinks, label kept", "src/epwlat/verify.py",
-          "for n in points:\n        rec", "for n in points[:-1]:\n        rec",
+          "for n in (*range(1, k + 2), far):", "for n in range(1, k + 2):",
           "tests/test_family.py::TestFamilyRecords::test_verify_builds_each_record_once",
           (("certificate", "tests/test_acceptance.py::"
-            "test_certified_claim_covers_its_points[family-identities-family]"),)),
+            "test_certified_claim_covers_its_points[family-identities-family]"),
+           *_claims("h2-basis-epw_picard_lattice", "h2-basis-is_primitive",
+                    "involution-soundness-epw_involution", "involution-soundness-involution_law",
+                    "necessary-condition-necessary_condition",
+                    "disc-obstruction-disc_obstruction",
+                    "disc-obstruction-k3_embedding_sufficient",
+                    "disc-obstruction-reflection_inequality"))),
     # forward substitution with R, whose entries below the diagonal are 0,
     # so each row is divided as if R were diagonal
     Fault("saturation solves with R, not R^T", "src/epwlat/intmat.py",
@@ -242,6 +255,11 @@ FAULTS = (
     # negated reflections of involution-soundness (s = -1) contradict
     Fault("involution law ignores the sign on r-perp", "src/epwlat/verify.py",
           "tuple(s * x for x in w)", "w", _group("involution-soundness")),
+    # the plain reflection obeys the involution law of its own sign, +1, so
+    # only the sign row sees that J negates gamma-perp no longer
+    Fault("epw_involution is the plain reflection", "src/epwlat/epwfamily.py",
+          "return lattices.negated_reflection(", "return lattices.reflection(",
+          _group("involution-soundness")),
     # gamma = h - y delta has square d - 2y^2 != 2 once the witness has x > 1
     # (d = 26 is the first), so the involution is refused there
     Fault("epw_involution drops the witness's x", "src/epwlat/epwfamily.py",
@@ -263,6 +281,16 @@ FAULTS = (
           f"{_PROPS}::test_randomized_groups_check_each_case_once"),
     Fault("saturation label counts every draw", "src/epwlat/verify.py",
           "{len(saturated)} distinct of", "{cases} distinct of",
+          f"{_PROPS}::test_randomized_groups_check_each_case_once"),
+    # complement_law checks nothing for the zero vector, which 3 of the 1000
+    # draws at n-max 100 are
+    Fault("complement label counts zero vectors", "src/epwlat/verify.py",
+          "{nonzero} nonzero of", "{cases} nonzero of",
+          f"{_PROPS}::test_saturation_label_counts_nonzero_complements"),
+    # congruence_law and direct_sum_law run on max(1, n_max // 2) cases, not
+    # on the 10 * n_max of bilinear_law
+    Fault("bilinear label counts basis changes as cases", "src/epwlat/verify.py",
+          "direct sums on {pairs}", "direct sums on {cases}",
           f"{_PROPS}::test_randomized_groups_check_each_case_once"),
     # the vectors then move by E, not by E^-1, so a transported root of
     # square +-2 loses its square
