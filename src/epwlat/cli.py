@@ -268,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run every identity check")
     p_ver.add_argument("--n-max", type=_int_option, default=100,
                        help="scales the D and p ranges, the draw counts and the far "
-                            "point 10*N_MAX (default 100 = full acceptance scale)")
+                            "point 10*N_MAX (default 100 = full acceptance scale, "
+                            "at most 3000)")
     p_ver.set_defaults(handler=cmd_verify)
     return parser
 

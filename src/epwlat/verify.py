@@ -7,8 +7,8 @@ The check groups are the module's ``check_<name>`` functions, which
 force, the half-period solver vs. a full-period walk, Miller-Rabin vs. a
 sieve, symmetric elimination vs. Bareiss, residue criterion vs. solver)
 and reports PASS/FAIL with the first counterexample. ``run_all(n_max)``
-scales the ranges and draw counts; the default n_max = 100 reproduces the
-full acceptance scale:
+scales the ranges and draw counts, for 1 <= n_max <= ``N_MAX_CAP``
+(3000); the default n_max = 100 reproduces the full acceptance scale:
 
     family identities        for every n >= 1: degree 3, n = 1..4, 10 * n_max
     change of basis to h2    for every n >= 1: degree 3, n = 1..4, 10 * n_max
@@ -156,7 +156,9 @@ def min_solution_x_brute(top: int, x_max: int = BRUTE_X_MAX) -> dict[int, int]:
     Computational Algebraic Number Theory, Alg. 1.7.3, applied to a whole
     range of x at once) ANDs it, for each m in ``SIEVE_MODULI``, with the
     pattern of the x mod m for which D*x^2 - 1 is a square mod m, tiled
-    by one multiplication with the repunit sum of 2^(k*m). The survivors
+    by one multiplication with the repunit sum of 2^(k*m). A tile depends
+    only on m and D mod m, so there is one per modulus and residue, 359
+    in all, each built once per call before the first D. The survivors
     are tested in increasing x with ``isqrt``, the only test that accepts
     an x. The sieve is sound: D*x^2 - 1 = s^2 makes D*x^2 - 1 a square mod
     every m, so the least x survives and the table is that of the plain
@@ -173,13 +175,16 @@ def min_solution_x_brute(top: int, x_max: int = BRUTE_X_MAX) -> dict[int, int]:
     odd = flag[:width]
     odd[0::2] = bytes(len(range(0, width, 2)))
     base = int(odd.translate(_BITS)[::-1], 2)  # bit x set for each candidate x
-    repunits = [(m, ((1 << m * -(-width // m)) - 1) // ((1 << m) - 1)) for m in SIEVE_MODULI]
+    tiles = []  # per modulus m, the pattern of each residue r = D mod m, tiled
+    for m in SIEVE_MODULI:
+        repunit = ((1 << m * -(-width // m)) - 1) // ((1 << m) - 1)
+        tiles.append((m, [_residue_pattern(m, r) * repunit for r in range(m)]))
     table = {}
     for d in range(2, top + 1):
         if flag[d]:
             mask = base
-            for m, repunit in repunits:
-                mask &= _residue_pattern(m, d % m) * repunit
+            for m, tile in tiles:
+                mask &= tile[d % m]
                 if not mask:
                     break
             bits = bin(mask)[:1:-1]  # bits[x] is bit x
@@ -382,12 +387,15 @@ def index_law(lat: Lattice, b) -> bool:
     The left side comes from the symmetric elimination (``intmat.inertia``),
     the right side from Bareiss (``intmat.det``). Returns False, having
     checked nothing, when det(B) = 0: the columns then span no sublattice
-    of full rank.
+    of full rank. det(B) != 0 alone shows the columns independent, so
+    B^T G B is ``intmat.congruence`` of them, with no second proof of
+    independence (``lattices.induced_gram`` would echelon them again), and
+    ``Lattice`` checks that it is symmetric.
     """
     det_b = intmat.det(b)
     if det_b == 0:
         return False
-    sub = lattices.induced_gram(lat, intmat.transpose(b))
+    sub = Lattice(intmat.congruence(intmat.transpose(b), lat.gram))
     if intmat.inertia(sub.gram)[3] != det_b**2 * lattices.discriminant(lat):
         _fail(f"index law fails: gram={lat.gram}, B={b}")
     return True
@@ -796,10 +804,18 @@ CHECKS: list[tuple[str, Callable[[int], str]]] = [
     for name, fn in list(globals().items()) if name.startswith("check_")]
 
 
+# the largest scale run_all accepts: it took 7.1 s at 3000 and 2.2 s at
+# 1000 (2-CPU machine, Python 3.11), and no larger scale was measured
+N_MAX_CAP = 3000
+
+
 def run_all(n_max: int = 100) -> list[CheckResult]:
-    """Run every check group at the given scale; raises only for n_max < 1."""
+    """Run every check group at the given scale; raises ``ValueError``, before
+    any work, only for n_max < 1 or n_max > ``N_MAX_CAP``."""
     if n_max < 1:
         raise ValueError("n-max must be >= 1")
+    if n_max > N_MAX_CAP:
+        raise ValueError(f"n-max must be <= {N_MAX_CAP}")
     results = []
     for name, fn in CHECKS:
         try:

@@ -109,6 +109,8 @@ USAGE_ERRORS = [
                  "need 1 <= n-min <= n-max", id="family-reversed"),
     pytest.param(["ogrady", "--r", "-1"], "r must be >= 0", id="ogrady-negative"),
     pytest.param(["verify", "--n-max", "0"], "n-max must be >= 1", id="verify-nmax0"),
+    pytest.param(["verify", "--n-max", str(verify.N_MAX_CAP + 1)],
+                 f"n-max must be <= {verify.N_MAX_CAP}", id="verify-nmax-over-cap"),
     pytest.param(["lattice", "--id", "FOO"], "unknown catalog lattice: 'FOO'",
                  id="lattice-unknown-id"),
     pytest.param(["lattice", "--id", f"NS_HILB({'7' * 5000})"],
@@ -480,6 +482,17 @@ class TestVerify:
         assert proc.returncode == 0, proc.stderr
         rows = [line for line in proc.stdout.splitlines() if line.startswith("PASS ")]
         assert len(rows) == 17 == len(verify.CHECKS)
+
+    def test_cap_itself_is_accepted(self, capsys, monkeypatch):
+        # no group runs, so only the bounds of run_all are checked; the
+        # --n-max help names the same cap
+        monkeypatch.setattr(verify, "CHECKS", [])
+        assert verify.run_all(verify.N_MAX_CAP) == []
+        assert run(["verify", "--n-max", str(verify.N_MAX_CAP)], capsys) == (
+            0, f"0/0 check groups passed (n-max {verify.N_MAX_CAP})\n", "")
+        code, out, _ = run(["verify", "--help"], capsys)
+        assert code == ("exit", 0)
+        assert f"at most {verify.N_MAX_CAP})" in " ".join(out.split())
 
     def test_fault_injection_exits_3(self, capsys, monkeypatch):
         def broken(n_max):

@@ -1119,6 +1119,25 @@ def test_saturation_label_counts_nonzero_complements(monkeypatch):
     assert detail.endswith(f" on {sum(nonzero)} nonzero of 1000 randomized vectors")
 
 
+def test_index_law_proves_independence_once(monkeypatch):
+    # det(B) != 0 already shows the columns independent: B^T G B is one
+    # congruence per accepted pair, with no echelon of a second proof
+    calls = Counter()
+
+    def spy(module, name):
+        def counted(*args, _real=getattr(module, name)):
+            calls[name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(lattices, "induced_gram")
+    spy(intmat, "rank")
+    spy(intmat, "congruence")
+    detail = verify.check_index_law(10)
+    assert (calls["induced_gram"], calls["rank"]) == (0, 0)
+    assert detail.endswith(f" on {calls['congruence']} distinct of 100 randomized pairs")
+
+
 def test_no_memo_across_runs(monkeypatch):
     seen = _spy_laws(monkeypatch)
 

@@ -223,6 +223,13 @@ FAULTS = (
           "tests/test_pell.py::TestBruteForceTable::"
           "test_sieve_matches_full_period_reference_to_2000",
           _groups("pell-oracle")),
+    # each D then ANDs the tile of D + 1, which drops true solutions: x = 1
+    # for D = 2 is sieved as for D = 3, and 3 - 1 = 2 is no square mod 64
+    Fault("sieve reads the tile of D + 1", "src/epwlat/verify.py",
+          "mask &= tile[d % m]", "mask &= tile[(d + 1) % m]",
+          "tests/test_pell.py::TestBruteForceTable::"
+          "test_sieve_matches_full_period_reference_to_2000",
+          _groups("pell-oracle")),
     # the repair adds a row, which keeps the determinant; a swap in its place
     # negates it, and U = [[0, 1], [1, 0]] needs one
     Fault("det repairs by a row swap, without a sign", "src/epwlat/intmat.py",
@@ -233,6 +240,12 @@ FAULTS = (
     Fault("det negated at odd rank >= 3", "src/epwlat/intmat.py",
           "    return a[n - 1][n - 1]\n",
           "    return (-1 if n % 2 and n >= 3 else 1) * a[n - 1][n - 1]\n", _group("index-law")),
+    # the index of the sublattice spanned by B's columns is |det(B)|, and
+    # disc scales by its square
+    Fault("index law compares with det(B), not its square", "src/epwlat/verify.py",
+          "det_b**2 * lattices.discriminant(lat)", "det_b * lattices.discriminant(lat)",
+          _group("index-law"),
+          (("property", f"{_PROPS}::test_finite_index_discriminant_law"),)),
     # one Namespace for every call: the top-level --format default is set only
     # when the namespace lacks it, so a previous call's --format csv sticks
     Fault("parser reuse shares one namespace", "src/epwlat/cli.py",
