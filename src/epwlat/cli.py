@@ -178,11 +178,20 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
+# the most rows one family call tabulates: 10**5 rows took 4.9 s through the
+# CLI and made 6.3 MB of CSV (2-CPU machine, Python 3.11), and no larger
+# range was measured
+FAMILY_ROWS_CAP = 10**5
+
+
 def cmd_family(args) -> int:
     from . import epwfamily
 
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValueError("need 1 <= n-min <= n-max")
+    if args.n_max - args.n_min >= FAMILY_ROWS_CAP:
+        raise ValueError(f"need n-max - n-min < {FAMILY_ROWS_CAP} "
+                         f"(at most {FAMILY_ROWS_CAP} rows)")
     records = map(epwfamily.family, range(args.n_min, args.n_max + 1))
     _emit(args.format, ["n", "d", "g", "r", "gamma_delta2", "disc_pi", "pell_y", "pell_x"],
           [[rec.n, rec.d, rec.g, rec.ogrady_r, rec.gram_pi[0][1], rec.disc_pi,
@@ -257,8 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.set_defaults(handler=cmd_lattice)
 
     p_fam = sub.add_parser("family", help="tabulate the degree family")
-    p_fam.add_argument("--n-min", type=_int_option, required=True)
-    p_fam.add_argument("--n-max", type=_int_option, required=True)
+    p_fam.add_argument("--n-min", type=_int_option, required=True,
+                       help="first n, at least 1")
+    p_fam.add_argument("--n-max", type=_int_option, required=True,
+                       help=f"last n; at most {FAMILY_ROWS_CAP} rows in all")
     p_fam.set_defaults(handler=cmd_family)
 
     p_og = sub.add_parser("ogrady", help="classify the genus parameter r")

@@ -130,7 +130,6 @@ def _expect(*claims) -> None:
 # --- independent brute-force oracle for the negative Pell equation ---------
 
 SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37)
-_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @cache  # at most sum(SIEVE_MODULI) = 359 small ints
@@ -144,58 +143,57 @@ def min_solution_x_brute(top: int, x_max: int = BRUTE_X_MAX) -> dict[int, int]:
     """Every D in 2..top with a solution, mapped to its least x <= x_max with
     D*x^2 - 1 a perfect square: brute force by ``isqrt``, no continued fractions.
 
-    A solution makes -1 a square mod D and mod x^2, so 4 does not divide D,
-    x is odd, and no p = 3 (mod 4) divides D or x; one flag table skips the
-    rest. It clears the multiples of each p = 3 (mod 4) in increasing order
-    but skips a p whose flag is already clear: that p is a multiple of an
+    A solution makes -1 a square mod D, so 4 does not divide D and no
+    p = 3 (mod 4) divides D; one flag table over 0..top skips the other D.
+    It clears the multiples of each p = 3 (mod 4) in increasing order but
+    skips a p whose flag is already clear: that p is a multiple of an
     earlier one, so its multiples are clear too. A composite p = 3 (mod 4)
     has a smaller prime factor = 3 (mod 4), so only the primes clear.
 
-    For each flagged D the candidate x are the bits of one int, the odd
-    flagged x <= x_max. A quadratic-residue sieve (Cohen, A Course in
+    For each flagged D the candidate x are the bits of one int, every
+    1 <= x <= x_max, and only a quadratic-residue sieve (Cohen, A Course in
     Computational Algebraic Number Theory, Alg. 1.7.3, applied to a whole
-    range of x at once) ANDs it, for each m in ``SIEVE_MODULI``, with the
-    pattern of the x mod m for which D*x^2 - 1 is a square mod m, tiled
-    by one multiplication with the repunit sum of 2^(k*m). A tile depends
-    only on m and D mod m, so there is one per modulus and residue, 359
-    in all, each built once per call before the first D. The survivors
-    are tested in increasing x with ``isqrt``, the only test that accepts
-    an x. The sieve is sound: D*x^2 - 1 = s^2 makes D*x^2 - 1 a square mod
-    every m, so the least x survives and the table is that of the plain
-    scan.
+    range of x at once) drops any: it ANDs them, for each m in
+    ``SIEVE_MODULI``, with the pattern of the x mod m for which D*x^2 - 1
+    is a square mod m, tiled by one multiplication with the repunit sum of
+    2^(k*m). Mod 64 this drops every even x, and mod 63, 11, 19, 23 and 31
+    the multiples of 3, 7, 11, 19, 23 and 31, as -1 is no square mod 4 or
+    mod a p = 3 (mod 4). A tile depends only on m and D mod m, so each
+    modulus tiles, once per call, only the residues D mod m of the flagged
+    D. The survivors are tested in increasing x with ``isqrt``, the only
+    test that accepts an x. The sieve is sound: D*x^2 - 1 = s^2 makes
+    D*x^2 - 1 a square mod every m, so the least x survives and the table
+    is that of the plain scan.
     """
-    x_max = max(x_max, 0)
-    n = max(top, x_max) + 1
+    n = top + 1
     flag = bytearray(b"\1") * n
     flag[0::4] = bytes(len(range(0, n, 4)))
     for p in range(3, n, 4):
         if flag[p]:
             flag[0::p] = bytes(len(range(0, n, p)))
-    width = x_max + 1
-    odd = flag[:width]
-    odd[0::2] = bytes(len(range(0, width, 2)))
-    base = int(odd.translate(_BITS)[::-1], 2)  # bit x set for each candidate x
-    tiles = []  # per modulus m, the pattern of each residue r = D mod m, tiled
+    ds = [d for d in range(2, n) if flag[d]]
+    width = max(x_max, 0) + 1
+    base = (1 << width) - 2  # bit x set for each candidate 1 <= x <= x_max
+    tiles = []  # per modulus m, the pattern of each residue D mod m read, tiled
     for m in SIEVE_MODULI:
         repunit = ((1 << m * -(-width // m)) - 1) // ((1 << m) - 1)
-        tiles.append((m, [_residue_pattern(m, r) * repunit for r in range(m)]))
+        tiles.append((m, {r: _residue_pattern(m, r) * repunit for r in {d % m for d in ds}}))
     table = {}
-    for d in range(2, top + 1):
-        if flag[d]:
-            mask = base
-            for m, tile in tiles:
-                mask &= tile[d % m]
-                if not mask:
-                    break
-            bits = bin(mask)[:1:-1]  # bits[x] is bit x
-            x = bits.find("1")
-            while x >= 0:
-                v = d * x * x - 1
-                s = isqrt(v)
-                if s * s == v:
-                    table[d] = x
-                    break
-                x = bits.find("1", x + 1)
+    for d in ds:
+        mask = base
+        for m, tile in tiles:
+            mask &= tile[d % m]
+            if not mask:
+                break
+        bits = bin(mask)[:1:-1]  # bits[x] is bit x
+        x = bits.find("1")
+        while x >= 0:
+            v = d * x * x - 1
+            s = isqrt(v)
+            if s * s == v:
+                table[d] = x
+                break
+            x = bits.find("1", x + 1)
     return table
 
 

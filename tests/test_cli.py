@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from epwlat import cli, lattices, pell, verify
+from epwlat import cli, epwfamily, lattices, pell, verify
 
 
 def run(argv, capsys):
@@ -107,6 +107,9 @@ USAGE_ERRORS = [
                  "need 1 <= n-min <= n-max", id="family-nmin0"),
     pytest.param(["family", "--n-min", "3", "--n-max", "2"],
                  "need 1 <= n-min <= n-max", id="family-reversed"),
+    pytest.param(["family", "--n-min", "1", "--n-max", str(cli.FAMILY_ROWS_CAP + 1)],
+                 f"need n-max - n-min < {cli.FAMILY_ROWS_CAP} "
+                 f"(at most {cli.FAMILY_ROWS_CAP} rows)", id="family-rows-over-cap"),
     pytest.param(["ogrady", "--r", "-1"], "r must be >= 0", id="ogrady-negative"),
     pytest.param(["verify", "--n-max", "0"], "n-max must be >= 1", id="verify-nmax0"),
     pytest.param(["verify", "--n-max", str(verify.N_MAX_CAP + 1)],
@@ -379,6 +382,23 @@ class TestFamily:
             assert run(["--format", "csv", "family", "--n-min", n_min,
                         "--n-max", n_max], capsys) == (
                 1, "", "error: need 1 <= n-min <= n-max\n")
+
+    def test_cap_itself_is_accepted(self, capsys, monkeypatch):
+        # family is stubbed, so only the bounds of cmd_family are checked;
+        # the --n-max help names the same cap
+        ns = []
+        rec = epwfamily.family(1)
+        monkeypatch.setattr(epwfamily, "family", lambda n: ns.append(n) or rec)
+        first = 10**9
+        last = first + cli.FAMILY_ROWS_CAP - 1
+        code, out, err = run(["--format", "csv", "family", "--n-min", str(first),
+                              "--n-max", str(last)], capsys)
+        assert (code, err) == (0, "")
+        assert ns == list(range(first, last + 1))
+        assert out.count("\n") == cli.FAMILY_ROWS_CAP + 1
+        code, out, _ = run(["family", "--help"], capsys)
+        assert code == ("exit", 0)
+        assert f"at most {cli.FAMILY_ROWS_CAP} rows" in " ".join(out.split())
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(["family", "--n-min", "1", "--n-max", "4"], capsys)

@@ -9,6 +9,7 @@ solver against it too."""
 import copy
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -226,6 +227,18 @@ class TestFundamental:
         # no solution below a large brute-force bound either
         wide = min_solution_x_brute(34, 10**6)
         assert 3 not in wide and 34 not in wide
+
+    def test_wide_brute_force_sizes_its_tables_by_what_they_read(self):
+        # the flags cover D <= 34 only, and tiles exist only for the residues
+        # of the few flagged D: the 10^6-bit candidate ints, not 359 tiles,
+        # bound the peak
+        tracemalloc.start()
+        try:
+            min_solution_x_brute(34, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
     def test_square_rejected(self):
         with pytest.raises(ValueError):

@@ -72,7 +72,7 @@ _PROPS = "tests/test_properties.py"
 
 
 def _group(group: str) -> str:
-    """The pytest id of one ``epwlat verify`` group at n-max 3."""
+    """The pytest id of one ``epwlat verify`` group, which runs it at n-max 100."""
     return f"tests/test_acceptance.py::test_check_group[{group}]"
 
 
@@ -230,6 +230,13 @@ FAULTS = (
           "tests/test_pell.py::TestBruteForceTable::"
           "test_sieve_matches_full_period_reference_to_2000",
           _groups("pell-oracle")),
+    # a modulus tiles the residues of every flagged D but the last; at top 60
+    # that D, 58, is the only one = 58 (mod 64), so its lookup fails (at
+    # pell-oracle's top 2000 every residue recurs, so the group cannot see it)
+    Fault("sieve tiles no residue of the last D", "src/epwlat/verify.py",
+          "for r in {d % m for d in ds}}", "for r in {d % m for d in ds[:-1]}}",
+          "tests/test_pell.py::TestBruteForceTable::"
+          "test_sieve_matches_per_d_scan_with_top_below_x_max"),
     # the repair adds a row, which keeps the determinant; a swap in its place
     # negates it, and U = [[0, 1], [1, 0]] needs one
     Fault("det repairs by a row swap, without a sign", "src/epwlat/intmat.py",
